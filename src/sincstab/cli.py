@@ -127,8 +127,7 @@ def _resolve_window(args, grid) -> framekit.TruncationWindow:
     if args.window is not None:
         lo = min(-args.window, int(grid.indices[0]))
         hi = max(args.window, int(grid.indices[-1]))
-        return framekit.TruncationWindow(row_range=(lo, hi), col_range=(lo, hi),
-                                         **kwargs)
+        return framekit.TruncationWindow(row_range=(lo, hi), **kwargs)
     return framekit.TruncationWindow.for_grid(grid, **kwargs)
 
 
@@ -205,20 +204,15 @@ def _run_table(args):
         raise ValueError("provide --A values and/or --critical")
     rows = []
     for alpha in alphas:
-        for A in amps:
+        cases = [(A, {}) for A in amps]
+        if args.critical:
+            cases.append((bounds_mod.critical_A(alpha), {"critical": True}))
+        for A, extra in cases:
             rep = bounds_mod.table_lambda(A, alpha)
             rows.append({"alpha": alpha, "A": A,
                          "lambda1": rep.components["lambda1"],
                          "lambda2": rep.components["lambda2"],
-                         "lambda": rep.lambda_value})
-        if args.critical:
-            a_star = bounds_mod.critical_A(alpha)
-            rep = bounds_mod.table_lambda(a_star, alpha)
-            rows.append({"alpha": alpha, "A": a_star,
-                         "lambda1": rep.components["lambda1"],
-                         "lambda2": rep.components["lambda2"],
-                         "lambda": rep.lambda_value,
-                         "critical": True})
+                         "lambda": rep.lambda_value, **extra})
     params = {"alpha": alphas, "A": amps, "critical": bool(args.critical)}
     return params, {"rows": rows}, True
 
@@ -257,7 +251,7 @@ def _run_reconstruct(args):
         signal, result, grid, (args.eval_lo, args.eval_hi), args.eval_points)
     if args.csv:
         t = np.linspace(args.eval_lo, args.eval_hi, args.eval_points)
-        reconstruct.write_csv(args.csv, result, signal, grid, t)
+        reconstruct.write_csv(args.csv, result, signal, grid, t, error)
     params = _grid_params(args)
     params.update({"signal": args.signal,
                    "eval_window": [args.eval_lo, args.eval_hi],
@@ -311,6 +305,16 @@ def _render_csv(command: str, results: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by None, so that the
+    report stays valid JSON (which has no NaN or Infinity)."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args, command: str, params: dict, results: dict, runtime_ms: float) -> None:
     if args.format == "json":
         payload = {
@@ -320,7 +324,8 @@ def _emit(args, command: str, params: dict, results: dict, runtime_ms: float) ->
             "meta": {"version": __version__, "seed": args.seed,
                      "runtime_ms": runtime_ms},
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_json_safe(payload), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _render_csv(command, results)
     else:
@@ -369,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_window_flags(p)
     p.add_argument("--signal", required=True,
-                   help="sinc-translate combination, e.g. '0.3' or '0.3:1,2.5:-0.7'")
+                   help="sinc-translate combination, e.g. '0.3' or '0.3:1,2.5:-0.7'; "
+                        "write a negative first shift as --signal=-3.2:0.5")
     p.add_argument("--eval-lo", type=float, default=-20.0)
     p.add_argument("--eval-hi", type=float, default=20.0)
     p.add_argument("--eval-points", type=int, default=2001)
@@ -392,11 +398,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         params, results, converged = _HANDLERS[args.command](args)
-    except (ValueError, reconstruct.ConvergenceError) as exc:
+        runtime_ms = (time.perf_counter() - start) * 1e3
+        _emit(args, args.command, params, results, runtime_ms)
+    except (OSError, ValueError, reconstruct.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    _emit(args, args.command, params, results, runtime_ms)
     return OK if converged else FAILURE
 
 

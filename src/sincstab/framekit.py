@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -42,21 +42,20 @@ DENSE_EIG_CUTOFF = 800
 
 @dataclass(frozen=True)
 class TruncationWindow:
-    """Index ranges and tolerances governing all matrix truncations.
+    """Row range and tolerances governing all matrix truncations.
 
-    row_range/col_range are inclusive (lo, hi) pairs: rows are the integer
-    translates k, columns the grid indices n.  norm_tolerance and
+    row_range is an inclusive (lo, hi) pair of integer translates k; it must
+    cover the grid indices n, which label the columns.  norm_tolerance and
     max_iterations drive the iterative estimators (power iteration, CG).
     """
 
     row_range: tuple[int, int]
-    col_range: tuple[int, int]
     norm_tolerance: float = 1e-10
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if self.row_range[1] < self.row_range[0] or self.col_range[1] < self.col_range[0]:
-            raise ValueError("window ranges must be nonempty")
+        if self.row_range[1] < self.row_range[0]:
+            raise ValueError("window row range must be nonempty")
         if not (self.norm_tolerance > 0.0):
             raise ValueError("norm_tolerance must be positive")
         if self.max_iterations < 1:
@@ -69,7 +68,7 @@ class TruncationWindow:
     @classmethod
     def symmetric(cls, radius: int, **kwargs) -> "TruncationWindow":
         radius = int(radius)
-        return cls(row_range=(-radius, radius), col_range=(-radius, radius), **kwargs)
+        return cls(row_range=(-radius, radius), **kwargs)
 
     @classmethod
     def for_grid(cls, grid: PerturbedGrid, pad_factor: int = DEFAULT_PAD_FACTOR,
@@ -84,8 +83,7 @@ class TruncationWindow:
         excess = (hi - lo + 1) + 2 * pad - row_cap
         if excess > 0:
             pad = max(pad - (excess + 1) // 2, 0)
-        return cls(row_range=(lo - pad, hi + pad), col_range=(lo - pad, hi + pad),
-                   **kwargs)
+        return cls(row_range=(lo - pad, hi + pad), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -97,24 +95,15 @@ class SynthesisMatrix:
     col_indices: np.ndarray
     entries: np.ndarray
 
-    @property
-    def is_complex(self) -> bool:
-        return self.entries.dtype.kind == "c"
-
     def perturbation(self) -> np.ndarray:
         """S - I, where I is the synthesis matrix of the unperturbed system
-        on the same index sets (entry delta_{k,n})."""
-        E = self.entries.astype(np.complex128 if self.is_complex else np.float64,
-                                copy=True)
-        klo = int(self.row_indices[0])
-        khi = int(self.row_indices[-1])
-        for j, n in enumerate(self.col_indices):
-            if klo <= n <= khi:
-                E[n - klo, j] -= 1.0
+        on the same index sets (entry delta_{k,n}, inside the rows)."""
+        E = self.entries.copy()
+        E[self.col_indices - self.row_indices[0], np.arange(E.shape[1])] -= 1.0
         return E
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramSummary:
     """Diagnostics of a truncated system: perturbation norm, extremal Gram
     eigenvalues, and the Riesz bounds they imply."""
@@ -134,12 +123,12 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
     """Build the truncated synthesis matrix of a grid.
 
     Rows span window.row_range; columns are the grid's listed indices, which
-    must lie inside window.col_range.  Real grids produce real matrices.
+    must lie inside it.  Real grids produce real matrices.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    if int(grid.indices[0]) < window.col_range[0] or int(grid.indices[-1]) > window.col_range[1]:
-        raise ValueError("window column range does not cover the grid indices")
+    if int(grid.indices[0]) < window.row_range[0] or int(grid.indices[-1]) > window.row_range[1]:
+        raise ValueError("window rows do not cover the grid indices")
     k = window.rows.astype(np.float64)
     if grid.is_complex:
         entries = sinc_complex_array(grid.nodes[None, :] - k[:, None])
@@ -200,12 +189,10 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
             E, window.norm_tolerance, window.max_iterations, seed)
     else:
         raise ValueError(f"unknown norm method {method!r}")
-    summary = GramSummary(window=window, perturbation_norm=norm,
-                          iterations_used=iterations, converged=converged)
-    summary.implied_riesz_upper = (1.0 + norm) ** 2
-    if norm < 1.0:
-        summary.implied_riesz_lower = (1.0 - norm) ** 2
-    return summary
+    return GramSummary(window=window, perturbation_norm=norm,
+                       implied_riesz_lower=(1.0 - norm) ** 2 if norm < 1.0 else None,
+                       implied_riesz_upper=(1.0 + norm) ** 2,
+                       iterations_used=iterations, converged=converged)
 
 
 def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
@@ -220,8 +207,26 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
         logger.info("complex grid: Gram computed as S^H S on the truncation")
         S = synthesis_matrix(grid, window).entries
         return S.conj().T @ S
-    diff = grid.nodes[:, None] - grid.nodes[None, :]
-    return sinc_array(diff)
+    return sinc_array(grid.nodes[:, None] - grid.nodes[None, :])
+
+
+def _extremal(G: np.ndarray) -> tuple[float, float, bool]:
+    """(min, max, converged) eigenvalues of symmetric G: dense for small
+    systems, else Lanczos on both ends (nan when it stops with none)."""
+    if G.shape[0] <= DENSE_EIG_CUTOFF:
+        eigenvalues = np.linalg.eigvalsh(G)
+        return float(eigenvalues[0]), float(eigenvalues[-1]), True
+    try:
+        emin = float(scipy.sparse.linalg.eigsh(
+            G, k=1, which="SA", return_eigenvectors=False)[0])
+        emax = float(scipy.sparse.linalg.eigsh(
+            G, k=1, which="LA", return_eigenvectors=False)[0])
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        ev = exc.eigenvalues
+        if not ev.size:
+            return math.nan, math.nan, False
+        return float(np.min(ev)), float(np.max(ev)), False
+    return emin, emax, True
 
 
 def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
@@ -229,33 +234,14 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     """Extremal eigenvalues of the truncated Gram matrix plus the bounds
     implied by the perturbation norm.
 
-    Small systems use a full symmetric eigendecomposition; larger ones fall
-    back to Lanczos iterations on both ends of the spectrum.
+    G is released before S - I is built, so the two never share memory.
     """
-    if window is None:
-        window = TruncationWindow.for_grid(grid)
-    G = gram_matrix(grid, window)
-    n = G.shape[0]
-    converged = True
-    if n <= DENSE_EIG_CUTOFF:
-        eigenvalues = np.linalg.eigvalsh(G)
-        emin, emax = float(eigenvalues[0]), float(eigenvalues[-1])
-    else:
-        try:
-            emin = float(scipy.sparse.linalg.eigsh(
-                G, k=1, which="SA", return_eigenvectors=False)[0])
-            emax = float(scipy.sparse.linalg.eigsh(
-                G, k=1, which="LA", return_eigenvectors=False)[0])
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            converged = False
-            ev = exc.eigenvalues
-            emin = float(np.min(ev)) if ev.size else math.nan
-            emax = float(np.max(ev)) if ev.size else math.nan
+    emin, emax, converged = _extremal(gram_matrix(grid, window))
     summary = perturbation_norm(grid, window, seed=seed)
-    summary.min_eigenvalue = max(emin, 0.0) if math.isfinite(emin) else emin
-    summary.max_eigenvalue = emax
-    summary.converged = summary.converged and converged
-    return summary
+    return replace(summary,
+                   min_eigenvalue=max(emin, 0.0) if math.isfinite(emin) else emin,
+                   max_eigenvalue=emax,
+                   converged=summary.converged and converged)
 
 
 def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
@@ -266,9 +252,8 @@ def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] =
     Where an analytic bound applies (real grids: the deviation sum; complex
     constant-offset grids: the master bound) it is attached as cross_check.
     """
-    if window is None:
-        window = TruncationWindow.for_grid(grid)
     summary = perturbation_norm(grid, window, seed=seed)
+    window = summary.window
     cross: Optional[BoundReport] = None
     if not grid.is_complex:
         cross = lemma_sum_bound(grid)

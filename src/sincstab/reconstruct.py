@@ -79,15 +79,13 @@ class BandlimitedSignal:
         return sinc_array(t[..., None] - self.shifts) @ self.weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionResult:
-    """Solved expansion coefficients plus quality metrics filled on demand."""
+    """Solved expansion coefficients and the final state of the solver."""
 
     coefficients: np.ndarray
     residual_norm: float
     solver_iterations: int
-    eval_grid: Optional[list[tuple[float, float]]] = None
-    relative_l2_error: Optional[float] = None
 
 
 def sample_signal(signal: BandlimitedSignal, grid: PerturbedGrid) -> np.ndarray:
@@ -187,16 +185,11 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
 
 def evaluate_reconstruction(result: ReconstructionResult, grid: PerturbedGrid,
                             t_values: Sequence[float]) -> np.ndarray:
-    """Evaluate f_hat(t) = sum_n c_n * sinc(t - lambda_n) at the requested t.
-
-    Also records the (t, f_hat) pairs on the result.
-    """
+    """Evaluate f_hat(t) = sum_n c_n * sinc(t - lambda_n) at the requested t."""
     t = np.asarray(t_values, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation points must be finite")
-    values = sinc_array(t[:, None] - grid.nodes[None, :]) @ result.coefficients
-    result.eval_grid = list(zip(t.tolist(), values.tolist()))
-    return values
+    return sinc_array(t[:, None] - grid.nodes[None, :]) @ result.coefficients
 
 
 def reconstruction_error(signal: BandlimitedSignal, result: ReconstructionResult,
@@ -221,21 +214,21 @@ def reconstruction_error(signal: BandlimitedSignal, result: ReconstructionResult
     if ref_norm == 0.0:
         raise ValueError("reference signal vanishes on the evaluation window")
     err_norm = math.sqrt(float(np.trapezoid((f_hat - f_ref) ** 2, t)))
-    error = err_norm / ref_norm
-    result.relative_l2_error = error
-    return error
+    return err_norm / ref_norm
 
 
 def write_csv(path, result: ReconstructionResult, signal: BandlimitedSignal,
-              grid: PerturbedGrid, t_values: Sequence[float]) -> None:
-    """Export t, f_ref, f_hat, abs_err rows behind a JSON metadata header."""
+              grid: PerturbedGrid, t_values: Sequence[float],
+              relative_l2_error: float) -> None:
+    """Export t, f_ref, f_hat, abs_err rows behind a JSON metadata header
+    that records relative_l2_error (from reconstruction_error)."""
     t = np.asarray(t_values, dtype=np.float64)
     f_ref = signal(t)
     f_hat = evaluate_reconstruction(result, grid, t)
     meta = {
         "solver_iterations": result.solver_iterations,
         "residual_norm": result.residual_norm,
-        "relative_l2_error": result.relative_l2_error,
+        "relative_l2_error": relative_l2_error,
         "nodes": len(grid),
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -7,7 +7,6 @@ for real argument s > 1.  All functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,59 +70,31 @@ def sinc(x: float) -> float:
 
 
 def sinc_complex(z: complex) -> complex:
-    """Analytic continuation sin(pi*z)/(pi*z) of the normalized sinc.
-
-    For |pi*z| < 0.1 a degree-12 Taylor polynomial is used; the truncation
-    error there is below 1e-17, and the direct quotient is avoided where
-    numerator and denominator both vanish.
-    """
+    """Analytic continuation sin(pi*z)/(pi*z) of the normalized sinc."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"sinc_complex requires a finite argument, got {z!r}")
-    if z.imag == 0.0 and z.real == math.floor(z.real):
-        return complex(1.0 if z.real == 0.0 else 0.0, 0.0)
-    w = math.pi * z
-    if abs(w) < 0.1:
-        w2 = w * w
-        # sin(w)/w = 1 - w^2/3! + w^4/5! - ... through w^12/13!
-        return 1.0 + w2 * (
-            -1.0 / 6.0
-            + w2 * (1.0 / 120.0 + w2 * (-1.0 / 5040.0 + w2 * (
-                1.0 / 362880.0 + w2 * (-1.0 / 39916800.0 + w2 / 6227020800.0))))
-        )
-    return cmath.sin(w) / w
+    return complex(sinc_complex_array(z))
+
+
+def _sinc_kernel(x: np.ndarray) -> np.ndarray:
+    """np.sinc (exactly 1 at 0) with exact zeros at the nonzero real integers,
+    the only points where x == floor(x.real) for real and complex x alike.
+    np.asarray makes np.sinc's scalar result for 0-d input writable."""
+    y = np.asarray(np.sinc(x))
+    y[(x == np.floor(x.real)) & (x != 0)] = 0.0
+    return y
 
 
 def sinc_array(x) -> np.ndarray:
     """Vectorized real sinc with exact Kronecker values at the integers."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.sinc(x)
-    exact = x == np.floor(x)
-    if np.any(exact):
-        y = np.where(exact, 0.0, y)
-        y = np.where(x == 0.0, 1.0, y)
-    return y
+    return _sinc_kernel(np.asarray(x, dtype=np.float64))
 
 
 def sinc_complex_array(z) -> np.ndarray:
-    """Vectorized complex sinc; series-stabilized near 0, exact at integers."""
-    z = np.asarray(z, dtype=np.complex128)
-    w = np.pi * z
-    out = np.empty(w.shape, dtype=np.complex128)
-    small = np.abs(w) < 0.1
-    ws = w[small] ** 2
-    out[small] = 1.0 + ws * (
-        -1.0 / 6.0
-        + ws * (1.0 / 120.0 + ws * (-1.0 / 5040.0 + ws * (
-            1.0 / 362880.0 + ws * (-1.0 / 39916800.0 + ws / 6227020800.0))))
-    )
-    wb = w[~small]
-    out[~small] = np.sin(wb) / wb
-    exact = (z.imag == 0.0) & (z.real == np.floor(z.real))
-    if np.any(exact):
-        out[exact & (z != 0.0)] = 0.0
-        out[z == 0.0] = 1.0
-    return out
+    """Vectorized complex sinc, exact on the real integers.  The direct
+    quotient keeps full relative accuracy near 0, so it needs no series."""
+    return _sinc_kernel(np.asarray(z, dtype=np.complex128))
 
 
 def _halley_w(x: float, w: float) -> float:
@@ -154,13 +125,11 @@ def lambert_w0(x: float) -> BranchedWValue:
     # p parametrizes the distance to the branch point: p^2 = 2(1 + e*x)
     q = max(2.0 * (1.0 + math.e * x), 0.0)
     p = math.sqrt(q)
-    if p < 1e-5:
+    if p < 1e-5 or x < -0.3:
         w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
     else:
-        if x < -0.3:
-            w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-        else:
-            w = x * math.exp(-x)
+        w = x * math.exp(-x)
+    if p >= 1e-5:
         w = _halley_w(x, w)
     w = max(w, -1.0)
     return BranchedWValue(branch="principal", argument=x, value=w)

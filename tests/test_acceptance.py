@@ -164,8 +164,7 @@ def test_criterion_09_reconstruction():
         errors = []
         for N in (25, 50, 100, 200):
             grid = ss.power_law_grid(0.2, 1.0, N, extend_nonpositive=True)
-            window = TruncationWindow(row_range=(-1200, 1200),
-                                      col_range=(-N, N))
+            window = TruncationWindow(row_range=(-1200, 1200))
             samples = ss.sample_signal(signal, grid)
             result = ss.solve_coefficients(samples, grid, window)
             errors.append(ss.reconstruction_error(signal, result, grid,

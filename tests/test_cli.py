@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, formats, determinism, exit codes."""
 
 import json
+import math
 import re
 
 import pytest
@@ -218,6 +219,28 @@ def test_gram_dump_matrix(capsys, tmp_path):
     assert all(len(line.split()) == 4 for line in lines)
 
 
+def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
+    # Lanczos that stops with no eigenvalues reports nan; JSON has no NaN
+    from sincstab import framekit
+
+    def stalled(grid, window, seed=0):
+        return framekit.GramSummary(window=window, perturbation_norm=0.5,
+                                    min_eigenvalue=math.nan, max_eigenvalue=math.inf,
+                                    implied_riesz_lower=0.25, implied_riesz_upper=2.25,
+                                    converged=False)
+
+    def reject(token):
+        raise AssertionError(f"invalid JSON constant {token}")
+
+    monkeypatch.setattr(framekit, "riesz_bounds_estimate", stalled)
+    code, out, _ = run(capsys, "gram", "--ingham", "--N", "4", "--format", "json")
+    assert code == 1
+    results = json.loads(out, parse_constant=reject)["results"]
+    assert results["min_eigenvalue"] is None
+    assert results["max_eigenvalue"] is None
+    assert results["perturbation_norm"] == 0.5
+
+
 def test_gram_nonconverged_exits_nonzero(capsys):
     code, out, _ = run(capsys, "gram", "--ingham", "--N", "8",
                        "--tol", "1e-15", "--max-iter", "2", "--format", "json")
@@ -275,6 +298,13 @@ def test_reconstruct_rejects_complex_grid(capsys):
     assert "real" in err
 
 
+def test_reconstruct_negative_shift_with_equals(capsys):
+    code, out, _ = run(capsys, "reconstruct", "--signal=-3.2:0.5",
+                       "--uniform-offset", "0", "--N", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["signal"] == "-3.2:0.5"
+
+
 def test_reconstruct_bad_signal(capsys):
     code, _, err = run(capsys, "reconstruct", "--signal", ",",
                        "--uniform-offset", "0", "--N", "5")
@@ -291,6 +321,18 @@ def test_out_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(path.read_text())
     assert payload["command"] == "oseen"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--grid-file", "{missing}/grid.txt"),
+    ("oseen", "--out", "{missing}/report.json"),
+    ("gram", "--ingham", "--N", "2", "--dump-matrix", "{missing}/gram.txt"),
+])
+def test_missing_paths_fail_cleanly(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_csv_format_for_scalar_reports(capsys):

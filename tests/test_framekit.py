@@ -1,6 +1,7 @@
 """Truncated-system linear algebra against dense oracles."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -38,11 +39,11 @@ def random_grid(rng, max_nodes=40, spread=0.15):
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        TruncationWindow(row_range=(3, 1), col_range=(0, 1))
+        TruncationWindow(row_range=(3, 1))
     with pytest.raises(ValueError):
-        TruncationWindow(row_range=(0, 1), col_range=(0, 1), norm_tolerance=0.0)
+        TruncationWindow(row_range=(0, 1), norm_tolerance=0.0)
     with pytest.raises(ValueError):
-        TruncationWindow(row_range=(0, 1), col_range=(0, 1), max_iterations=0)
+        TruncationWindow(row_range=(0, 1), max_iterations=0)
 
 
 def test_window_for_grid_padding_and_cap():
@@ -78,7 +79,7 @@ def test_unperturbed_identity_in_tall_window():
 
 def test_single_node_column():
     grid = uniform_offset_grid([0.5], (0, 0))
-    S = synthesis_matrix(grid, TruncationWindow(row_range=(-1, 1), col_range=(0, 0)))
+    S = synthesis_matrix(grid, TruncationWindow(row_range=(-1, 1)))
     column = S.entries[:, 0]
     # sinc(1.5), sinc(0.5), sinc(-0.5) = -2/(3*pi), 2/pi, 2/pi
     assert column == pytest.approx(
@@ -127,7 +128,7 @@ def test_norm_single_half_shift():
     grid = uniform_offset_grid([0.5], (0, 0))
     previous = 0.0
     for radius in (500, 2000, 20_000):
-        window = TruncationWindow(row_range=(-radius, radius), col_range=(0, 0))
+        window = TruncationWindow(row_range=(-radius, radius))
         value = perturbation_norm(grid, window).perturbation_norm
         tail = 2.0 / (math.pi ** 2 * radius)
         assert previous < value <= limit
@@ -162,7 +163,7 @@ def test_norm_window_growth_monotone():
     grid = power_law_grid(0.2, 1.0, 50, extend_nonpositive=True)
     previous = -1.0
     for radius in (50, 100, 200, 400):
-        window = TruncationWindow(row_range=(-radius, radius), col_range=(-50, 50))
+        window = TruncationWindow(row_range=(-radius, radius))
         value = perturbation_norm(grid, window).perturbation_norm
         assert value >= previous - 1e-9
         previous = value
@@ -172,7 +173,7 @@ def test_norm_dominated_by_deviation_sum():
     from sincstab.bounds import lemma_sum_bound
     for A, alpha in [(0.2, 1.0), (0.25, 0.75)]:
         grid = power_law_grid(A, alpha, 300)
-        window = TruncationWindow(row_range=(-500, 500), col_range=(1, 300))
+        window = TruncationWindow(row_range=(-500, 500))
         norm = perturbation_norm(grid, window).perturbation_norm
         assert norm ** 2 <= lemma_sum_bound(grid).lambda_value + 1e-6
 
@@ -205,6 +206,8 @@ def test_gram_two_node_closed_form():
     summary = riesz_bounds_estimate(grid)
     assert summary.min_eigenvalue == pytest.approx(0.8199367367685788, abs=1e-12)
     assert summary.max_eigenvalue == pytest.approx(1.1800632632314212, abs=1e-12)
+    with pytest.raises(FrozenInstanceError):
+        summary.min_eigenvalue = 0.0
 
 
 def test_gram_unit_diagonal_and_symmetry():
@@ -220,7 +223,7 @@ def test_gram_matches_truncated_cross_products():
     G = gram_matrix(grid)
     errors = []
     for radius in (501, 2001, 8001):
-        window = TruncationWindow(row_range=(-radius, radius), col_range=(0, 1))
+        window = TruncationWindow(row_range=(-radius, radius))
         S = synthesis_matrix(grid, window).entries
         errors.append(float(np.max(np.abs(G - S.T @ S))))
     assert errors[0] < 3e-4

@@ -12,6 +12,7 @@ from sincstab.specfun import (
     riemann_zeta,
     sinc,
     sinc_complex,
+    sinc_complex_array,
     zeta_minus_one,
 )
 
@@ -90,11 +91,29 @@ def test_sinc_complex_matches_real_axis():
 
 
 def test_sinc_complex_series_window_is_smooth():
-    # values just inside and outside the series cutoff |pi z| = 0.1 agree
+    # values just inside and outside |pi z| = 0.1 agree
     for z in (0.0318, 0.0318j, 0.02 + 0.02j):
         inner = sinc_complex(z * 0.999)
         outer = sinc_complex(z * 1.001)
         assert abs(inner - outer) < 1e-5
+
+
+def test_sinc_complex_array_against_mpmath():
+    # np.sinc's direct quotient near 0, where sin(pi z) and pi z both vanish,
+    # against a 40-digit oracle.  Off the real axis and on it inside |z| <= 1/2
+    # sinc has no zero nearby, so its relative error measures the kernel
+    # rather than the conditioning of sin(pi z) at its roots.
+    mp = pytest.importorskip("mpmath")
+    radii = np.logspace(-12.0, math.log10(3.0), 60)
+    rays = [radii * np.exp(1j * math.pi * k / 12.0) for k in range(1, 12)]
+    real = radii[radii <= 0.5]
+    z = np.concatenate(rays + [real, -real]).astype(np.complex128)
+    values = sinc_complex_array(z)
+    with mp.workdps(40):
+        for zi, vi in zip(z, values):
+            w = mp.pi * mp.mpc(zi.real, zi.imag)
+            expected = mp.sin(w) / w
+            assert abs(mp.mpc(vi.real, vi.imag) - expected) <= 2e-15 * abs(expected)
 
 
 def test_sinc_complex_domain():

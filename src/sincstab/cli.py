@@ -72,7 +72,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the report to PATH instead of stdout")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the norm estimator's start vector")
+                   help=f"ARPACK's start seed (over {framekit.DENSE_EIG_CUTOFF} grid nodes)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -98,9 +98,9 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=None, metavar="INT",
                    help="symmetric truncation radius (default: grid-derived)")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="iterative-estimator tolerance")
+                   help="relative tolerance of ARPACK and CG, in (0, 1)")
     p.add_argument("--max-iter", type=int, default=10_000,
-                   help="iteration cap for the estimators")
+                   help="ARPACK restart cap and CG step cap")
 
 
 def _resolve_grid(args) -> grids.PerturbedGrid:

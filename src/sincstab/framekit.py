@@ -5,6 +5,7 @@ of the perturbed atoms over the integer-translate basis; S - I measures the
 perturbation, and its spectral norm is the empirical deviation constant.
 Gram matrices and their extremal eigenvalues estimate the Riesz bounds.
 Everything is dense: window sizes here are desk-scale (<= ~4001 rows).
+Every eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class TruncationWindow:
 
     row_range is an inclusive (lo, hi) pair of integer translates k; it must
     cover the grid indices n, which label the columns.  norm_tolerance and
-    max_iterations drive the iterative estimators (power iteration, CG).
+    max_iterations drive the iterative estimators: ARPACK's tolerance and
+    restart cap, and CG's relative residual and step cap.
     """
 
     row_range: tuple[int, int]
@@ -56,8 +58,8 @@ class TruncationWindow:
     def __post_init__(self):
         if self.row_range[1] < self.row_range[0]:
             raise ValueError("window row range must be nonempty")
-        if not (self.norm_tolerance > 0.0):
-            raise ValueError("norm_tolerance must be positive")
+        if not (0.0 < self.norm_tolerance < 1.0):  # x = 0 meets a relative residual of 1
+            raise ValueError("norm_tolerance must lie strictly between 0 and 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -138,61 +140,64 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
                            col_indices=grid.indices.copy(), entries=entries)
 
 
-def _power_iteration_norm(E: np.ndarray, tol: float, max_iterations: int,
-                          seed: int) -> tuple[float, int, bool]:
-    """Largest singular value of E by power iteration on E^H E.
-
-    Returns (estimate, iterations, converged).  The Rayleigh quotient
-    approaches the top eigenvalue from below; convergence is declared when
-    the eigen-residual drops below tol relative to the current estimate.
+def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
+              window: TruncationWindow, seed: int) -> tuple[list[float], int]:
+    """Eigenvalues of an n x n Hermitian matrix ("SA" smallest, "LA" largest
+    per entry of which) and the operator products spent: eigvalsh of dense()
+    for n <= DENSE_EIG_CUTOFF, else ARPACK on matvec with the window's
+    tolerance and restart cap from a seeded start vector (nan if it fails).
     """
+    if n <= DENSE_EIG_CUTOFF:
+        eigenvalues = np.linalg.eigvalsh(dense())
+        return [float(eigenvalues[0 if w == "SA" else -1]) for w in which], 0
+    products = 0
+
+    def counted(v):
+        nonlocal products
+        products += 1
+        return matvec(v)
+
     rng = np.random.default_rng(seed)
-    n = E.shape[1]
-    if np.iscomplexobj(E):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for iteration in range(1, max_iterations + 1):
-        u = E @ v
-        w = E.conj().T @ u
-        rho = float(np.real(np.vdot(v, w)))  # = ||E v||^2 for unit v
-        resid = float(np.linalg.norm(w - rho * v))
-        if resid <= tol * max(rho, 1e-300):
-            return math.sqrt(max(rho, 0.0)), iteration, True
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0, iteration, True
-        v = w / norm_w
-    return math.sqrt(max(rho, 0.0)), max_iterations, False
+    v0 = rng.standard_normal(n)
+    if np.issubdtype(dtype, np.complexfloating):
+        v0 = v0 + 1j * rng.standard_normal(n)
+    operator = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=dtype)
+    values = []
+    for w in which:
+        try:
+            values.append(float(np.real(scipy.sparse.linalg.eigsh(
+                operator, k=1, which=w, tol=window.norm_tolerance,
+                maxiter=window.max_iterations, v0=v0, return_eigenvectors=False)[0])))
+        except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+            values.append(math.nan)
+    return values, products
 
 
 def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
-                      seed: int = 0, method: str = "power") -> GramSummary:
+                      seed: int = 0) -> GramSummary:
     """Spectral norm of S - I on the truncation: the empirical deviation
     constant of the perturbed system.
 
-    method "power" (default) uses seeded power iteration with the window's
-    tolerance and iteration cap; "dense" computes a full SVD and suits small
-    windows.  The converged flag is honest: a non-converged run reports the
-    best estimate with converged = False.
+    The norm is the square root of the top eigenvalue of (S - I)^H (S - I),
+    found by the module's eigenvalue rule: exact for up to DENSE_EIG_CUTOFF
+    columns, ARPACK on v -> (S - I)^H ((S - I) v) above.  iterations_used
+    counts those products (0 when exact).  When ARPACK stops without an
+    eigenvalue the norm is nan and converged is False.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
     E = synthesis_matrix(grid, window).perturbation()
-    if method == "dense":
-        norm = float(np.linalg.svd(E, compute_uv=False)[0]) if E.size else 0.0
-        iterations, converged = 0, True
-    elif method == "power":
-        norm, iterations, converged = _power_iteration_norm(
-            E, window.norm_tolerance, window.max_iterations, seed)
-    else:
-        raise ValueError(f"unknown norm method {method!r}")
+    top, products = 0.0, 0  # for E = 0, on which ARPACK cannot start
+    if E.any():
+        # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
+        (top,), products = _extremes(
+            E.shape[1], lambda: E.conj().T @ E, lambda v: ((E @ v).conj() @ E).conj(),
+            E.dtype, ("LA",), window, seed)
+    norm = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
     return GramSummary(window=window, perturbation_norm=norm,
                        implied_riesz_lower=(1.0 - norm) ** 2 if norm < 1.0 else None,
                        implied_riesz_upper=(1.0 + norm) ** 2,
-                       iterations_used=iterations, converged=converged)
+                       iterations_used=products, converged=math.isfinite(norm))
 
 
 def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
@@ -210,38 +215,26 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
     return sinc_array(grid.nodes[:, None] - grid.nodes[None, :])
 
 
-def _extremal(G: np.ndarray) -> tuple[float, float, bool]:
-    """(min, max, converged) eigenvalues of symmetric G: dense for small
-    systems, else Lanczos on both ends (nan when it stops with none)."""
-    if G.shape[0] <= DENSE_EIG_CUTOFF:
-        eigenvalues = np.linalg.eigvalsh(G)
-        return float(eigenvalues[0]), float(eigenvalues[-1]), True
-    try:
-        emin = float(scipy.sparse.linalg.eigsh(
-            G, k=1, which="SA", return_eigenvectors=False)[0])
-        emax = float(scipy.sparse.linalg.eigsh(
-            G, k=1, which="LA", return_eigenvectors=False)[0])
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        ev = exc.eigenvalues
-        if not ev.size:
-            return math.nan, math.nan, False
-        return float(np.min(ev)), float(np.max(ev)), False
-    return emin, emax, True
-
-
 def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
                           seed: int = 0) -> GramSummary:
     """Extremal eigenvalues of the truncated Gram matrix plus the bounds
     implied by the perturbation norm.
 
     G is released before S - I is built, so the two never share memory.
+    iterations_used counts the operator products of both eigen-solves.
     """
-    emin, emax, converged = _extremal(gram_matrix(grid, window))
+    if window is None:
+        window = TruncationWindow.for_grid(grid)
+    G = gram_matrix(grid, window)
+    (emin, emax), products = _extremes(G.shape[0], lambda: G, G.dot, G.dtype,
+                                       ("SA", "LA"), window, seed)
+    del G
     summary = perturbation_norm(grid, window, seed=seed)
     return replace(summary,
                    min_eigenvalue=max(emin, 0.0) if math.isfinite(emin) else emin,
                    max_eigenvalue=emax,
-                   converged=summary.converged and converged)
+                   iterations_used=summary.iterations_used + products,
+                   converged=summary.converged and math.isfinite(emin + emax))
 
 
 def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,

@@ -120,7 +120,7 @@ def test_criterion_06_oracle_equivalence():
             grid = ss.uniform_offset_grid(offsets, (-half, -half + m - 1))
             radius = int(rng.integers(max(half + 1, 25), 61))
             window = TruncationWindow.symmetric(radius)
-            # spectral norm: power iteration vs dense SVD
+            # spectral norm: exact eigenvalues of E^H E vs dense SVD
             estimate = ss.perturbation_norm(grid, window, seed=trial)
             assert estimate.converged
             E = synthesis_matrix(grid, window).perturbation()
@@ -131,6 +131,14 @@ def test_criterion_06_oracle_equivalence():
             result = ss.solve_coefficients(samples, grid, window)
             dense = np.linalg.solve(ss.gram_matrix(grid), samples)
             assert float(np.max(np.abs(result.coefficients - dense))) <= 1e-8
+        # above DENSE_EIG_CUTOFF columns the norm comes from ARPACK
+        grid = ss.uniform_offset_grid(rng.uniform(-0.15, 0.15, size=901), (-450, 450))
+        window = TruncationWindow.symmetric(450)
+        estimate = ss.perturbation_norm(grid, window, seed=20)
+        assert estimate.converged and estimate.iterations_used > 0
+        E = synthesis_matrix(grid, window).perturbation()
+        exact = float(np.linalg.svd(E, compute_uv=False)[0])
+        assert abs(estimate.perturbation_norm - exact) <= 1e-8
         assert time.perf_counter() - start < 10.0
 
 

@@ -242,10 +242,14 @@ def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
 
 
 def test_gram_nonconverged_exits_nonzero(capsys):
-    code, out, _ = run(capsys, "gram", "--ingham", "--N", "8",
-                       "--tol", "1e-15", "--max-iter", "2", "--format", "json")
+    # 801 columns take ARPACK, which one restart leaves short of the tolerance
+    code, out, _ = run(capsys, "gram", "--uniform-offset", "0.1", "--imag", "0.1",
+                       "--N", "400", "--window", "400", "--max-iter", "1",
+                       "--format", "json")
     assert code == 1
-    assert json.loads(out)["results"]["converged"] is False
+    results = json.loads(out)["results"]
+    assert results["converged"] is False
+    assert results["perturbation_norm"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +336,16 @@ def test_missing_paths_fail_cleanly(capsys, tmp_path, argv):
     missing = tmp_path / "no-such-dir"
     code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
     assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, signal", [("gram", ()),
+                                             ("reconstruct", ("--signal", "0.3"))])
+def test_unusable_tolerance_fails_cleanly(capsys, command, signal):
+    code, out, err = run(capsys, command, *signal, "--ingham", "--N", "3",
+                         "--tol", "inf")
+    assert code == 1
+    assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 

@@ -5,8 +5,10 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sincstab.framekit import (
+    DENSE_EIG_CUTOFF,
     TruncationWindow,
     dump_matrix,
     gram_matrix,
@@ -40,8 +42,9 @@ def random_grid(rng, max_nodes=40, spread=0.15):
 def test_window_validation():
     with pytest.raises(ValueError):
         TruncationWindow(row_range=(3, 1))
-    with pytest.raises(ValueError):
-        TruncationWindow(row_range=(0, 1), norm_tolerance=0.0)
+    for tol in (0.0, 1.0, math.inf):
+        with pytest.raises(ValueError):
+            TruncationWindow(row_range=(0, 1), norm_tolerance=tol)
     with pytest.raises(ValueError):
         TruncationWindow(row_range=(0, 1), max_iterations=0)
 
@@ -115,9 +118,10 @@ def test_column_normalization(radius):
 # perturbation norm
 
 def test_norm_of_unperturbed_grid_is_zero():
-    summary = perturbation_norm(integer_grid(10))
-    assert summary.perturbation_norm == 0.0
-    assert summary.converged
+    for radius in (10, 401):  # 803 columns are past the dense cutoff
+        summary = perturbation_norm(integer_grid(radius))
+        assert summary.perturbation_norm == 0.0
+        assert summary.converged
 
 
 def test_norm_single_half_shift():
@@ -137,7 +141,7 @@ def test_norm_single_half_shift():
     assert limit - previous < 1e-5
 
 
-def test_power_iteration_matches_dense_svd():
+def test_norm_matches_dense_svd():
     rng = np.random.default_rng(42)
     for _ in range(10):
         grid = random_grid(rng)
@@ -149,14 +153,26 @@ def test_power_iteration_matches_dense_svd():
         assert abs(estimate - exact) <= 1e-8
 
 
-def test_dense_method_agrees_with_power():
-    grid = ingham_grid(8)
-    window = TruncationWindow.symmetric(40)
-    a = perturbation_norm(grid, window, method="power").perturbation_norm
-    b = perturbation_norm(grid, window, method="dense").perturbation_norm
-    assert abs(a - b) <= 1e-9
-    with pytest.raises(ValueError):
-        perturbation_norm(grid, window, method="magic")
+@pytest.mark.parametrize("grid, radius", [
+    (power_law_grid(0.2, 1.0, 450, extend_nonpositive=True), 450),
+    (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)), 400),
+], ids=["real", "complex"])
+def test_arpack_norm_matches_svdvals(grid, radius):
+    # more columns than DENSE_EIG_CUTOFF: the norm comes from ARPACK
+    window = TruncationWindow.symmetric(radius)
+    summary = perturbation_norm(grid, window)
+    assert summary.converged and summary.iterations_used > 0
+    exact = scipy.linalg.svdvals(synthesis_matrix(grid, window).perturbation())[0]
+    assert abs(summary.perturbation_norm - exact) <= 1e-8
+
+
+def test_dense_eig_cutoff_boundary():
+    assert DENSE_EIG_CUTOFF == 800
+    window = TruncationWindow.symmetric(400)
+    dense = perturbation_norm(uniform_offset_grid([0.1] * 800, (-399, 400)), window)
+    arpack = perturbation_norm(uniform_offset_grid([0.1] * 801, (-400, 400)), window)
+    assert dense.iterations_used == 0 and dense.converged
+    assert arpack.iterations_used > 0 and arpack.converged
 
 
 def test_norm_window_growth_monotone():
@@ -179,20 +195,25 @@ def test_norm_dominated_by_deviation_sum():
 
 
 def test_norm_seed_determinism():
-    grid = ingham_grid(6)
-    a = perturbation_norm(grid, seed=3)
-    b = perturbation_norm(grid, seed=3)
+    # above the dense cutoff, where the seed sets ARPACK's start vector
+    grid = power_law_grid(0.2, 1.0, 450, extend_nonpositive=True)
+    window = TruncationWindow.symmetric(450)
+    a = perturbation_norm(grid, window, seed=3)
+    b = perturbation_norm(grid, window, seed=3)
+    assert a.iterations_used > 0
     assert a.perturbation_norm == b.perturbation_norm
     assert a.iterations_used == b.iterations_used
 
 
 def test_nonconvergence_is_flagged():
-    grid = ingham_grid(6)
-    window = TruncationWindow.for_grid(grid, norm_tolerance=1e-14, max_iterations=2)
+    # one ARPACK restart cannot resolve the clustered top of a complex
+    # offset's spectrum above the dense cutoff
+    grid = uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400))
+    window = TruncationWindow.symmetric(400, max_iterations=1)
     summary = perturbation_norm(grid, window)
     assert not summary.converged
-    assert summary.iterations_used == 2
-    assert summary.perturbation_norm > 0.0  # best estimate still reported
+    assert summary.iterations_used > 0
+    assert math.isnan(summary.perturbation_norm)
 
 
 # ---------------------------------------------------------------------------

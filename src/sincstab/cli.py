@@ -123,6 +123,10 @@ def _resolve_grid(args) -> grids.PerturbedGrid:
 
 
 def _resolve_window(args, grid) -> framekit.TruncationWindow:
+    if not (0.0 < args.tol < 1.0):  # also rejects nan
+        raise ValueError("--tol must lie strictly between 0 and 1")
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
     kwargs = {"norm_tolerance": args.tol, "max_iterations": args.max_iter}
     if args.window is not None:
         lo = min(-args.window, int(grid.indices[0]))

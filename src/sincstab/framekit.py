@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .bounds import BoundReport, complex_master, lemma_sum_bound
 from .grids import PerturbedGrid, max_deviation
@@ -150,6 +149,8 @@ def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
     if n <= DENSE_EIG_CUTOFF:
         eigenvalues = np.linalg.eigvalsh(dense())
         return [float(eigenvalues[0 if w == "SA" else -1]) for w in which], 0
+    import scipy.sparse.linalg  # here, not at the top: a CLI start need not load scipy
+
     products = 0
 
     def counted(v):
@@ -270,10 +271,19 @@ def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] =
 
 def dump_matrix(matrix: np.ndarray, path, row_offset: int = 0, col_offset: int = 0
                 ) -> None:
-    """Write a matrix as plain text, one ``k n re im`` record per entry."""
+    """Write a matrix as plain text, one ``k n re im`` record per entry.
+
+    Entries are written with repr of a double (imaginary part 0.0 for real
+    matrices), so the file reads back exactly.
+    """
     M = np.asarray(matrix)
+    is_complex = np.iscomplexobj(M)
+    M = M.astype(np.complex128 if is_complex else np.float64, copy=False)
+    cols = [f"{j + col_offset} " for j in range(M.shape[1])]
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                z = complex(M[i, j])
-                fh.write(f"{i + row_offset} {j + col_offset} {z.real!r} {z.imag!r}\n")
+        for i, entries in enumerate(M):
+            k, row = f"{i + row_offset} ", entries.tolist()  # one row of Python numbers at a time
+            if is_complex:
+                fh.write("".join(f"{k}{n}{z.real!r} {z.imag!r}\n" for n, z in zip(cols, row)))
+            else:
+                fh.write("".join(f"{k}{n}{x!r} 0.0\n" for n, x in zip(cols, row)))

@@ -17,7 +17,9 @@ from sincstab.bounds import (
     series_majorant_margin,
     table_lambda,
 )
+from sincstab import bounds
 from sincstab.grids import power_law_grid, uniform_offset_grid
+from sincstab.specfun import sinc, zeta_minus_one
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +274,63 @@ def test_critical_amplitude_large_exponent_limit():
             hi = mid
     pure_root = 0.5 * (lo + hi)
     assert critical_A(50.0) == pytest.approx(pure_root, abs=1e-5)
+
+
+def _per_term_split(A, alpha):
+    """The split estimate with the zeta weight recomputed inside every term."""
+    lambda1 = 2.0 * (1.0 - sinc(A))
+    piA2 = (math.pi * A) ** 2
+    lambda2, power, fact, sign = 0.0, piA2, 6.0, 1.0
+    for l in range(1, 200):
+        term = 2.0 * sign * power / fact * zeta_minus_one(2.0 * l * alpha)
+        lambda2 += term
+        if abs(term) < 1e-13:
+            break
+        power *= piA2
+        fact *= (2.0 * l + 2.0) * (2.0 * l + 3.0)
+        sign = -sign
+    return lambda1, lambda2
+
+
+def test_table_lambda_bit_identical_to_per_term_loop():
+    rng = np.random.default_rng(20160328)
+    # A in (0, 1] and alpha in (0.5, 50]; A = 2 runs the series further
+    pairs = [(1.0 - float(u), 50.0 - float(v)) for u, v in zip(rng.uniform(0.0, 1.0, 200),
+                                                             rng.uniform(0.0, 49.5, 200))]
+    pairs += [(2.0, 0.55), (2.0, 1.0), (2.0, 7.5), (1.0, 0.5 + 1e-9)]
+    for A, alpha in pairs:
+        rep = table_lambda(A, alpha)
+        lambda1, lambda2 = _per_term_split(A, alpha)
+        assert rep.components["lambda1"] == lambda1, (A, alpha)
+        assert rep.components["lambda2"] == lambda2, (A, alpha)
+        assert rep.lambda_value == lambda1 + lambda2, (A, alpha)
+
+
+def test_critical_amplitude_computes_each_zeta_weight_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return zeta_minus_one(s)
+
+    monkeypatch.setattr(bounds, "zeta_minus_one", counting)
+    a_star = critical_A(1.0)
+    assert len(calls) <= 10  # one per series term, not one per term per evaluation
+    assert len(set(calls)) == len(calls)
+    monkeypatch.undo()
+    # the same bisection written over the public table_lambda
+    f = lambda A: table_lambda(A, 1.0).lambda_value - 1.0
+    lo, hi = 1e-6, 0.5
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert a_star == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alpha", [0.5, math.nan, math.inf])
+def test_critical_amplitude_domain(alpha):
+    with pytest.raises(ValueError, match="alpha > 1/2"):
+        critical_A(alpha)

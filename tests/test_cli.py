@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -342,11 +346,30 @@ def test_missing_paths_fail_cleanly(capsys, tmp_path, argv):
 @pytest.mark.parametrize("command, signal", [("gram", ()),
                                              ("reconstruct", ("--signal", "0.3"))])
 def test_unusable_tolerance_fails_cleanly(capsys, command, signal):
-    code, out, err = run(capsys, command, *signal, "--ingham", "--N", "3",
-                         "--tol", "inf")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    for flag, value in (("--tol", "inf"), ("--tol", "1"), ("--max-iter", "0")):
+        code, out, err = run(capsys, command, *signal, "--ingham", "--N", "3",
+                             flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} ") and len(err.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.sparse is loaded only by an ARPACK eigen-solve; a table run needs none
+    code = (
+        "import sys\n"
+        "from sincstab.cli import main\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "assert main(['table', '--alpha', '1', '--critical']) == 0\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "(critical)" in proc.stdout
 
 
 def test_csv_format_for_scalar_reports(capsys):

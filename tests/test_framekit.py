@@ -348,3 +348,27 @@ def test_dump_matrix_roundtrip(tmp_path):
     assert (int(k), int(n)) == (0, 1)
     assert float(re) == pytest.approx(np.sinc(1.25))
     assert float(im) == 0.0
+
+
+def _dump_per_entry(matrix, path, row_offset, col_offset):
+    """The per-entry writer the row-wise dump must reproduce byte for byte."""
+    M = np.asarray(matrix)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(M.shape[0]):
+            for j in range(M.shape[1]):
+                z = complex(M[i, j])
+                fh.write(f"{i + row_offset} {j + col_offset} {z.real!r} {z.imag!r}\n")
+
+
+def test_dump_matrix_matches_per_entry_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    signed_zero = rng.standard_normal((4, 6))
+    signed_zero[0, 0] = signed_zero[2, 3] = -0.0
+    complex_matrix = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    complex_matrix[1, 1] = complex(-0.0, -0.0)
+    for matrix, offsets in ((gram_matrix(ingham_grid(6)), (-6, -6)),
+                            (complex_matrix, (2, -1)),
+                            (signed_zero, (0, 0))):
+        dump_matrix(matrix, tmp_path / "rows.txt", *offsets)
+        _dump_per_entry(matrix, tmp_path / "entries.txt", *offsets)
+        assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "entries.txt").read_bytes()

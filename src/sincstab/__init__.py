@@ -18,6 +18,7 @@ from .bounds import (
     power_law_threshold,
     series_majorant_margin,
     table_lambda,
+    table_rows,
 )
 from .framekit import (
     GramSummary,
@@ -98,6 +99,7 @@ __all__ = [
     "solve_coefficients",
     "synthesis_matrix",
     "table_lambda",
+    "table_rows",
     "uniform_offset_grid",
     "zeta_minus_one",
 ]

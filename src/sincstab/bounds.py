@@ -30,6 +30,7 @@ __all__ = [
     "complex_master",
     "table_lambda",
     "critical_A",
+    "table_rows",
     "series_majorant_margin",
 ]
 
@@ -44,6 +45,7 @@ BOUND_NAMES = (
 
 KADEC_EDGE = 0.25
 SERIES_TOL = 1e-13  # alternating series stop: tail bounded by first omitted term
+CRITICAL_TOL = 1e-6  # bracket width at which the critical-amplitude bisection stops
 
 
 @dataclass(frozen=True)
@@ -216,20 +218,14 @@ def _check_exponent(alpha: float) -> None:
         raise ValueError(f"exponent must satisfy alpha > 1/2, got {alpha!r}")
 
 
-def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
-    """Split estimate lambda = lambda1 + lambda2 for power-law grids.
-
-    lambda1 = 2*(1 - sinc(A)) collects the n = 1 contribution with zeta
-    replaced by 1; lambda2 = 2*sum_l (-1)^(l+1) (pi*A)^(2l)/(2l+1)! *
-    [zeta(2*l*alpha) - 1] carries the remaining zeta weight.  The alternating
-    series is summed until the next term falls below 1e-13.
-    """
-    A = float(A)
-    alpha = float(alpha_exponent)
+def _check_amplitude(A: float) -> None:
     if not math.isfinite(A) or A <= 0.0:
         raise ValueError(f"amplitude must satisfy A > 0, got {A!r}")
-    _check_exponent(alpha)
-    lambda1, lambda2 = _lambda_series(alpha)(A)
+
+
+def _split_report(A: float, alpha: float, series) -> BoundReport:
+    """The table_lambda report at A, evaluated on alpha's series."""
+    lambda1, lambda2 = series(A)
     lam = lambda1 + lambda2
     return BoundReport(
         bound_name="table_lambda",
@@ -241,21 +237,23 @@ def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
     )
 
 
-def critical_A(alpha_exponent: float, tol: float = 1e-6) -> float:
-    """Root A* of table_lambda(A, alpha) = 1, located by bisection.
+def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
+    """Split estimate lambda = lambda1 + lambda2 for power-law grids.
 
-    The estimate is verified to be strictly increasing in A on the bracket
-    before root-finding.  The bracket starts at [1e-6, 0.5] and is widened
-    (up to A = 1) when the estimate has not yet crossed 1, which happens for
-    large alpha where the zeta weight vanishes.  Every evaluation (about 46
-    per root) runs on one _lambda_series for alpha, so each zeta weight
-    zeta(2*l*alpha) - 1 is computed once per call: 7 zeta evaluations per
-    root at alpha = 1, 8 at alpha = 0.55, about 0.3 ms per root on a 2-core
-    VM.  The values are bit-identical to table_lambda's.
+    lambda1 = 2*(1 - sinc(A)) collects the n = 1 contribution with zeta
+    replaced by 1; lambda2 = 2*sum_l (-1)^(l+1) (pi*A)^(2l)/(2l+1)! *
+    [zeta(2*l*alpha) - 1] carries the remaining zeta weight.  The alternating
+    series is summed until the next term falls below 1e-13.
     """
+    A = float(A)
     alpha = float(alpha_exponent)
+    _check_amplitude(A)
     _check_exponent(alpha)
-    series = _lambda_series(alpha)
+    return _split_report(A, alpha, _lambda_series(alpha))
+
+
+def _critical_root(series, tol: float) -> float:
+    """Bisection for the root of lambda1 + lambda2 = 1 on one series."""
 
     def f(A: float) -> float:
         lambda1, lambda2 = series(A)
@@ -280,6 +278,43 @@ def critical_A(alpha_exponent: float, tol: float = 1e-6) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def critical_A(alpha_exponent: float, tol: float = CRITICAL_TOL) -> float:
+    """Root A* of table_lambda(A, alpha) = 1, located by bisection.
+
+    The estimate is verified to be strictly increasing in A on the bracket
+    before root-finding.  The bracket starts at [1e-6, 0.5] and is widened
+    (up to A = 1) when the estimate has not yet crossed 1, which happens for
+    large alpha where the zeta weight vanishes.  Every evaluation (about 46
+    per root) runs on one _lambda_series for alpha, so each zeta weight
+    zeta(2*l*alpha) - 1 is computed once per call: 7 zeta evaluations per
+    root at alpha = 1, 8 at alpha = 0.55, about 0.3 ms per root on a 2-core
+    VM.  The values are bit-identical to table_lambda's.
+    """
+    alpha = float(alpha_exponent)
+    _check_exponent(alpha)
+    return _critical_root(_lambda_series(alpha), tol)
+
+
+def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
+               ) -> list[BoundReport]:
+    """table_lambda(A, alpha) for each amplitude, followed, when critical is
+    set, by the report at critical_A(alpha).
+
+    Every row and the root are evaluated on one _lambda_series, so each zeta
+    weight of the exponent is computed once for the whole list rather than
+    once per row; the reports are bit-identical to table_lambda's.
+    """
+    alpha = float(alpha_exponent)
+    _check_exponent(alpha)
+    amplitudes = [float(A) for A in amplitudes]
+    for A in amplitudes:
+        _check_amplitude(A)
+    series = _lambda_series(alpha)
+    if critical:
+        amplitudes.append(_critical_root(series, CRITICAL_TOL))
+    return [_split_report(A, alpha, series) for A in amplitudes]
 
 
 def series_majorant_margin(k: int) -> Fraction:

@@ -24,26 +24,44 @@ OK = 0
 FAILURE = 1
 
 
+MAX_RANGE_VALUES = 100_000  # longest lo:hi:step range a list may expand
+
+
+def _range_count(lo: float, hi: float, step: float) -> float:
+    """Number of values in the inclusive range lo:hi:step, counted without
+    making them; rejects non-finite parts and empty or backward ranges."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"range {lo!r}:{hi!r}:{step!r} has a non-finite part")
+    if step <= 0 or hi < lo:
+        raise ValueError(f"range {lo!r}:{hi!r}:{step!r} needs step > 0 and lo <= hi")
+    steps = (hi - lo) / step
+    return math.inf if math.isinf(steps) else round(steps) + 1  # hi - lo may overflow
+
+
 def _parse_float_list(text: str) -> list[float]:
-    """Comma-separated values; 'lo:hi:step' tokens expand to inclusive ranges."""
+    """Comma-separated values; 'lo:hi:step' tokens expand to inclusive ranges
+    of at most MAX_RANGE_VALUES values."""
     values: list[float] = []
-    try:
-        for tok in text.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if ":" in tok:
-                lo, hi, step = (float(v) for v in tok.split(":"))
-                if step <= 0 or hi < lo:
-                    raise ValueError
-                count = int(round((hi - lo) / step)) + 1
-                values.extend(lo + i * step for i in range(count)
-                              if lo + i * step <= hi + 1e-12)
-            else:
-                values.append(float(tok))
-    except ValueError:
-        raise ValueError(
-            f"expected numbers or lo:hi:step ranges, got {text!r}") from None
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            parts = [float(v) for v in tok.split(":")]
+        except ValueError:
+            raise ValueError(
+                f"expected numbers or lo:hi:step ranges, got {text!r}") from None
+        if len(parts) == 1:
+            values.extend(parts)
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"expected numbers or lo:hi:step ranges, got {text!r}")
+        lo, hi, step = parts
+        count = _range_count(lo, hi, step)
+        if count > MAX_RANGE_VALUES:
+            raise ValueError(f"range {tok!r} has {float(count):.6g} values, over the limit of "
+                             f"{MAX_RANGE_VALUES}")
+        values.extend(lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12)
     return values
 
 
@@ -208,15 +226,15 @@ def _run_table(args):
         raise ValueError("provide --A values and/or --critical")
     rows = []
     for alpha in alphas:
-        cases = [(A, {}) for A in amps]
-        if args.critical:
-            cases.append((bounds_mod.critical_A(alpha), {"critical": True}))
-        for A, extra in cases:
-            rep = bounds_mod.table_lambda(A, alpha)
-            rows.append({"alpha": alpha, "A": A,
-                         "lambda1": rep.components["lambda1"],
-                         "lambda2": rep.components["lambda2"],
-                         "lambda": rep.lambda_value, **extra})
+        reports = bounds_mod.table_rows(alpha, amps, critical=args.critical)
+        for i, rep in enumerate(reports):
+            row = {"alpha": alpha, "A": rep.inputs["A"],
+                   "lambda1": rep.components["lambda1"],
+                   "lambda2": rep.components["lambda2"],
+                   "lambda": rep.lambda_value}
+            if i == len(amps):  # the row appended at the critical amplitude
+                row["critical"] = True
+            rows.append(row)
     params = {"alpha": alphas, "A": amps, "critical": bool(args.critical)}
     return params, {"rows": rows}, True
 

@@ -4,8 +4,12 @@ The synthesis matrix S holds the expansion coefficients sinc(lambda_n - k)
 of the perturbed atoms over the integer-translate basis; S - I measures the
 perturbation, and its spectral norm is the empirical deviation constant.
 Gram matrices and their extremal eigenvalues estimate the Riesz bounds.
-Everything is dense: window sizes here are desk-scale (<= ~4001 rows).
-Every eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
+S and the real Gram matrix are dense, built by specfun.sinc_matrix from
+per-node sines and cosines (a rank-2 numerator over pi times the node
+difference, nodes closer than 1 evaluated directly), row block by row
+block; a matrix over specfun.MAX_DENSE_BYTES is refused with ValueError
+before it is allocated.  The complex Gram matrix is S^H S.  Every
+eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundReport, complex_master, lemma_sum_bound
 from .grids import PerturbedGrid, max_deviation
-from .specfun import sinc_array, sinc_complex_array
+from .specfun import sinc_matrix
 
 __all__ = [
     "TruncationWindow",
@@ -124,17 +128,14 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
     """Build the truncated synthesis matrix of a grid.
 
     Rows span window.row_range; columns are the grid's listed indices, which
-    must lie inside it.  Real grids produce real matrices.
+    must lie inside it.  Real grids produce real matrices.  S(k, n) is
+    built as sinc(k - lambda_n), which equals it because sinc is even.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
     if int(grid.indices[0]) < window.row_range[0] or int(grid.indices[-1]) > window.row_range[1]:
         raise ValueError("window rows do not cover the grid indices")
-    k = window.rows.astype(np.float64)
-    if grid.is_complex:
-        entries = sinc_complex_array(grid.nodes[None, :] - k[:, None])
-    else:
-        entries = sinc_array(grid.nodes[None, :] - k[:, None])
+    entries = sinc_matrix(window.rows, grid.nodes)
     return SynthesisMatrix(window=window, row_indices=window.rows,
                            col_indices=grid.indices.copy(), entries=entries)
 
@@ -213,7 +214,7 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
         logger.info("complex grid: Gram computed as S^H S on the truncation")
         S = synthesis_matrix(grid, window).entries
         return S.conj().T @ S
-    return sinc_array(grid.nodes[:, None] - grid.nodes[None, :])
+    return sinc_matrix(grid.nodes, grid.nodes)
 
 
 def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .framekit import TruncationWindow, gram_matrix
 from .grids import PerturbedGrid
-from .specfun import sinc_array
+from .specfun import sinc_array, sinc_matrix
 
 __all__ = [
     "BandlimitedSignal",
@@ -189,7 +189,7 @@ def evaluate_reconstruction(result: ReconstructionResult, grid: PerturbedGrid,
     t = np.asarray(t_values, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation points must be finite")
-    return sinc_array(t[:, None] - grid.nodes[None, :]) @ result.coefficients
+    return sinc_matrix(t, grid.nodes) @ result.coefficients
 
 
 def reconstruction_error(signal: BandlimitedSignal, result: ReconstructionResult,

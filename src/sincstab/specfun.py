@@ -1,8 +1,9 @@
 """Scalar special functions used throughout the package.
 
-Normalized sinc (real and complex), the two real branches of the Lambert W
-function on [-1/e, 0), the Lamb-Oseen constant, and the Riemann zeta function
-for real argument s > 1.  All functions are pure and thread-safe.
+Normalized sinc (real and complex) and the dense matrix sinc(u_i - v_j), the
+two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
+constant, and the Riemann zeta function for real argument s > 1.  All
+functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "sinc_complex",
     "sinc_array",
     "sinc_complex_array",
+    "sinc_matrix",
     "lambert_w0",
     "lambert_wm1",
     "lamb_oseen_alpha",
@@ -31,6 +33,12 @@ __all__ = [
 # _BRANCH_SLACK below the rounded value are clamped onto it.
 _NEG_INV_E = -math.exp(-1.0)
 _BRANCH_SLACK = 1e-14
+
+# sinc_matrix refuses a result larger than this (1 GiB, a 11585^2 real
+# matrix) instead of allocating it, and fills its output this many entries
+# at a time.
+MAX_DENSE_BYTES = 1 << 30
+SINC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,75 @@ def sinc_complex_array(z) -> np.ndarray:
     """Vectorized complex sinc, exact on the real integers.  The direct
     quotient keeps full relative accuracy near 0, so it needs no series."""
     return _sinc_kernel(np.asarray(z, dtype=np.complex128))
+
+
+def _sin_cos_pi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(pi*x) and cos(pi*x) from the exact split x = a + r, a = round(Re x):
+    (-1)^a sin(pi*r) and (-1)^a cos(pi*r), exactly 0 and +-1 at the integers."""
+    a = np.round(x.real)
+    r = np.pi * (x - a)
+    sign = 1.0 - 2.0 * np.mod(a, 2.0)
+    return sign * np.sin(r), sign * np.cos(r)
+
+
+def sinc_matrix(u, v) -> np.ndarray:
+    """M[i, j] = sinc(u_i - v_j) for 1-d node arrays u and v, at most one complex.
+
+    Each entry is the rank-2 quotient (sin(pi u_i) cos(pi v_j) - cos(pi u_i)
+    sin(pi v_j)) / (pi (u_i - v_j)) of per-node sines and cosines, filled
+    elementwise into the output SINC_BLOCK entries at a time, so no
+    full-size temporary is made and M(u, u) is bitwise symmetric.  Pairs
+    with |Re(u_i - v_j)| < 1, found by a binary search of the sorted Re v,
+    are evaluated directly (sinc_array or sinc_complex_array) on the
+    difference: that keeps the exact 1 at u_i = v_j and avoids cancellation
+    between close nodes.  Raises ValueError, before allocating, when M would
+    take more than MAX_DENSE_BYTES.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim != 1 or v.ndim != 1:
+        raise ValueError("sinc_matrix takes two 1-d node arrays")
+    if np.iscomplexobj(u) and np.iscomplexobj(v):
+        raise ValueError("sinc_matrix takes at most one complex node array")
+    is_complex = np.iscomplexobj(u) or np.iscomplexobj(v)
+    dtype = np.dtype(np.complex128 if is_complex else np.float64)
+    nbytes = u.size * v.size * dtype.itemsize
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a {u.size} x {v.size} sinc matrix needs {nbytes} bytes, over the "
+            f"dense limit of {MAX_DENSE_BYTES} bytes")
+    u = u.astype(np.result_type(u, np.float64), copy=False)
+    v = v.astype(np.result_type(v, np.float64), copy=False)
+    kernel = sinc_complex_array if is_complex else sinc_array
+    su, cu = _sin_cos_pi(u)
+    sv, cv = _sin_cos_pi(v)
+    # candidate near columns of each row: Re v within 2 of Re u_i, a superset
+    # of |Re(u_i - v_j)| < 1 that the exact test on the difference then trims
+    order = np.argsort(v.real, kind="stable")
+    sorted_v = v.real[order]
+    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
+    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
+    out = np.empty((u.size, v.size), dtype=dtype)
+    step = max(1, SINC_BLOCK // max(v.size, 1))
+    scratch = np.empty((min(step, u.size), v.size), dtype=dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):  # u_i = v_j: redone below
+        for i0 in range(0, u.size, step):
+            block = out[i0:i0 + step]
+            work = scratch[:len(block)]
+            np.multiply(su[i0:i0 + step, None], cv, out=block)
+            np.multiply(cu[i0:i0 + step, None], sv, out=work)
+            block -= work
+            np.subtract(u[i0:i0 + step, None], v, out=work)
+            work *= np.pi
+            block /= work
+            hits = count[i0:i0 + step]
+            if hits.any():
+                rows = np.repeat(np.arange(i0, i0 + len(block)), hits)
+                start = first[i0:i0 + step] - (np.cumsum(hits) - hits)
+                cols = order[np.arange(rows.size) + np.repeat(start, hits)]
+                d = u[rows] - v[cols]
+                near = np.abs(d.real) < 1.0
+                out[rows[near], cols[near]] = kernel(d[near])
+    return out
 
 
 def _halley_w(x: float, w: float) -> float:

@@ -16,6 +16,7 @@ from sincstab.bounds import (
     power_law_threshold,
     series_majorant_margin,
     table_lambda,
+    table_rows,
 )
 from sincstab import bounds
 from sincstab.grids import power_law_grid, uniform_offset_grid
@@ -328,6 +329,37 @@ def test_critical_amplitude_computes_each_zeta_weight_once(monkeypatch):
         else:
             hi = mid
     assert a_star == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 1.0, 7.5])
+def test_table_rows_share_each_zeta_weight(monkeypatch, alpha):
+    amplitudes = (0.05, 0.2, 0.3, 0.45)
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return zeta_minus_one(s)
+
+    monkeypatch.setattr(bounds, "zeta_minus_one", counting)
+    reports = table_rows(alpha, amplitudes, critical=True)
+    shared = len(calls)
+    calls.clear()
+    singly = [table_lambda(A, alpha) for A in amplitudes]
+    a_star = critical_A(alpha)
+    singly.append(table_lambda(a_star, alpha))
+    # one zeta call per series term of the exponent, however many rows
+    assert shared <= 10
+    assert shared < len(calls)
+    monkeypatch.undo()
+    assert reports == singly  # every field, every float compared with ==
+
+
+def test_table_rows_validate_inputs():
+    with pytest.raises(ValueError, match="alpha > 1/2"):
+        table_rows(0.5, [0.1])
+    with pytest.raises(ValueError, match="A > 0"):
+        table_rows(1.0, [0.1, -0.2])
+    assert table_rows(1.0, []) == []
 
 
 @pytest.mark.parametrize("alpha", [0.5, math.nan, math.inf])

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from sincstab import cli, specfun
 from sincstab.cli import main
 
 
@@ -130,6 +131,29 @@ def test_table_range_syntax_curve_data(capsys):
     assert all(b < a for a, b in zip(lambdas, lambdas[1:]))  # decreasing in alpha
 
 
+@pytest.mark.parametrize("values", ["0.6:inf:0.1", "-inf:0.7:0.1", "0.6:0.7:nan",
+                                    "0.6:0.7:inf", "0.7:0.6:0.1", "0.6:0.7:0",
+                                    "-1e308:1e308:1"])
+def test_table_rejects_unusable_range(capsys, values):
+    code, out, err = run(capsys, "table", f"--alpha={values}", "--critical")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: range ") and len(err.splitlines()) == 1
+
+
+def test_table_range_length_is_capped(capsys):
+    # a 1e-300 step is rejected by its count, before any value is made
+    assert cli._range_count(0.6, 0.7, 1e-300) > 10 ** 298
+    assert cli._range_count(0.55, 1.0, 0.05) == 10
+    over = f"0.001:{0.001 + cli.MAX_RANGE_VALUES * 1e-6}:1e-6"
+    assert cli._range_count(*map(float, over.split(":"))) == cli.MAX_RANGE_VALUES + 1
+    code, out, err = run(capsys, "table", "--alpha", "1", "--A", over)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: range {over!r} has {cli.MAX_RANGE_VALUES + 1} values, "
+                   f"over the limit of {cli.MAX_RANGE_VALUES}\n")
+
+
 def test_full_paper_tables_via_cli(capsys):
     code, out, _ = run(capsys, "table", "--alpha", "0.7,0.65,0.63,0.62,0.61599",
                        "--A", "0.25", "--format", "json")
@@ -243,6 +267,33 @@ def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
     assert results["min_eigenvalue"] is None
     assert results["max_eigenvalue"] is None
     assert results["perturbation_norm"] == 0.5
+
+
+def test_gram_oversized_request_fails_before_allocating(capsys):
+    # the 1e6 x 1e6 Gram would take 8e12 bytes; it is refused, not allocated
+    code, out, err = run(capsys, "gram", "--power-law", "--A", "0.1", "--alpha", "1",
+                         "--N", "1000000")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: a 1000000 x 1000000 sinc matrix needs {8 * 10 ** 12} bytes, "
+                   f"over the dense limit of {specfun.MAX_DENSE_BYTES} bytes\n")
+
+
+def test_gram_close_nodes_from_grid_file(capsys, tmp_path):
+    # node gaps down to 1e-9, read from a file, against 40-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    nodes = [0.3, 0.3 + 1e-9, 1.0, 1.0 + 1e-6, 2.7, 2.7 - 1e-3, 3.75, 4.25]
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"{n}\t{x!r}\n" for n, x in enumerate(nodes)), encoding="utf-8")
+    dump = tmp_path / "gram.txt"
+    code, _, _ = run(capsys, "gram", "--grid-file", str(path), "--dump-matrix", str(dump))
+    assert code == 0
+    with mp.workdps(40):
+        for line in dump.read_text().splitlines():
+            m, n, re_, im = line.split()
+            d = mp.mpf(nodes[int(m)]) - mp.mpf(nodes[int(n)])
+            expected = 1 if d == 0 else mp.sin(mp.pi * d) / (mp.pi * d)
+            assert abs(float(re_) - expected) <= 1e-15 and float(im) == 0.0
 
 
 def test_gram_nonconverged_exits_nonzero(capsys):

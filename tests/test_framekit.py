@@ -22,6 +22,8 @@ from sincstab.grids import (
     power_law_grid,
     uniform_offset_grid,
 )
+from sincstab.reconstruct import ReconstructionResult, evaluate_reconstruction
+from sincstab.specfun import sinc_array, sinc_complex_array
 
 
 def integer_grid(radius):
@@ -102,6 +104,40 @@ def test_real_grid_gives_real_matrix():
     assert S.entries.dtype == np.float64
     Sc = synthesis_matrix(uniform_offset_grid([0.1j] * 3, (-1, 1)))
     assert Sc.entries.dtype == np.complex128
+
+
+def test_integer_grid_in_tall_window_is_exact():
+    # 101 columns over 801 rows fill several row blocks of the builder
+    grid = integer_grid(50)
+    S = synthesis_matrix(grid, TruncationWindow.symmetric(400))
+    assert np.array_equal(S.entries, np.eye(801, 101, k=-350))
+    assert np.all(S.perturbation() == 0.0)
+
+
+W1_GRID = power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True)
+
+
+@pytest.mark.parametrize("grid, window", [
+    (W1_GRID, TruncationWindow.symmetric(1000)),
+    (ingham_grid(200), None),
+    (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None),
+], ids=["w1-power-law", "ingham-200", "complex-offset"])
+def test_matrices_agree_with_direct_kernel(grid, window):
+    # S, G and the evaluation matrix against the kernel on the full difference
+    window = window or TruncationWindow.for_grid(grid)
+    kernel = sinc_complex_array if grid.is_complex else sinc_array
+    direct_S = kernel(grid.nodes[None, :] - window.rows[:, None].astype(np.float64))
+    assert np.max(np.abs(synthesis_matrix(grid, window).entries - direct_S)) <= 1e-15
+    direct_G = (direct_S.conj().T @ direct_S if grid.is_complex
+                else sinc_array(grid.nodes[:, None] - grid.nodes[None, :]))
+    assert np.max(np.abs(gram_matrix(grid, window) - direct_G)) <= 1e-15
+    t = np.linspace(-20.0, 20.0, 401)
+    c = np.random.default_rng(3).standard_normal(len(grid))
+    result = ReconstructionResult(coefficients=c, residual_norm=0.0, solver_iterations=0)
+    direct_f = kernel(t[:, None] - grid.nodes[None, :]) @ c
+    # entries within 1e-15 move each value by at most 1e-15 * sum |c|
+    error = np.max(np.abs(evaluate_reconstruction(result, grid, t) - direct_f))
+    assert error <= 1e-15 * np.sum(np.abs(c))
 
 
 @pytest.mark.parametrize("radius", [50, 200, 800])
@@ -235,6 +271,13 @@ def test_gram_unit_diagonal_and_symmetry():
     grid = power_law_grid(0.3, 0.8, 12)
     G = gram_matrix(grid)
     assert np.array_equal(np.diag(G), np.ones(12))
+    assert np.array_equal(G, G.T)
+
+
+def test_large_power_law_gram_is_bitwise_symmetric():
+    grid = power_law_grid(0.2, 1.0, 600, extend_nonpositive=True)  # 1201 nodes
+    G = gram_matrix(grid)
+    assert np.array_equal(np.diag(G), np.ones(1201))
     assert np.array_equal(G, G.T)
 
 

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from sincstab import specfun
 from sincstab.specfun import (
+    MAX_DENSE_BYTES,
     lamb_oseen_alpha,
     lambert_w0,
     lambert_wm1,
     riemann_zeta,
     sinc,
     sinc_complex,
+    sinc_array,
     sinc_complex_array,
+    sinc_matrix,
     zeta_minus_one,
 )
 
@@ -119,6 +123,77 @@ def test_sinc_complex_array_against_mpmath():
 def test_sinc_complex_domain():
     with pytest.raises(ValueError):
         sinc_complex(complex(math.inf, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# dense sinc matrices
+
+def _mp_sinc(mp, a, b):
+    """sinc(a - b) at the exact values of the doubles a and b."""
+    d = mp.mpmathify(complex(a)) - mp.mpmathify(complex(b))
+    return mp.mpf(1) if d == 0 else mp.sin(mp.pi * d) / (mp.pi * d)
+
+
+def test_sinc_matrix_real_against_mpmath():
+    # far pairs up to |u| ~ 1e5, near pairs |u - v| < 1, equal and integer pairs
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    far = rng.uniform(-1e5, 1e5, 25)
+    u = np.concatenate([far, rng.uniform(-3.0, 3.0, 8), np.arange(-3.0, 4.0)])
+    v = np.concatenate([far + rng.uniform(-1.0, 1.0, 25), far + rng.uniform(-30.0, 30.0, 25),
+                        far[:5], [0.0, 0.5, 1.0, -2.5, 1e-9]])
+    M = sinc_matrix(u, v)
+    assert M.dtype == np.float64 and M.shape == (u.size, v.size)
+    with mp.workdps(40):
+        for i, j in np.ndindex(M.shape):
+            assert abs(M[i, j] - _mp_sinc(mp, u[i], v[j])) <= 1e-15, (u[i], v[j])
+
+
+def test_sinc_matrix_complex_against_mpmath():
+    # nodes n + 0.1 + 2.0i against integer rows: |entries| reach ~80, so the
+    # comparison is relative; the full-size np.sinc kernel loses ~3e-13 here
+    mp = pytest.importorskip("mpmath")
+    rows = np.arange(-60.0, 61.0)
+    nodes = np.arange(-20, 21) + (0.1 + 2.0j)
+    M = sinc_matrix(rows, nodes)
+    assert M.dtype == np.complex128
+    with mp.workdps(40):
+        for i, j in np.ndindex(M.shape):
+            expected = _mp_sinc(mp, rows[i], nodes[j])
+            assert abs(mp.mpc(M[i, j]) - expected) <= 2e-15 * abs(expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (13, 5), (37, 29)])
+def test_sinc_matrix_blocks_do_not_change_values(monkeypatch, shape):
+    # sizes that are no multiple of the block: a 7-entry block gives bitwise
+    # the matrix of one block, and both agree with the direct kernel
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    u = np.sort(rng.uniform(-10.0, 10.0, shape[0]))
+    v = np.concatenate([u[: shape[1]], rng.uniform(-10.0, 10.0, max(shape[1] - shape[0], 0))])
+    whole = sinc_matrix(u, v)
+    monkeypatch.setattr(specfun, "SINC_BLOCK", 7)
+    blocked = sinc_matrix(u, v)
+    assert np.array_equal(blocked, whole)
+    assert np.max(np.abs(whole - sinc_array(u[:, None] - v))) <= 1e-15
+    z = v + 0.3j
+    assert np.max(np.abs(sinc_matrix(u, z) - sinc_complex_array(u[:, None] - z))) <= 1e-15
+
+
+def test_sinc_matrix_input_checks(monkeypatch):
+    with pytest.raises(ValueError, match="at most one complex"):
+        sinc_matrix(np.array([0.5j]), np.array([1.0j]))
+    with pytest.raises(ValueError, match="1-d"):
+        sinc_matrix(np.zeros((2, 2)), np.zeros(2))
+    # a default-window synthesis matrix of 2001 complex columns stays well inside
+    assert 4 * 4001 * 2001 * 16 < MAX_DENSE_BYTES
+    # the footprint is checked before allocating, against a lowered limit here
+    monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", 800)
+    assert sinc_matrix(np.zeros(10), np.zeros(10)).shape == (10, 10)
+    with pytest.raises(ValueError, match="a 10 x 11 sinc matrix needs 880 bytes, over "
+                                         "the dense limit of 800 bytes"):
+        sinc_matrix(np.zeros(10), np.zeros(11))
+    with pytest.raises(ValueError, match="needs 1600 bytes"):
+        sinc_matrix(np.zeros(10), np.full(10, 1j))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,9 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=None, metavar="INT",
-                   help="symmetric truncation radius (default: grid-derived)")
+                   help="gram: symmetric row radius of S (default: grid-derived); "
+                        "reconstruct accepts it but does not use it, since its Gram "
+                        "matrix sinc(lambda_m - lambda_n) is exact")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative tolerance of ARPACK and CG, in (0, 1)")
     p.add_argument("--max-iter", type=int, default=10_000,
@@ -245,9 +247,7 @@ def _run_gram(args):
     summary = framekit.riesz_bounds_estimate(grid, window, seed=args.seed)
     if args.dump_matrix:
         G = framekit.gram_matrix(grid, window)
-        framekit.dump_matrix(G, args.dump_matrix,
-                             row_offset=int(grid.indices[0]),
-                             col_offset=int(grid.indices[0]))
+        framekit.dump_matrix(G, args.dump_matrix, grid.indices, grid.indices)
     params = _grid_params(args)
     params["window_rows"] = [int(window.row_range[0]), int(window.row_range[1])]
     results = {
@@ -267,13 +267,19 @@ def _run_reconstruct(args):
     grid = _resolve_grid(args)
     window = _resolve_window(args, grid)
     signal = _parse_signal(args.signal)
+    if args.eval_points < 2:
+        raise ValueError("n_points must be at least 2")
+    if not (args.eval_hi > args.eval_lo):
+        raise ValueError("evaluation interval must have positive length")
+    specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
     samples = reconstruct.sample_signal(signal, grid)
     result = reconstruct.solve_coefficients(samples, grid, window)
-    error = reconstruct.reconstruction_error(
-        signal, result, grid, (args.eval_lo, args.eval_hi), args.eval_points)
+    t = np.linspace(args.eval_lo, args.eval_hi, args.eval_points)
+    f_ref = signal(t)
+    f_hat = reconstruct.evaluate_reconstruction(result, grid, t)
+    error = reconstruct.reconstruction_error(t, f_ref, f_hat)
     if args.csv:
-        t = np.linspace(args.eval_lo, args.eval_hi, args.eval_points)
-        reconstruct.write_csv(args.csv, result, signal, grid, t, error)
+        reconstruct.write_csv(args.csv, result, grid, t, f_ref, f_hat, error)
     params = _grid_params(args)
     params.update({"signal": args.signal,
                    "eval_window": [args.eval_lo, args.eval_hi],
@@ -389,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_window_flags(p)
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
-                   help="dump the Gram matrix as 'k n re im' text")
+                   help="dump the Gram matrix as 'm n re im' text, labelled by grid index")
 
     p = sub.add_parser("reconstruct", help="reconstruct a bandlimited signal")
     _add_common_flags(p)

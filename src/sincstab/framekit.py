@@ -8,13 +8,13 @@ S and the real Gram matrix are dense, built by specfun.sinc_matrix from
 per-node sines and cosines (a rank-2 numerator over pi times the node
 difference, nodes closer than 1 evaluated directly), row block by row
 block; a matrix over specfun.MAX_DENSE_BYTES is refused with ValueError
-before it is allocated.  The complex Gram matrix is S^H S.  Every
-eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
+before anything of its size is allocated.  The norm holds one rows x n
+array: S, turned into S - I in place.  The complex Gram matrix is S^H S.
+Every eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundReport, complex_master, lemma_sum_bound
 from .grids import PerturbedGrid, max_deviation
-from .specfun import sinc_matrix
+from .specfun import check_dense_size, sinc_matrix
 
 __all__ = [
     "TruncationWindow",
@@ -36,8 +36,6 @@ __all__ = [
     "paley_wiener_check",
     "dump_matrix",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_PAD_FACTOR = 4
 DEFAULT_ROW_CAP = 4001
@@ -76,16 +74,16 @@ class TruncationWindow:
         return cls(row_range=(-radius, radius), **kwargs)
 
     @classmethod
-    def for_grid(cls, grid: PerturbedGrid, pad_factor: int = DEFAULT_PAD_FACTOR,
-                 row_cap: int = DEFAULT_ROW_CAP, **kwargs) -> "TruncationWindow":
-        """Default window: grid range padded by pad_factor times the grid
-        radius on each side, capped at row_cap rows.  Sinc columns decay like
-        1/|k|, so the padding controls the truncation error."""
+    def for_grid(cls, grid: PerturbedGrid, **kwargs) -> "TruncationWindow":
+        """Default window: grid range padded by DEFAULT_PAD_FACTOR times the
+        grid radius on each side, capped at DEFAULT_ROW_CAP rows.  Sinc
+        columns decay like 1/|k|, so the padding controls the truncation
+        error."""
         lo = int(grid.indices[0])
         hi = int(grid.indices[-1])
         radius = max(abs(lo), abs(hi), 1)
-        pad = pad_factor * radius
-        excess = (hi - lo + 1) + 2 * pad - row_cap
+        pad = DEFAULT_PAD_FACTOR * radius
+        excess = (hi - lo + 1) + 2 * pad - DEFAULT_ROW_CAP
         if excess > 0:
             pad = max(pad - (excess + 1) // 2, 0)
         return cls(row_range=(lo - pad, hi + pad), **kwargs)
@@ -96,16 +94,7 @@ class SynthesisMatrix:
     """Truncated synthesis matrix: entry (k, n) = sinc(lambda_n - k)."""
 
     window: TruncationWindow
-    row_indices: np.ndarray
-    col_indices: np.ndarray
     entries: np.ndarray
-
-    def perturbation(self) -> np.ndarray:
-        """S - I, where I is the synthesis matrix of the unperturbed system
-        on the same index sets (entry delta_{k,n}, inside the rows)."""
-        E = self.entries.copy()
-        E[self.col_indices - self.row_indices[0], np.arange(E.shape[1])] -= 1.0
-        return E
 
 
 @dataclass(frozen=True)
@@ -129,15 +118,16 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
 
     Rows span window.row_range; columns are the grid's listed indices, which
     must lie inside it.  Real grids produce real matrices.  S(k, n) is
-    built as sinc(k - lambda_n), which equals it because sinc is even.
+    built as sinc(k - lambda_n), which equals it because sinc is even.  An
+    oversized S is refused before its rows are listed.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    if int(grid.indices[0]) < window.row_range[0] or int(grid.indices[-1]) > window.row_range[1]:
+    lo, hi = window.row_range
+    if int(grid.indices[0]) < lo or int(grid.indices[-1]) > hi:
         raise ValueError("window rows do not cover the grid indices")
-    entries = sinc_matrix(window.rows, grid.nodes)
-    return SynthesisMatrix(window=window, row_indices=window.rows,
-                           col_indices=grid.indices.copy(), entries=entries)
+    check_dense_size(hi - lo + 1, len(grid), grid.is_complex)
+    return SynthesisMatrix(window=window, entries=sinc_matrix(window.rows, grid.nodes))
 
 
 def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
@@ -184,11 +174,14 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     found by the module's eigenvalue rule: exact for up to DENSE_EIG_CUTOFF
     columns, ARPACK on v -> (S - I)^H ((S - I) v) above.  iterations_used
     counts those products (0 when exact).  When ARPACK stops without an
-    eigenvalue the norm is nan and converged is False.
+    eigenvalue the norm is nan and converged is False.  S is turned into
+    S - I in place (I: entry 1 at row k = n of column n), so no second
+    rows x n array is made.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    E = synthesis_matrix(grid, window).perturbation()
+    E = synthesis_matrix(grid, window).entries
+    E[grid.indices - window.row_range[0], np.arange(len(grid))] -= 1.0
     top, products = 0.0, 0  # for E = 0, on which ARPACK cannot start
     if E.any():
         # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
@@ -211,7 +204,6 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
     window-truncated S^H S, which converges to the Gram as the window grows.
     """
     if grid.is_complex:
-        logger.info("complex grid: Gram computed as S^H S on the truncation")
         S = synthesis_matrix(grid, window).entries
         return S.conj().T @ S
     return sinc_matrix(grid.nodes, grid.nodes)
@@ -270,20 +262,24 @@ def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] =
     )
 
 
-def dump_matrix(matrix: np.ndarray, path, row_offset: int = 0, col_offset: int = 0
-                ) -> None:
+def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
     """Write a matrix as plain text, one ``k n re im`` record per entry.
 
-    Entries are written with repr of a double (imaginary part 0.0 for real
-    matrices), so the file reads back exactly.
+    k and n are the entry's labels from row_labels and col_labels (for a
+    Gram matrix, the grid's indices).  Entries are written with repr of a
+    double (imaginary part 0.0 for real matrices), so the file reads back
+    exactly.
     """
     M = np.asarray(matrix)
+    rows, cols = np.asarray(row_labels).tolist(), np.asarray(col_labels).tolist()
+    if M.shape != (len(rows), len(cols)):
+        raise ValueError(f"{len(rows)} x {len(cols)} labels for a matrix of shape {M.shape}")
     is_complex = np.iscomplexobj(M)
     M = M.astype(np.complex128 if is_complex else np.float64, copy=False)
-    cols = [f"{j + col_offset} " for j in range(M.shape[1])]
+    cols = [f"{n} " for n in cols]
     with open(path, "w", encoding="utf-8") as fh:
-        for i, entries in enumerate(M):
-            k, row = f"{i + row_offset} ", entries.tolist()  # one row of Python numbers at a time
+        for label, entries in zip(rows, M):
+            k, row = f"{label} ", entries.tolist()  # one row of Python numbers at a time
             if is_complex:
                 fh.write("".join(f"{k}{n}{z.real!r} {z.imag!r}\n" for n, z in zip(cols, row)))
             else:

@@ -192,24 +192,14 @@ def evaluate_reconstruction(result: ReconstructionResult, grid: PerturbedGrid,
     return sinc_matrix(t, grid.nodes) @ result.coefficients
 
 
-def reconstruction_error(signal: BandlimitedSignal, result: ReconstructionResult,
-                         grid: PerturbedGrid, window: tuple[float, float],
-                         n_points: int = 2001) -> float:
-    """Relative L2 error of the reconstruction against the reference signal.
+def reconstruction_error(t: np.ndarray, f_ref: np.ndarray, f_hat: np.ndarray) -> float:
+    """Relative L2 error of the reconstruction f_hat against the reference
+    signal f_ref, both sampled at the points t.
 
-    Composite trapezoidal quadrature with n_points uniform samples over the
-    interval; the integrands are entire and slowly varying, so the scheme is
-    adequate at this scale.
+    Composite trapezoidal quadrature over t (uniform points in the CLI); the
+    integrands are entire and slowly varying, so the scheme is adequate at
+    this scale.
     """
-    n_points = int(n_points)
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    lo, hi = float(window[0]), float(window[1])
-    if not (hi > lo):
-        raise ValueError("evaluation interval must have positive length")
-    t = np.linspace(lo, hi, n_points)
-    f_ref = signal(t)
-    f_hat = evaluate_reconstruction(result, grid, t)
     ref_norm = math.sqrt(float(np.trapezoid(f_ref ** 2, t)))
     if ref_norm == 0.0:
         raise ValueError("reference signal vanishes on the evaluation window")
@@ -217,14 +207,11 @@ def reconstruction_error(signal: BandlimitedSignal, result: ReconstructionResult
     return err_norm / ref_norm
 
 
-def write_csv(path, result: ReconstructionResult, signal: BandlimitedSignal,
-              grid: PerturbedGrid, t_values: Sequence[float],
+def write_csv(path, result: ReconstructionResult, grid: PerturbedGrid,
+              t: np.ndarray, f_ref: np.ndarray, f_hat: np.ndarray,
               relative_l2_error: float) -> None:
     """Export t, f_ref, f_hat, abs_err rows behind a JSON metadata header
     that records relative_l2_error (from reconstruction_error)."""
-    t = np.asarray(t_values, dtype=np.float64)
-    f_ref = signal(t)
-    f_hat = evaluate_reconstruction(result, grid, t)
     meta = {
         "solver_iterations": result.solver_iterations,
         "residual_norm": result.residual_norm,

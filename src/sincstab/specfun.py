@@ -22,6 +22,7 @@ __all__ = [
     "sinc_array",
     "sinc_complex_array",
     "sinc_matrix",
+    "check_dense_size",
     "lambert_w0",
     "lambert_wm1",
     "lamb_oseen_alpha",
@@ -134,11 +135,7 @@ def sinc_matrix(u, v) -> np.ndarray:
         raise ValueError("sinc_matrix takes at most one complex node array")
     is_complex = np.iscomplexobj(u) or np.iscomplexobj(v)
     dtype = np.dtype(np.complex128 if is_complex else np.float64)
-    nbytes = u.size * v.size * dtype.itemsize
-    if nbytes > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"a {u.size} x {v.size} sinc matrix needs {nbytes} bytes, over the "
-            f"dense limit of {MAX_DENSE_BYTES} bytes")
+    check_dense_size(u.size, v.size, is_complex)
     u = u.astype(np.result_type(u, np.float64), copy=False)
     v = v.astype(np.result_type(v, np.float64), copy=False)
     kernel = sinc_complex_array if is_complex else sinc_array
@@ -172,6 +169,17 @@ def sinc_matrix(u, v) -> np.ndarray:
                 near = np.abs(d.real) < 1.0
                 out[rows[near], cols[near]] = kernel(d[near])
     return out
+
+
+def check_dense_size(rows: int, cols: int, is_complex: bool) -> None:
+    """Raise ValueError when a rows x cols sinc matrix (complex or real
+    doubles) would take more than MAX_DENSE_BYTES; callers check a size
+    here before they allocate anything that grows with it."""
+    nbytes = int(rows) * int(cols) * (16 if is_complex else 8)
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a {rows} x {cols} sinc matrix needs {nbytes} bytes, over the "
+            f"dense limit of {MAX_DENSE_BYTES} bytes")
 
 
 def _halley_w(x: float, w: float) -> float:

@@ -279,6 +279,35 @@ def test_gram_oversized_request_fails_before_allocating(capsys):
                    f"over the dense limit of {specfun.MAX_DENSE_BYTES} bytes\n")
 
 
+@pytest.mark.parametrize("argv, shape", [
+    (("gram", "--ingham", "--N", "3", "--window", str(10 ** 15)), (2 * 10 ** 15 + 1, 7)),
+    (("reconstruct", "--signal", "0.3", "--ingham", "--N", "3",
+      "--eval-points", str(10 ** 15)), (10 ** 15, 7)),
+], ids=["window-rows", "eval-points"])
+def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, shape):
+    # the rows of S and the evaluation points are counted, not listed, first
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: a {shape[0]} x {shape[1]} sinc matrix needs "
+                   f"{shape[0] * shape[1] * 8} bytes, over the dense limit of "
+                   f"{specfun.MAX_DENSE_BYTES} bytes\n")
+
+
+def test_gram_dump_labels_entries_by_grid_index(capsys, tmp_path):
+    # indices 0, 2, 7 label the dumped Gram entries, not positions 0, 1, 2
+    nodes = {0: 0.1, 2: 2.2, 7: 7.05}
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"{n}\t{x!r}\n" for n, x in nodes.items()), encoding="utf-8")
+    dump = tmp_path / "gram.txt"
+    code, _, _ = run(capsys, "gram", "--grid-file", str(path), "--dump-matrix", str(dump))
+    assert code == 0
+    records = [line.split() for line in dump.read_text().splitlines()]
+    assert [(int(k), int(n)) for k, n, _, _ in records] == [(k, n) for k in nodes for n in nodes]
+    for k, n, re_, _ in records:
+        assert float(re_) == pytest.approx(specfun.sinc(nodes[int(k)] - nodes[int(n)]), abs=1e-15)
+
+
 def test_gram_close_nodes_from_grid_file(capsys, tmp_path):
     # node gaps down to 1e-9, read from a file, against 40-digit mpmath
     mp = pytest.importorskip("mpmath")
@@ -348,6 +377,37 @@ def test_reconstruct_csv_output(capsys, tmp_path):
     assert lines[0].startswith("# {")
     assert lines[1] == "t,f_ref,f_hat,abs_err"
     assert len(lines) == 43
+
+
+def test_reconstruct_csv_evaluates_once(capsys, tmp_path, monkeypatch):
+    # the report's error and the CSV rows share one 41 x 61 evaluation matrix
+    from sincstab import framekit, reconstruct
+
+    shapes = []
+
+    def counted(u, v):
+        out = specfun.sinc_matrix(u, v)
+        shapes.append(out.shape)
+        return out
+
+    for module in (framekit, reconstruct):
+        monkeypatch.setattr(module, "sinc_matrix", counted)
+    code, _, _ = run(capsys, "reconstruct", "--signal", "0.3", "--uniform-offset", "0",
+                     "--N", "30", "--eval-points", "41", "--csv", str(tmp_path / "r.csv"))
+    assert code == 0
+    assert shapes.count((41, 61)) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--eval-points", "1"), "n_points must be at least 2"),
+    (("--eval-lo", "3", "--eval-hi", "3"), "evaluation interval must have positive length"),
+])
+def test_reconstruct_rejects_bad_evaluation_points(capsys, flags, message):
+    code, out, err = run(capsys, "reconstruct", "--signal", "0.3",
+                         "--uniform-offset", "0", "--N", "5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_reconstruct_rejects_complex_grid(capsys):

@@ -1,6 +1,7 @@
 """Truncated-system linear algebra against dense oracles."""
 
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -28,6 +29,13 @@ from sincstab.specfun import sinc_array, sinc_complex_array
 
 def integer_grid(radius):
     return uniform_offset_grid([0.0] * (2 * radius + 1), (-radius, radius))
+
+
+def perturbation(grid, window):
+    """S - I: the grid's synthesis matrix less 1 at row k = n of column n."""
+    E = synthesis_matrix(grid, window).entries
+    E[grid.indices - window.row_range[0], np.arange(len(grid))] -= 1.0
+    return E
 
 
 def random_grid(rng, max_nodes=40, spread=0.15):
@@ -77,8 +85,7 @@ def test_unperturbed_synthesis_is_identity(radius):
 
 def test_unperturbed_identity_in_tall_window():
     grid = integer_grid(2)
-    S = synthesis_matrix(grid, TruncationWindow.symmetric(6))
-    E = S.perturbation()
+    E = perturbation(grid, TruncationWindow.symmetric(6))
     assert np.all(E == 0.0)
 
 
@@ -109,9 +116,9 @@ def test_real_grid_gives_real_matrix():
 def test_integer_grid_in_tall_window_is_exact():
     # 101 columns over 801 rows fill several row blocks of the builder
     grid = integer_grid(50)
-    S = synthesis_matrix(grid, TruncationWindow.symmetric(400))
-    assert np.array_equal(S.entries, np.eye(801, 101, k=-350))
-    assert np.all(S.perturbation() == 0.0)
+    window = TruncationWindow.symmetric(400)
+    assert np.array_equal(synthesis_matrix(grid, window).entries, np.eye(801, 101, k=-350))
+    assert np.all(perturbation(grid, window) == 0.0)
 
 
 W1_GRID = power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True)
@@ -184,7 +191,7 @@ def test_norm_matches_dense_svd():
         radius = int(rng.integers(25, 61))
         window = TruncationWindow.symmetric(radius)
         estimate = perturbation_norm(grid, window).perturbation_norm
-        E = synthesis_matrix(grid, window).perturbation()
+        E = perturbation(grid, window)
         exact = np.linalg.svd(E, compute_uv=False)[0]
         assert abs(estimate - exact) <= 1e-8
 
@@ -198,7 +205,7 @@ def test_arpack_norm_matches_svdvals(grid, radius):
     window = TruncationWindow.symmetric(radius)
     summary = perturbation_norm(grid, window)
     assert summary.converged and summary.iterations_used > 0
-    exact = scipy.linalg.svdvals(synthesis_matrix(grid, window).perturbation())[0]
+    exact = scipy.linalg.svdvals(perturbation(grid, window))[0]
     assert abs(summary.perturbation_norm - exact) <= 1e-8
 
 
@@ -209,6 +216,22 @@ def test_dense_eig_cutoff_boundary():
     arpack = perturbation_norm(uniform_offset_grid([0.1] * 801, (-400, 400)), window)
     assert dense.iterations_used == 0 and dense.converged
     assert arpack.iterations_used > 0 and arpack.converged
+
+
+def test_norm_holds_no_copy_of_s():
+    # 401 columns over 8001 rows take the dense eigen path; S - I is made
+    # from S in place, so the peak stays near one rows x n array
+    grid = uniform_offset_grid([0.1] * 401, (-200, 200))
+    window = TruncationWindow.symmetric(4000)
+    s_bytes = 8001 * 401 * 8
+    tracemalloc.start()
+    try:
+        summary = perturbation_norm(grid, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.converged and summary.perturbation_norm > 0.0
+    assert peak < 1.5 * s_bytes
 
 
 def test_norm_window_growth_monotone():
@@ -384,7 +407,7 @@ def test_dump_matrix_roundtrip(tmp_path):
     grid = uniform_offset_grid([0.0, 0.25], (0, 1))
     G = gram_matrix(grid)
     path = tmp_path / "gram.txt"
-    dump_matrix(G, path, row_offset=0, col_offset=0)
+    dump_matrix(G, path, grid.indices, grid.indices)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 4
     k, n, re, im = lines[1].split()
@@ -393,14 +416,14 @@ def test_dump_matrix_roundtrip(tmp_path):
     assert float(im) == 0.0
 
 
-def _dump_per_entry(matrix, path, row_offset, col_offset):
+def _dump_per_entry(matrix, path, row_labels, col_labels):
     """The per-entry writer the row-wise dump must reproduce byte for byte."""
     M = np.asarray(matrix)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(M.shape[0]):
             for j in range(M.shape[1]):
                 z = complex(M[i, j])
-                fh.write(f"{i + row_offset} {j + col_offset} {z.real!r} {z.imag!r}\n")
+                fh.write(f"{int(row_labels[i])} {int(col_labels[j])} {z.real!r} {z.imag!r}\n")
 
 
 def test_dump_matrix_matches_per_entry_writer(tmp_path):
@@ -409,9 +432,11 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path):
     signed_zero[0, 0] = signed_zero[2, 3] = -0.0
     complex_matrix = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     complex_matrix[1, 1] = complex(-0.0, -0.0)
-    for matrix, offsets in ((gram_matrix(ingham_grid(6)), (-6, -6)),
-                            (complex_matrix, (2, -1)),
-                            (signed_zero, (0, 0))):
-        dump_matrix(matrix, tmp_path / "rows.txt", *offsets)
-        _dump_per_entry(matrix, tmp_path / "entries.txt", *offsets)
+    for matrix, labels in ((gram_matrix(ingham_grid(6)), (np.arange(-6, 7),) * 2),
+                           (complex_matrix, (np.arange(2, 7), np.array([-1, 3, 40]))),
+                           (signed_zero, (np.arange(4), np.arange(6)))):
+        dump_matrix(matrix, tmp_path / "rows.txt", *labels)
+        _dump_per_entry(matrix, tmp_path / "entries.txt", *labels)
         assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "entries.txt").read_bytes()
+    with pytest.raises(ValueError, match="labels"):
+        dump_matrix(signed_zero, tmp_path / "rows.txt", np.arange(4), np.arange(5))

@@ -24,6 +24,12 @@ def integer_grid(radius):
     return uniform_offset_grid([0.0] * (2 * radius + 1), (-radius, radius))
 
 
+def error_on(sig, result, grid, interval, n_points):
+    """reconstruction_error on n_points uniform points of the interval."""
+    t = np.linspace(interval[0], interval[1], n_points)
+    return reconstruction_error(t, sig(t), evaluate_reconstruction(result, grid, t))
+
+
 # ---------------------------------------------------------------------------
 # signals and sampling
 
@@ -160,7 +166,7 @@ def test_self_expansion_error_is_solver_limited():
                             weights=np.ones(len(grid)) / len(grid))
     samples = sample_signal(sig, grid)
     result = solve_coefficients(samples, grid)
-    error = reconstruction_error(sig, result, grid, (-10.0, 10.0), 4001)
+    error = error_on(sig, result, grid, (-10.0, 10.0), 4001)
     assert error <= 1e-8
     with pytest.raises(FrozenInstanceError):
         result.residual_norm = 0.0
@@ -172,7 +178,7 @@ def test_error_decreases_with_grid_size():
     for N in (25, 50, 100, 200):
         grid = power_law_grid(0.2, 1.0, N, extend_nonpositive=True)
         result = solve_coefficients(sample_signal(sig, grid), grid)
-        errors.append(reconstruction_error(sig, result, grid, (-20.0, 20.0), 2001))
+        errors.append(error_on(sig, result, grid, (-20.0, 20.0), 2001))
     for small, large in zip(errors[1:], errors[:-1]):
         assert small <= 1.1 * large  # nonincreasing within 10%
     assert errors[-1] < 1e-2
@@ -184,7 +190,7 @@ def test_degradation_with_amplitude():
     for A in (0.1, 0.2, 0.3, 0.4):
         grid = power_law_grid(A, 1.0, 100, extend_nonpositive=True)
         result = solve_coefficients(sample_signal(sig, grid), grid)
-        errors.append(reconstruction_error(sig, result, grid, (-20.0, 20.0), 2001))
+        errors.append(error_on(sig, result, grid, (-20.0, 20.0), 2001))
         iterations.append(result.solver_iterations)
     assert all(b >= a * 0.99 for a, b in zip(errors, errors[1:]))
     assert all(b >= a for a, b in zip(iterations, iterations[1:]))
@@ -210,25 +216,23 @@ def test_ingham_grid_reconstructs_worse():
     N = 64
     power = power_law_grid(0.2, 1.0, N, extend_nonpositive=True)
     result_p = solve_coefficients(sample_signal(sig, power), power)
-    err_p = reconstruction_error(sig, result_p, power, (-20.0, 20.0), 2001)
+    err_p = error_on(sig, result_p, power, (-20.0, 20.0), 2001)
     ingham = ingham_grid(N)
     result_i = solve_coefficients(sample_signal(sig, ingham), ingham)
-    err_i = reconstruction_error(sig, result_i, ingham, (-20.0, 20.0), 2001)
+    err_i = error_on(sig, result_i, ingham, (-20.0, 20.0), 2001)
     assert err_i > err_p
     assert result_i.solver_iterations > result_p.solver_iterations
 
 
 def test_error_metric_validation():
+    # too few points and an empty interval are refused by the CLI, before t
+    # is made (tests/test_cli.py); sinc(t) vanishes exactly at the integer
+    # quadrature points 1, 2, 3
     grid = integer_grid(3)
-    samples = sample_signal(BandlimitedSignal.single(0.0), grid)
-    result = solve_coefficients(samples, grid)
-    with pytest.raises(ValueError):
-        reconstruction_error(BandlimitedSignal.single(0.0), result, grid,
-                             (-1.0, 1.0), 1)
-    # sinc(t) vanishes exactly at the integer quadrature points 1, 2, 3
-    with pytest.raises(ValueError):
-        reconstruction_error(BandlimitedSignal.single(0.0), result, grid,
-                             (1.0, 3.0), 3)
+    sig = BandlimitedSignal.single(0.0)
+    result = solve_coefficients(sample_signal(sig, grid), grid)
+    with pytest.raises(ValueError, match="vanishes"):
+        error_on(sig, result, grid, (1.0, 3.0), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +242,11 @@ def test_write_csv(tmp_path):
     grid = integer_grid(10)
     sig = BandlimitedSignal.single(0.3)
     result = solve_coefficients(sample_signal(sig, grid), grid)
-    error = reconstruction_error(sig, result, grid, (-5.0, 5.0), 101)
+    t = np.linspace(-5.0, 5.0, 101)
+    f_ref, f_hat = sig(t), evaluate_reconstruction(result, grid, t)
+    error = reconstruction_error(t, f_ref, f_hat)
     path = tmp_path / "recon.csv"
-    write_csv(path, result, sig, grid, np.linspace(-5.0, 5.0, 101), error)
+    write_csv(path, result, grid, t, f_ref, f_hat, error)
     lines = path.read_text().splitlines()
     meta = json.loads(lines[0].lstrip("# "))
     assert meta["nodes"] == 21

@@ -252,8 +252,9 @@ def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
     return _split_report(A, alpha, _lambda_series(alpha))
 
 
-def _critical_root(series, tol: float) -> float:
-    """Bisection for the root of lambda1 + lambda2 = 1 on one series."""
+def _critical_root(series) -> float:
+    """Bisection for the root of lambda1 + lambda2 = 1 on one series, down
+    to a bracket of width CRITICAL_TOL."""
 
     def f(A: float) -> float:
         lambda1, lambda2 = series(A)
@@ -271,7 +272,7 @@ def _critical_root(series, tol: float) -> float:
         raise ValueError("table estimate is not strictly increasing on the bracket")
     if f(lo) >= 0.0:
         raise ValueError(f"no sign change in bracket [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > CRITICAL_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
@@ -280,7 +281,7 @@ def _critical_root(series, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def critical_A(alpha_exponent: float, tol: float = CRITICAL_TOL) -> float:
+def critical_A(alpha_exponent: float) -> float:
     """Root A* of table_lambda(A, alpha) = 1, located by bisection.
 
     The estimate is verified to be strictly increasing in A on the bracket
@@ -294,7 +295,7 @@ def critical_A(alpha_exponent: float, tol: float = CRITICAL_TOL) -> float:
     """
     alpha = float(alpha_exponent)
     _check_exponent(alpha)
-    return _critical_root(_lambda_series(alpha), tol)
+    return _critical_root(_lambda_series(alpha))
 
 
 def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
@@ -313,7 +314,7 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
         _check_amplitude(A)
     series = _lambda_series(alpha)
     if critical:
-        amplitudes.append(_critical_root(series, CRITICAL_TOL))
+        amplitudes.append(_critical_root(series))
     return [_split_report(A, alpha, series) for A in amplitudes]
 
 

@@ -147,6 +147,10 @@ def _resolve_window(args, grid) -> framekit.TruncationWindow:
         raise ValueError("--tol must lie strictly between 0 and 1")
     if args.max_iter < 1:
         raise ValueError("--max-iter must be at least 1")
+    if args.window is not None and args.window < 0:
+        raise ValueError("--window must be at least 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     kwargs = {"norm_tolerance": args.tol, "max_iterations": args.max_iter}
     if args.window is not None:
         lo = min(-args.window, int(grid.indices[0]))
@@ -244,9 +248,8 @@ def _run_table(args):
 def _run_gram(args):
     grid = _resolve_grid(args)
     window = _resolve_window(args, grid)
-    summary = framekit.riesz_bounds_estimate(grid, window, seed=args.seed)
+    summary, G = framekit.riesz_bounds_estimate(grid, window, seed=args.seed)
     if args.dump_matrix:
-        G = framekit.gram_matrix(grid, window)
         framekit.dump_matrix(G, args.dump_matrix, grid.indices, grid.indices)
     params = _grid_params(args)
     params["window_rows"] = [int(window.row_range[0]), int(window.row_range[1])]
@@ -268,9 +271,11 @@ def _run_reconstruct(args):
     window = _resolve_window(args, grid)
     signal = _parse_signal(args.signal)
     if args.eval_points < 2:
-        raise ValueError("n_points must be at least 2")
+        raise ValueError("--eval-points must be at least 2")
     if not (args.eval_hi > args.eval_lo):
         raise ValueError("evaluation interval must have positive length")
+    if not math.isfinite(args.eval_hi - args.eval_lo):
+        raise ValueError("evaluation interval must be finite")
     specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
     samples = reconstruct.sample_signal(signal, grid)
     result = reconstruct.solve_coefficients(samples, grid, window)

@@ -4,12 +4,14 @@ The synthesis matrix S holds the expansion coefficients sinc(lambda_n - k)
 of the perturbed atoms over the integer-translate basis; S - I measures the
 perturbation, and its spectral norm is the empirical deviation constant.
 Gram matrices and their extremal eigenvalues estimate the Riesz bounds.
-S and the real Gram matrix are dense, built by specfun.sinc_matrix from
-per-node sines and cosines (a rank-2 numerator over pi times the node
-difference, nodes closer than 1 evaluated directly), row block by row
-block; a matrix over specfun.MAX_DENSE_BYTES is refused with ValueError
-before anything of its size is allocated.  The norm holds one rows x n
-array: S, turned into S - I in place.  The complex Gram matrix is S^H S.
+S and the real Gram matrix are dense, built in one pass of row blocks by
+specfun.sinc_matrix from per-node sines and cosines (a rank-2 numerator
+over pi times the node difference; pairs closer than 1, marked on the
+block's own differences, evaluated directly); a matrix over
+specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
+size is allocated.  The norm holds one rows x n array: S, turned into S - I
+in place.  The complex Gram matrix is S^H S.  riesz_bounds_estimate builds
+S - I, releases it, then builds G once and hands it back with its summary.
 Every eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
 """
 
@@ -210,25 +212,25 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
 
 
 def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
-                          seed: int = 0) -> GramSummary:
+                          seed: int = 0) -> tuple[GramSummary, np.ndarray]:
     """Extremal eigenvalues of the truncated Gram matrix plus the bounds
-    implied by the perturbation norm.
+    implied by the perturbation norm, and the Gram matrix itself.
 
-    G is released before S - I is built, so the two never share memory.
+    S - I is released before G is built, so the two never share memory; G
+    is returned so that a caller writing it out need not build it again.
     iterations_used counts the operator products of both eigen-solves.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
+    summary = perturbation_norm(grid, window, seed=seed)
     G = gram_matrix(grid, window)
     (emin, emax), products = _extremes(G.shape[0], lambda: G, G.dot, G.dtype,
                                        ("SA", "LA"), window, seed)
-    del G
-    summary = perturbation_norm(grid, window, seed=seed)
     return replace(summary,
                    min_eigenvalue=max(emin, 0.0) if math.isfinite(emin) else emin,
                    max_eigenvalue=emax,
                    iterations_used=summary.iterations_used + products,
-                   converged=summary.converged and math.isfinite(emin + emax))
+                   converged=summary.converged and math.isfinite(emin + emax)), G
 
 
 def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,

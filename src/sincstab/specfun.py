@@ -122,11 +122,12 @@ def sinc_matrix(u, v) -> np.ndarray:
     sin(pi v_j)) / (pi (u_i - v_j)) of per-node sines and cosines, filled
     elementwise into the output SINC_BLOCK entries at a time, so no
     full-size temporary is made and M(u, u) is bitwise symmetric.  Pairs
-    with |Re(u_i - v_j)| < 1, found by a binary search of the sorted Re v,
-    are evaluated directly (sinc_array or sinc_complex_array) on the
-    difference: that keeps the exact 1 at u_i = v_j and avoids cancellation
-    between close nodes.  Raises ValueError, before allocating, when M would
-    take more than MAX_DENSE_BYTES.
+    with |Re(u_i - v_j)| < 1, marked on each block's own differences before
+    they are scaled by pi, are then overwritten with the direct kernel
+    (sinc_array or sinc_complex_array) of the difference: that keeps the
+    exact 1 at u_i = v_j and avoids cancellation between close nodes.
+    Raises ValueError, before allocating, when M would take more than
+    MAX_DENSE_BYTES.
     """
     u, v = np.asarray(u), np.asarray(v)
     if u.ndim != 1 or v.ndim != 1:
@@ -141,12 +142,6 @@ def sinc_matrix(u, v) -> np.ndarray:
     kernel = sinc_complex_array if is_complex else sinc_array
     su, cu = _sin_cos_pi(u)
     sv, cv = _sin_cos_pi(v)
-    # candidate near columns of each row: Re v within 2 of Re u_i, a superset
-    # of |Re(u_i - v_j)| < 1 that the exact test on the difference then trims
-    order = np.argsort(v.real, kind="stable")
-    sorted_v = v.real[order]
-    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
-    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
     out = np.empty((u.size, v.size), dtype=dtype)
     step = max(1, SINC_BLOCK // max(v.size, 1))
     scratch = np.empty((min(step, u.size), v.size), dtype=dtype)
@@ -158,16 +153,11 @@ def sinc_matrix(u, v) -> np.ndarray:
             np.multiply(cu[i0:i0 + step, None], sv, out=work)
             block -= work
             np.subtract(u[i0:i0 + step, None], v, out=work)
+            near = np.abs(work.real) < 1.0
+            d = work[near]
             work *= np.pi
             block /= work
-            hits = count[i0:i0 + step]
-            if hits.any():
-                rows = np.repeat(np.arange(i0, i0 + len(block)), hits)
-                start = first[i0:i0 + step] - (np.cumsum(hits) - hits)
-                cols = order[np.arange(rows.size) + np.repeat(start, hits)]
-                d = u[rows] - v[cols]
-                near = np.abs(d.real) < 1.0
-                out[rows[near], cols[near]] = kernel(d[near])
+            block[near] = kernel(d)
     return out
 
 

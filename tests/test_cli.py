@@ -255,7 +255,7 @@ def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
         return framekit.GramSummary(window=window, perturbation_norm=0.5,
                                     min_eigenvalue=math.nan, max_eigenvalue=math.inf,
                                     implied_riesz_lower=0.25, implied_riesz_upper=2.25,
-                                    converged=False)
+                                    converged=False), framekit.gram_matrix(grid, window)
 
     def reject(token):
         raise AssertionError(f"invalid JSON constant {token}")
@@ -267,6 +267,37 @@ def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
     assert results["min_eigenvalue"] is None
     assert results["max_eigenvalue"] is None
     assert results["perturbation_norm"] == 0.5
+
+
+def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
+    # the dump writes the Gram matrix that the eigenvalues were taken of
+    from sincstab import framekit
+
+    calls = []
+    original = framekit.gram_matrix
+
+    def counted(grid, window=None):
+        calls.append(len(grid))
+        return original(grid, window)
+
+    monkeypatch.setattr(framekit, "gram_matrix", counted)
+    code, _, _ = run(capsys, "gram", "--ingham", "--N", "10",
+                     "--dump-matrix", str(tmp_path / "gram.txt"))
+    assert code == 0
+    assert calls == [21]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--power-law", "--A", "0.2", "--alpha", "1", "--N", "5", "--window=-5"),
+     "--window must be at least 0"),
+    (("--ingham", "--N", "3", "--seed=-1"), "--seed must be at least 0"),     # dense
+    (("--ingham", "--N", "401", "--seed=-1"), "--seed must be at least 0"),   # ARPACK
+])
+def test_gram_rejects_negative_window_and_seed(capsys, flags, message):
+    code, out, err = run(capsys, "gram", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_gram_oversized_request_fails_before_allocating(capsys):
@@ -399,8 +430,12 @@ def test_reconstruct_csv_evaluates_once(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--eval-points", "1"), "n_points must be at least 2"),
+    (("--eval-points", "1"), "--eval-points must be at least 2"),
     (("--eval-lo", "3", "--eval-hi", "3"), "evaluation interval must have positive length"),
+    (("--eval-lo", "nan"), "evaluation interval must have positive length"),
+    (("--eval-hi", "inf"), "evaluation interval must be finite"),
+    (("--eval-lo=-inf",), "evaluation interval must be finite"),
+    (("--eval-lo=-1e308", "--eval-hi", "1e308"), "evaluation interval must be finite"),
 ])
 def test_reconstruct_rejects_bad_evaluation_points(capsys, flags, message):
     code, out, err = run(capsys, "reconstruct", "--signal", "0.3",

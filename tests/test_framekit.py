@@ -283,7 +283,7 @@ def test_gram_two_node_closed_form():
     G = gram_matrix(grid)
     g = np.sinc(1.25)
     assert G == pytest.approx(np.array([[1.0, g], [g, 1.0]]), abs=1e-15)
-    summary = riesz_bounds_estimate(grid)
+    summary, _ = riesz_bounds_estimate(grid)
     assert summary.min_eigenvalue == pytest.approx(0.8199367367685788, abs=1e-12)
     assert summary.max_eigenvalue == pytest.approx(1.1800632632314212, abs=1e-12)
     with pytest.raises(FrozenInstanceError):
@@ -326,8 +326,36 @@ def test_complex_gram_via_cross_products():
     assert np.all(G.diagonal().real > 1.0)  # complex atoms carry extra energy
 
 
+def test_riesz_bounds_returns_its_gram_matrix():
+    grid = ingham_grid(20)
+    window = TruncationWindow.for_grid(grid)
+    summary, G = riesz_bounds_estimate(grid, window)
+    assert np.array_equal(G.view(np.uint8), gram_matrix(grid, window).view(np.uint8))
+    eigenvalues = np.linalg.eigvalsh(G)
+    assert summary.min_eigenvalue == eigenvalues[0]
+    assert summary.max_eigenvalue == eigenvalues[-1]
+
+
+def test_riesz_bounds_never_hold_s_and_g_together():
+    # 801 columns over 801 rows take the ARPACK path, and S and G have the
+    # same size: S - I is released before G is built, so the peak stays
+    # near one of them (holding both would read about 2x)
+    grid = power_law_grid(0.2, 1.0, 400, extend_nonpositive=True)
+    window = TruncationWindow(row_range=(-400, 400))
+    s_bytes = 801 * len(grid) * 8
+    tracemalloc.start()
+    try:
+        summary, G = riesz_bounds_estimate(grid, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) > DENSE_EIG_CUTOFF and G.nbytes == s_bytes
+    assert summary.converged
+    assert peak < 1.5 * s_bytes
+
+
 def test_riesz_bounds_unperturbed():
-    summary = riesz_bounds_estimate(integer_grid(8))
+    summary, _ = riesz_bounds_estimate(integer_grid(8))
     assert summary.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert summary.max_eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert summary.perturbation_norm == 0.0
@@ -336,7 +364,7 @@ def test_riesz_bounds_unperturbed():
 def test_ingham_min_eigenvalue_decreases():
     minima = []
     for N in (8, 16, 32):
-        summary = riesz_bounds_estimate(ingham_grid(N))
+        summary, _ = riesz_bounds_estimate(ingham_grid(N))
         minima.append(summary.min_eigenvalue)
     assert minima[0] > minima[1] > minima[2]
 
@@ -345,7 +373,7 @@ def test_gram_sandwich():
     for grid in (ingham_grid(16),
                  power_law_grid(0.2, 1.0, 50, extend_nonpositive=True),
                  power_law_grid(0.25, 1.0, 30)):
-        summary = riesz_bounds_estimate(grid)
+        summary, _ = riesz_bounds_estimate(grid)
         delta = summary.perturbation_norm
         assert delta < 1.0
         assert summary.min_eigenvalue >= (1.0 - delta) ** 2 - 1e-6
@@ -357,7 +385,7 @@ def test_gram_sandwich():
 def test_lanczos_path_matches_dense():
     # 1001 nodes exceeds the dense cutoff; cross-check extremes densely
     grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
-    summary = riesz_bounds_estimate(grid)
+    summary, _ = riesz_bounds_estimate(grid)
     eigenvalues = np.linalg.eigvalsh(gram_matrix(grid))
     assert summary.min_eigenvalue == pytest.approx(eigenvalues[0], abs=1e-8)
     assert summary.max_eigenvalue == pytest.approx(eigenvalues[-1], abs=1e-8)

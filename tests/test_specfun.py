@@ -179,6 +179,75 @@ def test_sinc_matrix_blocks_do_not_change_values(monkeypatch, shape):
     assert np.max(np.abs(sinc_matrix(u, z) - sinc_complex_array(u[:, None] - z))) <= 1e-15
 
 
+def _sorted_search_sinc_matrix(u, v):
+    """sinc_matrix with its near pairs selected by a binary search of the
+    sorted Re v instead of a test on each block's differences: candidate
+    columns with Re v within 2 of Re u_i, trimmed by |Re(u_i - v_j)| < 1."""
+    u, v = np.asarray(u), np.asarray(v)
+    is_complex = np.iscomplexobj(u) or np.iscomplexobj(v)
+    dtype = np.complex128 if is_complex else np.float64
+    u = u.astype(np.result_type(u, np.float64), copy=False)
+    v = v.astype(np.result_type(v, np.float64), copy=False)
+    kernel = sinc_complex_array if is_complex else sinc_array
+    su, cu = specfun._sin_cos_pi(u)
+    sv, cv = specfun._sin_cos_pi(v)
+    order = np.argsort(v.real, kind="stable")
+    sorted_v = v.real[order]
+    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
+    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
+    out = np.empty((u.size, v.size), dtype=dtype)
+    step = max(1, specfun.SINC_BLOCK // max(v.size, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i0 in range(0, u.size, step):
+            block = out[i0:i0 + step]
+            block[...] = su[i0:i0 + step, None] * cv - cu[i0:i0 + step, None] * sv
+            block /= (u[i0:i0 + step, None] - v) * np.pi
+            hits = count[i0:i0 + step]
+            if hits.any():
+                rows = np.repeat(np.arange(i0, i0 + len(block)), hits)
+                start = first[i0:i0 + step] - (np.cumsum(hits) - hits)
+                cols = order[np.arange(rows.size) + np.repeat(start, hits)]
+                d = u[rows] - v[cols]
+                near = np.abs(d.real) < 1.0
+                out[rows[near], cols[near]] = kernel(d[near])
+    return out
+
+
+def _near_pair_cases():
+    from sincstab.grids import ingham_grid, power_law_grid
+
+    power = power_law_grid(0.2, 1.0, 150, extend_nonpositive=True).nodes
+    ingham = ingham_grid(40).nodes
+    k = np.arange(-300.0, 301.0)
+    one = np.array([1.0, -1.0])
+    ulp = np.concatenate([one, np.nextafter(one, 0.0), np.nextafter(one, 2 * one)])
+    close = 0.3 + 1e-9 * np.arange(12)
+    yield "power-law G", power, power
+    yield "power-law S", k, power
+    yield "evaluation", np.linspace(-20.0, 20.0, 401), power
+    yield "Ingham S", k[100:-100], ingham
+    for im in (0.1, 2.0):
+        nodes = np.arange(-40.0, 41.0) + 0.1 + 1j * im
+        yield f"complex columns, Im {im}", k[200:-200], nodes
+        yield f"complex rows, Im {im}", nodes, k[200:-200]
+    yield "nodes 1e-9 apart", close, close[::-1]
+    yield "differences one ulp from +-1", np.zeros(3), ulp
+    yield "differences one ulp from +-1, swapped", ulp, np.zeros(3)
+    yield "empty rows", np.array([]), power
+    yield "empty columns", power, np.array([])
+
+
+@pytest.mark.parametrize("name, u, v", list(_near_pair_cases()),
+                         ids=[case[0] for case in _near_pair_cases()])
+def test_sinc_matrix_near_pairs_match_sorted_search(name, u, v):
+    # marking near pairs on each block's differences selects the same pairs,
+    # and so the same bits, as the binary search it replaced
+    expected = _sorted_search_sinc_matrix(u, v)
+    M = sinc_matrix(u, v)
+    assert M.shape == expected.shape and M.dtype == expected.dtype
+    assert np.array_equal(M.view(np.uint8), expected.view(np.uint8))
+
+
 def test_sinc_matrix_input_checks(monkeypatch):
     with pytest.raises(ValueError, match="at most one complex"):
         sinc_matrix(np.array([0.5j]), np.array([1.0j]))

@@ -151,7 +151,7 @@ def complex_bound_L() -> float:
     alpha is the Lamb-Oseen constant; numerically the radius is 0.218492...,
     strictly below the real-perturbation edge 1/4.
     """
-    alpha = lamb_oseen_alpha().alpha
+    alpha = lamb_oseen_alpha()
     return math.sqrt(3.0 * alpha / 8.0) / math.pi
 
 

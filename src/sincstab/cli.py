@@ -89,8 +89,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the report to PATH instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help=f"ARPACK's start seed (over {framekit.DENSE_EIG_CUTOFF} grid nodes)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -124,22 +122,26 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_grid(args) -> grids.PerturbedGrid:
+    """The requested grid.  gram and reconstruct build at least one real
+    n x n matrix on an n-node grid, so a generated grid is refused before any
+    of its arrays is made when that matrix would be over the dense limit."""
+    if args.grid_file is not None:
+        return grids.grid_from_file(args.grid_file)
     if args.power_law:
         if args.A is None or args.alpha is None or args.N is None:
             raise ValueError("--power-law requires --A, --alpha and --N")
+    elif args.N is None:
+        raise ValueError(f"--{'ingham' if args.ingham else 'uniform-offset'} requires --N")
+    n = args.N if args.power_law and not args.extend_nonpositive else 2 * args.N + 1
+    if n > 0:  # the generators refuse N < 1 themselves
+        specfun.check_dense_size(n, n, is_complex=False)
+    if args.power_law:
         return grids.power_law_grid(args.A, args.alpha, args.N,
                                     extend_nonpositive=args.extend_nonpositive)
-    if args.uniform_offset is not None:
-        if args.N is None:
-            raise ValueError("--uniform-offset requires --N")
-        offset = args.uniform_offset + 1j * args.imag if args.imag else args.uniform_offset
-        n = 2 * args.N + 1
-        return grids.uniform_offset_grid([offset] * n, (-args.N, args.N))
     if args.ingham:
-        if args.N is None:
-            raise ValueError("--ingham requires --N")
         return grids.ingham_grid(args.N)
-    return grids.grid_from_file(args.grid_file)
+    offset = args.uniform_offset + 1j * args.imag if args.imag else args.uniform_offset
+    return grids.uniform_offset_grid([offset] * n, (-args.N, args.N))
 
 
 def _resolve_window(args, grid) -> framekit.TruncationWindow:
@@ -149,8 +151,6 @@ def _resolve_window(args, grid) -> framekit.TruncationWindow:
         raise ValueError("--max-iter must be at least 1")
     if args.window is not None and args.window < 0:
         raise ValueError("--window must be at least 0")
-    if args.seed < 0:
-        raise ValueError("--seed must be at least 0")
     kwargs = {"norm_tolerance": args.tol, "max_iterations": args.max_iter}
     if args.window is not None:
         lo = min(-args.window, int(grid.indices[0]))
@@ -175,14 +175,13 @@ def _grid_params(args) -> dict:
 # subcommands
 
 def _run_oseen(args):
-    oseen = specfun.lamb_oseen_alpha()
-    a = oseen.alpha
+    a = specfun.lamb_oseen_alpha()
     arg = -0.5 * math.exp(-0.5)
     results = {
         "alpha": a,
         "residual": math.exp(a) - 2.0 * a - 1.0,
-        "w0": specfun.lambert_w0(arg).value,
-        "wm1": specfun.lambert_wm1(arg).value,
+        "w0": specfun.lambert_w0(arg),
+        "wm1": specfun.lambert_wm1(arg),
         "complex_bound": bounds_mod.complex_bound_L(),
     }
     return {}, results, True
@@ -246,6 +245,8 @@ def _run_table(args):
 
 
 def _run_gram(args):
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     grid = _resolve_grid(args)
     window = _resolve_window(args, grid)
     summary, G = framekit.riesz_bounds_estimate(grid, window, seed=args.seed)
@@ -333,8 +334,8 @@ def _render_csv(command: str, results: dict) -> str:
     else:
         lines.append("key,value")
         for key, value in results.items():
-            lines.append(f"{key},{value!r}" if isinstance(value, float)
-                         else f"{key},{value}")
+            text = repr(value) if isinstance(value, float) else str(value)
+            lines.append(f'{key},"{text}"' if "," in text else f"{key},{text}")  # a list
     return "\n".join(lines) + "\n"
 
 
@@ -354,9 +355,10 @@ def _emit(args, command: str, params: dict, results: dict, runtime_ms: float) ->
             "command": command,
             "params": params,
             "results": results,
-            "meta": {"version": __version__, "seed": args.seed,
-                     "runtime_ms": runtime_ms},
+            "meta": {"version": __version__, "runtime_ms": runtime_ms},
         }
+        if command == "gram":
+            payload["meta"]["seed"] = args.seed
         text = json.dumps(_json_safe(payload), sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
     elif args.format == "csv":
@@ -399,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_grid_flags(p)
     _add_window_flags(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help=f"ARPACK's start seed (over {framekit.DENSE_EIG_CUTOFF} grid nodes)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
                    help="dump the Gram matrix as 'm n re im' text, labelled by grid index")
 

@@ -35,7 +35,6 @@ class PerturbedGrid:
     kind: str
     indices: np.ndarray
     nodes: np.ndarray
-    params: dict
 
     def __post_init__(self):
         if self.kind not in GRID_KINDS:
@@ -104,13 +103,7 @@ def power_law_grid(
     nodes = indices.astype(np.float64)
     pos = indices >= 1
     nodes[pos] += A / indices[pos].astype(np.float64) ** alpha
-    return PerturbedGrid(
-        kind="power_law",
-        indices=indices,
-        nodes=nodes,
-        params={"A": A, "alpha_exponent": alpha, "N": N,
-                "extend_nonpositive": bool(extend_nonpositive)},
-    )
+    return PerturbedGrid(kind="power_law", indices=indices, nodes=nodes)
 
 
 def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
@@ -137,12 +130,8 @@ def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
     if offs.dtype.kind == "c" and not is_complex:
         offs = offs.real
     nodes = indices + offs
-    return PerturbedGrid(
-        kind="complex_offset" if is_complex else "uniform_offset",
-        indices=indices,
-        nodes=nodes,
-        params={"L": float(np.max(np.abs(offs)))},
-    )
+    return PerturbedGrid(kind="complex_offset" if is_complex else "uniform_offset",
+                         indices=indices, nodes=nodes)
 
 
 def ingham_grid(N: int) -> PerturbedGrid:
@@ -156,8 +145,7 @@ def ingham_grid(N: int) -> PerturbedGrid:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     indices = np.arange(-N, N + 1, dtype=np.int64)
     nodes = indices + 0.25 * np.sign(indices).astype(np.float64)
-    return PerturbedGrid(kind="ingham", indices=indices, nodes=nodes,
-                         params={"N": N})
+    return PerturbedGrid(kind="ingham", indices=indices, nodes=nodes)
 
 
 def grid_from_file(path) -> PerturbedGrid:
@@ -200,7 +188,7 @@ def grid_from_file(path) -> PerturbedGrid:
     arr = np.array(values, dtype=np.complex128)
     nodes = arr.real if np.all(arr.imag == 0.0) else arr
     return PerturbedGrid(kind="explicit", indices=np.array(indices, dtype=np.int64),
-                         nodes=nodes, params={"path": str(path)})
+                         nodes=nodes)
 
 
 def max_deviation(grid: PerturbedGrid) -> float:

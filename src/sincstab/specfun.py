@@ -2,21 +2,19 @@
 
 Normalized sinc (real and complex) and the dense matrix sinc(u_i - v_j), the
 two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
-constant, and the Riemann zeta function for real argument s > 1.  All
-functions are pure and thread-safe.
+constant, and the Riemann zeta function for real argument s > 1.  The scalar
+functions return plain floats (complex for sinc_complex).  All functions are
+pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "BranchedWValue",
-    "OseenConstant",
     "sinc",
     "sinc_complex",
     "sinc_array",
@@ -40,25 +38,6 @@ _BRANCH_SLACK = 1e-14
 # at a time.
 MAX_DENSE_BYTES = 1 << 30
 SINC_BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class BranchedWValue:
-    """A Lambert W evaluation: w with w*exp(w) == argument on a fixed branch.
-
-    branch is "principal" (value in [-1, 0)) or "minus_one" (value <= -1).
-    """
-
-    branch: str
-    argument: float
-    value: float
-
-
-@dataclass(frozen=True)
-class OseenConstant:
-    """The Lamb-Oseen constant: the positive root of exp(a) = 2a + 1."""
-
-    alpha: float
 
 
 def sinc(x: float) -> float:
@@ -194,8 +173,8 @@ def _check_w_domain(x: float, name: str) -> float:
     return max(x, _NEG_INV_E)
 
 
-def lambert_w0(x: float) -> BranchedWValue:
-    """Principal branch W0 on [-1/e, 0); values lie in [-1, 0)."""
+def lambert_w0(x: float) -> float:
+    """Principal branch W0 on [-1/e, 0): the w in [-1, 0) with w*exp(w) = x."""
     x = _check_w_domain(x, "lambert_w0")
     # p parametrizes the distance to the branch point: p^2 = 2(1 + e*x)
     q = max(2.0 * (1.0 + math.e * x), 0.0)
@@ -206,12 +185,11 @@ def lambert_w0(x: float) -> BranchedWValue:
         w = x * math.exp(-x)
     if p >= 1e-5:
         w = _halley_w(x, w)
-    w = max(w, -1.0)
-    return BranchedWValue(branch="principal", argument=x, value=w)
+    return max(w, -1.0)
 
 
-def lambert_wm1(x: float) -> BranchedWValue:
-    """Secondary real branch W-1 on [-1/e, 0); values lie in (-inf, -1]."""
+def lambert_wm1(x: float) -> float:
+    """Secondary real branch W-1 on [-1/e, 0): the w <= -1 with w*exp(w) = x."""
     x = _check_w_domain(x, "lambert_wm1")
     q = max(2.0 * (1.0 + math.e * x), 0.0)
     p = math.sqrt(q)
@@ -224,17 +202,16 @@ def lambert_wm1(x: float) -> BranchedWValue:
             lx = math.log(-x)
             w = lx - math.log(-lx)
         w = _halley_w(x, w)
-    w = min(w, -1.0)
-    return BranchedWValue(branch="minus_one", argument=x, value=w)
+    return min(w, -1.0)
 
 
-def lamb_oseen_alpha() -> OseenConstant:
+def lamb_oseen_alpha() -> float:
     """The constant alpha = -1/2 - W_{-1}(-exp(-1/2)/2), approx 1.25643.
 
     alpha is the positive solution of exp(a) = 2a + 1.
     """
     arg = -0.5 * math.exp(-0.5)
-    return OseenConstant(alpha=-0.5 - lambert_wm1(arg).value)
+    return -0.5 - lambert_wm1(arg)
 
 
 # Bernoulli numbers B_{2k} for the Euler-Maclaurin corrections, k = 1..15.

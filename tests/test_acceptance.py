@@ -49,7 +49,7 @@ def test_criterion_01_lamb_oseen_constant(capsys):
         assert code == 0
         assert abs(reported["alpha"] - 1.25643) < 5e-6
         assert abs(reported["residual"]) < 1e-12
-        alpha = ss.lamb_oseen_alpha().alpha
+        alpha = ss.lamb_oseen_alpha()
         assert abs(alpha - 1.25643) < 5e-6
         assert abs(math.exp(alpha) - 2.0 * alpha - 1.0) < 1e-12
         assert per_call_seconds(ss.lamb_oseen_alpha, 200) < 1e-3
@@ -209,14 +209,14 @@ def test_criterion_11_special_function_identities():
         # branch round-trips; the xi recovery needs |1 + xi| >= ~1e-4 for
         # 1e-12 accuracy in doubles (dW/dx ~ 1/(1+xi) at the branch point)
         for x in rng.uniform(neg_inv_e, -1e-12, size=1000):
-            w = ss.lambert_w0(float(x)).value
+            w = ss.lambert_w0(float(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
-            w = ss.lambert_wm1(float(x)).value
+            w = ss.lambert_wm1(float(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
         for xi in rng.uniform(-1.0 + 1e-4, -1e-9, size=1000):
-            assert abs(ss.lambert_w0(xi * math.exp(xi)).value - xi) <= 1e-12
+            assert abs(ss.lambert_w0(xi * math.exp(xi)) - xi) <= 1e-12
         for xi in rng.uniform(-25.0, -1.0 - 1e-4, size=1000):
-            recovered = ss.lambert_wm1(xi * math.exp(xi)).value
+            recovered = ss.lambert_wm1(xi * math.exp(xi))
             assert abs(recovered - xi) <= 1e-12 * max(1.0, abs(xi))
         assert abs(ss.riemann_zeta(2.0) - math.pi ** 2 / 6.0) <= 1e-13
         assert abs(ss.riemann_zeta(4.0) - math.pi ** 4 / 90.0) <= 1e-13

@@ -1,16 +1,18 @@
 """CLI behavior: subcommands, formats, determinism, exit codes."""
 
+import csv
 import json
 import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from sincstab import cli, specfun
+from sincstab import cli, grids, specfun
 from sincstab.cli import main
 
 
@@ -300,6 +302,52 @@ def test_gram_rejects_negative_window_and_seed(capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("oseen",),
+    ("bounds", "--complex", "--L", "0.2"),
+    ("table", "--alpha", "1", "--critical"),
+    ("reconstruct", "--signal", "0.3", "--ingham", "--N", "3"),
+])
+def test_seed_is_a_gram_flag_only(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_meta_carries_seed_only_for_gram(capsys):
+    code, out, _ = run(capsys, "gram", "--ingham", "--N", "3", "--seed", "5",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["seed"] == 5
+    code, out, _ = run(capsys, "oseen", "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["meta"]) == {"version", "runtime_ms"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--ingham", "--N", "5"),
+    ("gram", "--power-law", "--A", "0.1", "--alpha", "1", "--N", "11"),
+    ("gram", "--power-law", "--A", "0.1", "--alpha", "1", "--N", "5",
+     "--extend-nonpositive"),
+    ("reconstruct", "--signal", "0.3", "--uniform-offset", "0.1", "--N", "5"),
+])
+def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # every request here has 11 nodes, and its 11 x 11 matrix is over a
+    # lowered limit; the generators must not run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("grid generator called for an oversized grid")
+
+    monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", 8 * 100)
+    for name in ("power_law_grid", "uniform_offset_grid", "ingham_grid"):
+        monkeypatch.setattr(grids, name, unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: a 11 x 11 sinc matrix needs 968 bytes, over the dense "
+                   "limit of 800 bytes\n")
+
+
 def test_gram_oversized_request_fails_before_allocating(capsys):
     # the 1e6 x 1e6 Gram would take 8e12 bytes; it is refused, not allocated
     code, out, err = run(capsys, "gram", "--power-law", "--A", "0.1", "--alpha", "1",
@@ -314,9 +362,12 @@ def test_gram_oversized_request_fails_before_allocating(capsys):
     (("gram", "--ingham", "--N", "3", "--window", str(10 ** 15)), (2 * 10 ** 15 + 1, 7)),
     (("reconstruct", "--signal", "0.3", "--ingham", "--N", "3",
       "--eval-points", str(10 ** 15)), (10 ** 15, 7)),
-], ids=["window-rows", "eval-points"])
+    (("reconstruct", "--signal", "0.3", "--uniform-offset", "0.1", "--N", str(10 ** 23)),
+     (2 * 10 ** 23 + 1, 2 * 10 ** 23 + 1)),
+], ids=["window-rows", "eval-points", "grid-nodes"])
 def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, shape):
-    # the rows of S and the evaluation points are counted, not listed, first
+    # the rows of S, the evaluation points and the grid nodes are counted,
+    # not listed, first
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -429,6 +480,20 @@ def test_reconstruct_csv_evaluates_once(capsys, tmp_path, monkeypatch):
     assert shapes.count((41, 61)) == 1
 
 
+def test_reconstruct_csv_report_has_two_fields_per_row(capsys):
+    argv = ("reconstruct", "--signal", "0.3", "--uniform-offset", "0.1", "--N", "30",
+            "--eval-points", "41")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    head = json.loads(out)["results"]["coefficients_head"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert all(len(row) == 2 for row in rows)
+    parsed = json.loads(dict(rows)["coefficients_head"])
+    assert len(parsed) == 8 and parsed == head
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--eval-points", "1"), "--eval-points must be at least 2"),
     (("--eval-lo", "3", "--eval-hi", "3"), "evaluation interval must have positive length"),
@@ -524,3 +589,19 @@ def test_csv_format_for_scalar_reports(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("alpha,") for line in lines)
+
+
+def readme_cli_examples():
+    """The sincstab lines of README's CLI block, continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("sincstab ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[1])
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv[1:])
+    assert code == 0, err

@@ -160,4 +160,4 @@ def test_grid_from_file_errors(tmp_path, content, fragment):
 def test_duplicate_index_rejected_in_constructor():
     with pytest.raises(ValueError):
         PerturbedGrid(kind="explicit", indices=np.array([1, 1]),
-                      nodes=np.array([1.0, 1.5]), params={})
+                      nodes=np.array([1.0, 1.5]))

@@ -277,6 +277,8 @@ def _run_reconstruct(args):
         raise ValueError("evaluation interval must have positive length")
     if not math.isfinite(args.eval_hi - args.eval_lo):
         raise ValueError("evaluation interval must be finite")
+    if max(abs(args.eval_lo), abs(args.eval_hi)) >= grids.MAX_NODE_REAL:
+        raise ValueError("evaluation interval must lie inside (-2^52, 2^52), as grid nodes do")
     specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
     samples = reconstruct.sample_signal(signal, grid)
     result = reconstruct.solve_coefficients(samples, grid, window)
@@ -402,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_window_flags(p)
     p.add_argument("--seed", type=int, default=0,
-                   help=f"ARPACK's start seed (over {framekit.DENSE_EIG_CUTOFF} grid nodes)")
+                   help=f"ARPACK's start seed (for over {framekit.DENSE_EIG_CUTOFF} moved "
+                        f"columns in the norm or grid nodes in the Gram matrix)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
                    help="dump the Gram matrix as 'm n re im' text, labelled by grid index")
 

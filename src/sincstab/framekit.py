@@ -6,13 +6,14 @@ perturbation, and its spectral norm is the empirical deviation constant.
 Gram matrices and their extremal eigenvalues estimate the Riesz bounds.
 S and the real Gram matrix are dense, built in one pass of row blocks by
 specfun.sinc_matrix from per-node sines and cosines (a rank-2 numerator
-over pi times the node difference; pairs closer than 1, marked on the
-block's own differences, evaluated directly); a matrix over
+over pi times the node difference; pairs closer than 1, found once per
+matrix by a search of the sorted nodes, evaluated directly); a matrix over
 specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
-size is allocated.  The norm holds one rows x n array: S, turned into S - I
-in place.  The complex Gram matrix is S^H S.  riesz_bounds_estimate builds
-S - I, releases it, then builds G once and hands it back with its summary.
-Every eigenvalue is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above.
+size is allocated.  The norm holds S - I on the moved columns only.  The
+complex Gram matrix is S^H S.  riesz_bounds_estimate builds S - I, releases
+it, then builds G once and hands it back with its summary.  Every eigenvalue
+is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above (one run per end, or
+one for both ends of a real operator).
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ class GramSummary:
     converged: bool = True
 
 
+def _window_rows(grid: PerturbedGrid, window: TruncationWindow) -> np.ndarray:
+    """The window's rows, checked to cover the grid and to fit rows x len(grid)."""
+    lo, hi = window.row_range
+    if int(grid.indices[0]) < lo or int(grid.indices[-1]) > hi:
+        raise ValueError("window rows do not cover the grid indices")
+    check_dense_size(hi - lo + 1, len(grid), grid.is_complex)
+    return window.rows
+
+
 def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
                      ) -> SynthesisMatrix:
     """Build the truncated synthesis matrix of a grid.
@@ -125,11 +135,8 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    lo, hi = window.row_range
-    if int(grid.indices[0]) < lo or int(grid.indices[-1]) > hi:
-        raise ValueError("window rows do not cover the grid indices")
-    check_dense_size(hi - lo + 1, len(grid), grid.is_complex)
-    return SynthesisMatrix(window=window, entries=sinc_matrix(window.rows, grid.nodes))
+    return SynthesisMatrix(window=window,
+                           entries=sinc_matrix(_window_rows(grid, window), grid.nodes))
 
 
 def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
@@ -138,6 +145,8 @@ def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
     per entry of which) and the operator products spent: eigvalsh of dense()
     for n <= DENSE_EIG_CUTOFF, else ARPACK on matvec with the window's
     tolerance and restart cap from a seeded start vector (nan if it fails).
+    A real operator gives ("SA", "LA") as the sorted pair of one "BE" run;
+    eigsh refuses "BE" for a complex one, which takes one run per end.
     """
     if n <= DENSE_EIG_CUTOFF:
         eigenvalues = np.linalg.eigvalsh(dense())
@@ -153,17 +162,20 @@ def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    if np.issubdtype(dtype, np.complexfloating):
+    real = not np.issubdtype(dtype, np.complexfloating)
+    if not real:
         v0 = v0 + 1j * rng.standard_normal(n)
     operator = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=dtype)
+    runs = [("BE", 2)] if real and which == ("SA", "LA") else [(w, 1) for w in which]
     values = []
-    for w in which:
+    for w, k in runs:
         try:
-            values.append(float(np.real(scipy.sparse.linalg.eigsh(
-                operator, k=1, which=w, tol=window.norm_tolerance,
-                maxiter=window.max_iterations, v0=v0, return_eigenvectors=False)[0])))
+            found = np.sort(np.real(scipy.sparse.linalg.eigsh(
+                operator, k=k, which=w, tol=window.norm_tolerance,
+                maxiter=window.max_iterations, v0=v0, return_eigenvectors=False)))
         except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-            values.append(math.nan)
+            found = np.full(k, math.nan)
+        values += found.tolist()
     return values, products
 
 
@@ -172,23 +184,27 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     """Spectral norm of S - I on the truncation: the empirical deviation
     constant of the perturbed system.
 
-    The norm is the square root of the top eigenvalue of (S - I)^H (S - I),
+    S - I is built on the moved columns (lambda_n != n) only: sinc_matrix is
+    exact at the integers, so an unmoved column of S - I is exactly 0.  The
+    norm is the square root of the top eigenvalue of (S - I)^H (S - I),
     found by the module's eigenvalue rule: exact for up to DENSE_EIG_CUTOFF
-    columns, ARPACK on v -> (S - I)^H ((S - I) v) above.  iterations_used
-    counts those products (0 when exact).  When ARPACK stops without an
-    eigenvalue the norm is nan and converged is False.  S is turned into
-    S - I in place (I: entry 1 at row k = n of column n), so no second
-    rows x n array is made.
+    moved columns, ARPACK on v -> (S - I)^H ((S - I) v) above.
+    iterations_used counts those products (0 when exact or when no column
+    moved).  When ARPACK stops without an eigenvalue the norm is nan and
+    converged is False.  S is turned into S - I in place (I: entry 1 at row
+    k = n of column n), after the window's rows x len(grid) is checked.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    E = synthesis_matrix(grid, window).entries
-    E[grid.indices - window.row_range[0], np.arange(len(grid))] -= 1.0
+    rows = _window_rows(grid, window)
+    moved = np.flatnonzero(grid.nodes != grid.indices)
     top, products = 0.0, 0  # for E = 0, on which ARPACK cannot start
-    if E.any():
+    if moved.size:
+        E = sinc_matrix(rows, grid.nodes[moved])
+        E[grid.indices[moved] - window.row_range[0], np.arange(moved.size)] -= 1.0
         # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
         (top,), products = _extremes(
-            E.shape[1], lambda: E.conj().T @ E, lambda v: ((E @ v).conj() @ E).conj(),
+            moved.size, lambda: E.conj().T @ E, lambda v: ((E @ v).conj() @ E).conj(),
             E.dtype, ("LA",), window, seed)
     norm = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
     return GramSummary(window=window, perturbation_norm=norm,
@@ -218,7 +234,9 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
 
     S - I is released before G is built, so the two never share memory; G
     is returned so that a caller writing it out need not build it again.
-    iterations_used counts the operator products of both eigen-solves.
+    iterations_used counts the operator products of both eigen-solves: the
+    norm's, over the moved columns, and the Gram matrix's, whose two ends
+    come from one ARPACK run when the grid is real.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)

@@ -27,6 +27,17 @@ __all__ = [
 
 GRID_KINDS = ("power_law", "uniform_offset", "complex_offset", "ingham", "explicit")
 
+# Nodes lie in |Re lambda| < MAX_NODE_REAL and |Im lambda| <= MAX_NODE_IMAG.
+# Below 2^52 doubles are at most 1/2 apart, so a node keeps its offset from
+# its index; from 2^52 on they are 1 apart and every node is an integer.
+# By Parseval a column of S with |Im lambda| = y has squared norm at most
+# sinh(2 pi y) / (2 pi y), and the dense limit allows at most 8192 complex
+# columns, so trace(S^H S), which bounds every entry and eigenvalue of S^H S
+# and of (S - I)^H (S - I), stays finite up to y = 112.69.  At y = 100 it
+# is below DBL_MAX / 3e34, headroom for the eigen-solvers' own sums.
+MAX_NODE_REAL = 2.0 ** 52
+MAX_NODE_IMAG = 100.0
+
 
 @dataclass(frozen=True)
 class PerturbedGrid:
@@ -53,6 +64,12 @@ class PerturbedGrid:
             raise ValueError("grid indices must be distinct")
         if not np.all(np.isfinite(nodes.view(np.float64))):
             raise ValueError("grid nodes must be finite")
+        if np.max(np.abs(nodes.real)) >= MAX_NODE_REAL:
+            raise ValueError("grid nodes must satisfy |Re lambda| < 2^52, where a double "
+                             "still resolves a node's offset from its index")
+        if np.max(np.abs(nodes.imag)) > MAX_NODE_IMAG:
+            raise ValueError(f"grid nodes must satisfy |Im lambda| <= {MAX_NODE_IMAG:g}, "
+                             "where S and S^H S stay finite")
         order = np.argsort(indices)
         indices = indices[order]
         nodes = nodes[order]

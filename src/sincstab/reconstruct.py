@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .framekit import TruncationWindow, gram_matrix
-from .grids import PerturbedGrid
+from .grids import MAX_NODE_REAL, PerturbedGrid
 from .specfun import sinc_array, sinc_matrix
 
 __all__ = [
@@ -65,6 +65,8 @@ class BandlimitedSignal:
             raise ValueError("shifts and weights must be aligned nonempty 1-d arrays")
         if not (np.all(np.isfinite(shifts)) and np.all(np.isfinite(weights))):
             raise ValueError("signal representation must be finite")
+        if np.max(np.abs(shifts)) >= MAX_NODE_REAL:
+            raise ValueError("signal shifts must satisfy |mu| < 2^52, as grid nodes do")
         shifts.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "shifts", shifts)

@@ -3,8 +3,8 @@
 Normalized sinc (real and complex) and the dense matrix sinc(u_i - v_j), the
 two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
 constant, and the Riemann zeta function for real argument s > 1.  The scalar
-functions return plain floats (complex for sinc_complex).  All functions are
-pure and thread-safe.
+functions return plain floats (complex for sinc_complex); sinc_matrix finds
+its near pairs by one search of the sorted nodes.  All are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ _NEG_INV_E = -math.exp(-1.0)
 _BRANCH_SLACK = 1e-14
 
 # sinc_matrix refuses a result larger than this (1 GiB, a 11585^2 real
-# matrix) instead of allocating it, and fills its output this many entries
-# at a time.
+# matrix) instead of allocating it, and fills its output, and lists its
+# near-pair candidates, this many entries at a time.
 MAX_DENSE_BYTES = 1 << 30
 SINC_BLOCK = 1 << 15
 
@@ -101,12 +101,12 @@ def sinc_matrix(u, v) -> np.ndarray:
     sin(pi v_j)) / (pi (u_i - v_j)) of per-node sines and cosines, filled
     elementwise into the output SINC_BLOCK entries at a time, so no
     full-size temporary is made and M(u, u) is bitwise symmetric.  Pairs
-    with |Re(u_i - v_j)| < 1, marked on each block's own differences before
-    they are scaled by pi, are then overwritten with the direct kernel
+    with |Re(u_i - v_j)| < 1 are then overwritten with the direct kernel
     (sinc_array or sinc_complex_array) of the difference: that keeps the
-    exact 1 at u_i = v_j and avoids cancellation between close nodes.
-    Raises ValueError, before allocating, when M would take more than
-    MAX_DENSE_BYTES.
+    exact 1 at u_i = v_j and avoids cancellation between close nodes.  They
+    are found once per call among the Re v within 2 of Re u_i, located by
+    binary search, SINC_BLOCK candidates at a time.  Raises ValueError,
+    before allocating, when M would take more than MAX_DENSE_BYTES.
     """
     u, v = np.asarray(u), np.asarray(v)
     if u.ndim != 1 or v.ndim != 1:
@@ -132,11 +132,23 @@ def sinc_matrix(u, v) -> np.ndarray:
             np.multiply(cu[i0:i0 + step, None], sv, out=work)
             block -= work
             np.subtract(u[i0:i0 + step, None], v, out=work)
-            near = np.abs(work.real) < 1.0
-            d = work[near]
             work *= np.pi
             block /= work
-            block[near] = kernel(d)
+    # candidate near columns of row i: the sorted Re v within 2 of Re u_i,
+    # listed SINC_BLOCK at a time as positions p of one flat sequence
+    order = np.argsort(v.real, kind="stable")
+    sorted_v = v.real[order]
+    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
+    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
+    ends = np.cumsum(count)
+    offset = first + count - ends  # candidate p of row i is column order[p + offset[i]]
+    for p0 in range(0, int(count.sum()), SINC_BLOCK):
+        p = np.arange(p0, min(p0 + SINC_BLOCK, ends[-1]))
+        rows = np.searchsorted(ends, p, side="right")
+        cols = order[p + offset[rows]]
+        d = u[rows] - v[cols]
+        near = np.abs(d.real) < 1.0
+        out[rows[near], cols[near]] = kernel(d[near])
     return out
 
 

@@ -376,6 +376,35 @@ def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, shape):
                    f"{specfun.MAX_DENSE_BYTES} bytes\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--uniform-offset", "1e17"), "|Re lambda| < 2^52"),   # all 7 nodes round to 1e17
+    (("--uniform-offset", "1e308"), "|Re lambda| < 2^52"),
+    (("--uniform-offset", "0.1", "--imag", "300"), "|Im lambda| <= 100"),
+    (("--uniform-offset", "0.1", "--imag=-100.5"), "|Im lambda| <= 100"),
+])
+def test_gram_refuses_unrepresentable_nodes(capsys, flags, message):
+    code, out, err = run(capsys, "gram", *flags, "--N", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: grid nodes must satisfy {message}, ")
+    assert err.count("\n") == 1
+
+
+def test_gram_accepts_nodes_at_the_bounds(capsys):
+    # the largest imaginary part keeps every reported number finite, and
+    # nodes that coincide at ordinary magnitudes (lambda_1 = lambda_5 = 6)
+    # give a singular Gram matrix, not an error
+    code, out, err = run(capsys, "gram", "--uniform-offset", "0.1", "--imag", "100",
+                         "--N", "3", "--format", "json")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert 1e269 < results["max_eigenvalue"] < 1e270
+    code, out, err = run(capsys, "gram", "--power-law", "--A", "5", "--alpha", "1",
+                         "--N", "6", "--format", "json")
+    assert code == 0 and err == ""
+    assert 0.0 <= json.loads(out)["results"]["min_eigenvalue"] < 1e-14
+
+
 def test_gram_dump_labels_entries_by_grid_index(capsys, tmp_path):
     # indices 0, 2, 7 label the dumped Gram entries, not positions 0, 1, 2
     nodes = {0: 0.1, 2: 2.2, 7: 7.05}
@@ -505,6 +534,23 @@ def test_reconstruct_csv_report_has_two_fields_per_row(capsys):
 def test_reconstruct_rejects_bad_evaluation_points(capsys, flags, message):
     code, out, err = run(capsys, "reconstruct", "--signal", "0.3",
                          "--uniform-offset", "0", "--N", "5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--signal", "1e308:1e308"), "signal shifts must satisfy |mu| < 2^52, as grid nodes do"),
+    (("--signal", "0.3:1,1e16:1"), "signal shifts must satisfy |mu| < 2^52, as grid nodes do"),
+    (("--signal", "0.3", "--eval-lo", "0", "--eval-hi", "1.7e308"),
+     "evaluation interval must lie inside (-2^52, 2^52), as grid nodes do"),
+    (("--signal", "0.3", "--uniform-offset", "1e17"),
+     "grid nodes must satisfy |Re lambda| < 2^52, where a double still resolves a "
+     "node's offset from its index"),
+])
+def test_reconstruct_refuses_unrepresentable_input(capsys, flags, message):
+    grid = () if "--uniform-offset" in flags else ("--ingham",)
+    code, out, err = run(capsys, "reconstruct", *flags, *grid, "--N", "3")
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"

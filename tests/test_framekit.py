@@ -7,7 +7,9 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg  # imported here, so no traced peak below counts its import
 
+from sincstab import framekit, specfun
 from sincstab.framekit import (
     DENSE_EIG_CUTOFF,
     TruncationWindow,
@@ -160,11 +162,36 @@ def test_column_normalization(radius):
 # ---------------------------------------------------------------------------
 # perturbation norm
 
-def test_norm_of_unperturbed_grid_is_zero():
+def test_norm_of_unperturbed_grid_is_zero(monkeypatch):
+    # no column is moved, so no matrix is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sinc matrix built for an unperturbed grid")
+
+    monkeypatch.setattr(framekit, "sinc_matrix", unreachable)
     for radius in (10, 401):  # 803 columns are past the dense cutoff
         summary = perturbation_norm(integer_grid(radius))
         assert summary.perturbation_norm == 0.0
-        assert summary.converged
+        assert summary.converged and summary.iterations_used == 0
+
+
+def test_norm_uses_moved_columns_only():
+    # 450 of the 901 columns are moved, under the dense cutoff: the norm is
+    # exact and equals that of the whole S - I
+    grid = power_law_grid(0.2, 1.0, 450, extend_nonpositive=True)
+    window = TruncationWindow.symmetric(450)
+    summary = perturbation_norm(grid, window)
+    assert summary.converged and summary.iterations_used == 0
+    exact = scipy.linalg.svdvals(perturbation(grid, window))[0]
+    assert abs(summary.perturbation_norm - exact) <= 1e-12
+
+
+def test_norm_checks_the_whole_window_first(monkeypatch):
+    # the dense-size check counts every column, moved or not, before any
+    # array is made
+    grid = power_law_grid(0.2, 1.0, 10, extend_nonpositive=True)  # 10 of 21 moved
+    monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", 201 * 21 * 8 - 1)
+    with pytest.raises(ValueError, match="a 201 x 21 sinc matrix needs 33768 bytes"):
+        perturbation_norm(grid, TruncationWindow.symmetric(100))
 
 
 def test_norm_single_half_shift():
@@ -197,11 +224,11 @@ def test_norm_matches_dense_svd():
 
 
 @pytest.mark.parametrize("grid, radius", [
-    (power_law_grid(0.2, 1.0, 450, extend_nonpositive=True), 450),
+    (power_law_grid(0.2, 1.0, 900, extend_nonpositive=True), 900),
     (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)), 400),
 ], ids=["real", "complex"])
 def test_arpack_norm_matches_svdvals(grid, radius):
-    # more columns than DENSE_EIG_CUTOFF: the norm comes from ARPACK
+    # more moved columns than DENSE_EIG_CUTOFF: the norm comes from ARPACK
     window = TruncationWindow.symmetric(radius)
     summary = perturbation_norm(grid, window)
     assert summary.converged and summary.iterations_used > 0
@@ -254,9 +281,10 @@ def test_norm_dominated_by_deviation_sum():
 
 
 def test_norm_seed_determinism():
-    # above the dense cutoff, where the seed sets ARPACK's start vector
-    grid = power_law_grid(0.2, 1.0, 450, extend_nonpositive=True)
-    window = TruncationWindow.symmetric(450)
+    # 900 moved columns, above the dense cutoff, where the seed sets
+    # ARPACK's start vector
+    grid = power_law_grid(0.2, 1.0, 900, extend_nonpositive=True)
+    window = TruncationWindow.symmetric(900)
     a = perturbation_norm(grid, window, seed=3)
     b = perturbation_norm(grid, window, seed=3)
     assert a.iterations_used > 0
@@ -337,11 +365,11 @@ def test_riesz_bounds_returns_its_gram_matrix():
 
 
 def test_riesz_bounds_never_hold_s_and_g_together():
-    # 801 columns over 801 rows take the ARPACK path, and S and G have the
-    # same size: S - I is released before G is built, so the peak stays
+    # 801 moved columns over 801 rows take the ARPACK path, and S and G have
+    # the same size: S - I is released before G is built, so the peak stays
     # near one of them (holding both would read about 2x)
-    grid = power_law_grid(0.2, 1.0, 400, extend_nonpositive=True)
-    window = TruncationWindow(row_range=(-400, 400))
+    grid = power_law_grid(0.2, 1.0, 801)
+    window = TruncationWindow(row_range=(1, 801))
     s_bytes = 801 * len(grid) * 8
     tracemalloc.start()
     try:
@@ -382,13 +410,44 @@ def test_gram_sandwich():
         assert summary.implied_riesz_upper == pytest.approx((1.0 + delta) ** 2)
 
 
-def test_lanczos_path_matches_dense():
-    # 1001 nodes exceeds the dense cutoff; cross-check extremes densely
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The which= of every scipy eigsh call, in order."""
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["which"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+def test_complex_operator_takes_one_run_per_end(eigsh_calls):
+    # eigsh refuses "BE" for a complex operator
+    n = DENSE_EIG_CUTOFF + 1
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    Q = np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real  # a unitary reflector
+    d = np.concatenate([[0.0], np.linspace(1.0, 2.0, n - 2), [3.0]])
+    H = (Q * d) @ Q.conj().T
+    (low, high), products = framekit._extremes(
+        n, lambda: H, H.dot, H.dtype, ("SA", "LA"), TruncationWindow.symmetric(n), 0)
+    assert eigsh_calls == ["SA", "LA"] and products > 0
+    assert abs(low - 0.0) <= 1e-10 and abs(high - 3.0) <= 1e-10
+
+
+def test_lanczos_path_matches_dense(eigsh_calls):
+    # 1001 nodes exceeds the dense cutoff; cross-check extremes densely.
+    # The norm's 500 moved columns take the dense path, so the only eigsh
+    # call is the Gram matrix's, which gives both ends from one run
     grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
     summary, _ = riesz_bounds_estimate(grid)
     eigenvalues = np.linalg.eigvalsh(gram_matrix(grid))
-    assert summary.min_eigenvalue == pytest.approx(eigenvalues[0], abs=1e-8)
-    assert summary.max_eigenvalue == pytest.approx(eigenvalues[-1], abs=1e-8)
+    assert eigsh_calls == ["BE"]
+    assert summary.min_eigenvalue == pytest.approx(eigenvalues[0], abs=1e-10)
+    assert summary.max_eigenvalue == pytest.approx(eigenvalues[-1], abs=1e-10)
     assert summary.converged
 
 

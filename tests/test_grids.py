@@ -1,5 +1,7 @@
 """Grid generators: invariants, determinism, file loading."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,16 @@ def test_duplicate_index_rejected_in_constructor():
     with pytest.raises(ValueError):
         PerturbedGrid(kind="explicit", indices=np.array([1, 1]),
                       nodes=np.array([1.0, 1.5]))
+
+
+def test_node_bounds():
+    # the real part stays below 2^52, where doubles are 1 apart; the
+    # imaginary part at most 100, where S^H S stays finite
+    edge = 2.0 ** 52 - 0.5
+    grid = PerturbedGrid(kind="explicit", indices=[0, 1], nodes=[-edge, 100j])
+    assert grid.nodes[0] == -edge and grid.nodes[1] == 100j
+    for node, fragment in [(2.0 ** 52, "|Re lambda| < 2^52"), (-1e17, "|Re lambda| < 2^52"),
+                           (1 - 100.5j, "|Im lambda| <= 100")]:
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            PerturbedGrid(kind="explicit", indices=[0], nodes=[node])
+

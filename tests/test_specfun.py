@@ -1,6 +1,7 @@
 """Special-function tests: frozen oracle values, identities, domains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,37 +180,20 @@ def test_sinc_matrix_blocks_do_not_change_values(monkeypatch, shape):
     assert np.max(np.abs(sinc_matrix(u, z) - sinc_complex_array(u[:, None] - z))) <= 1e-15
 
 
-def _sorted_search_sinc_matrix(u, v):
-    """sinc_matrix with its near pairs selected by a binary search of the
-    sorted Re v instead of a test on each block's differences: candidate
-    columns with Re v within 2 of Re u_i, trimmed by |Re(u_i - v_j)| < 1."""
+def _masked_sinc_matrix(u, v):
+    """sinc_matrix with its near pairs marked by testing every difference,
+    |Re(u_i - v_j)| < 1 on the whole matrix, instead of a binary search."""
     u, v = np.asarray(u), np.asarray(v)
-    is_complex = np.iscomplexobj(u) or np.iscomplexobj(v)
-    dtype = np.complex128 if is_complex else np.float64
     u = u.astype(np.result_type(u, np.float64), copy=False)
     v = v.astype(np.result_type(v, np.float64), copy=False)
-    kernel = sinc_complex_array if is_complex else sinc_array
+    kernel = sinc_complex_array if np.iscomplexobj(u) or np.iscomplexobj(v) else sinc_array
     su, cu = specfun._sin_cos_pi(u)
     sv, cv = specfun._sin_cos_pi(v)
-    order = np.argsort(v.real, kind="stable")
-    sorted_v = v.real[order]
-    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
-    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
-    out = np.empty((u.size, v.size), dtype=dtype)
-    step = max(1, specfun.SINC_BLOCK // max(v.size, 1))
+    d = u[:, None] - v
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i0 in range(0, u.size, step):
-            block = out[i0:i0 + step]
-            block[...] = su[i0:i0 + step, None] * cv - cu[i0:i0 + step, None] * sv
-            block /= (u[i0:i0 + step, None] - v) * np.pi
-            hits = count[i0:i0 + step]
-            if hits.any():
-                rows = np.repeat(np.arange(i0, i0 + len(block)), hits)
-                start = first[i0:i0 + step] - (np.cumsum(hits) - hits)
-                cols = order[np.arange(rows.size) + np.repeat(start, hits)]
-                d = u[rows] - v[cols]
-                near = np.abs(d.real) < 1.0
-                out[rows[near], cols[near]] = kernel(d[near])
+        out = (su[:, None] * cv - cu[:, None] * sv) / (d * np.pi)
+    near = np.abs(d.real) < 1.0
+    out[near] = kernel(d[near])
     return out
 
 
@@ -240,12 +224,34 @@ def _near_pair_cases():
 @pytest.mark.parametrize("name, u, v", list(_near_pair_cases()),
                          ids=[case[0] for case in _near_pair_cases()])
 def test_sinc_matrix_near_pairs_match_sorted_search(name, u, v):
-    # marking near pairs on each block's differences selects the same pairs,
-    # and so the same bits, as the binary search it replaced
-    expected = _sorted_search_sinc_matrix(u, v)
+    # the sorted search selects the pairs that a test of every difference
+    # marks, and so the same bits
+    expected = _masked_sinc_matrix(u, v)
     M = sinc_matrix(u, v)
     assert M.shape == expected.shape and M.dtype == expected.dtype
     assert np.array_equal(M.view(np.uint8), expected.view(np.uint8))
+
+
+def test_sinc_matrix_clustered_nodes_in_small_chunks(monkeypatch):
+    # 1500 nodes within 2 of each other make every pair a near-pair
+    # candidate; they are expanded SINC_BLOCK at a time, which changes no bit
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.9, 0.9, 1500)
+    monkeypatch.setattr(specfun, "SINC_BLOCK", x.size ** 2)
+    whole = sinc_matrix(x, x)
+    for block in (1000, 4099):  # chunks shorter than a row, and chunks ending mid-row
+        monkeypatch.setattr(specfun, "SINC_BLOCK", block)
+        assert np.array_equal(sinc_matrix(x, x).view(np.uint8), whole.view(np.uint8))
+    assert np.max(np.abs(whole - sinc_array(x[:, None] - x))) <= 1e-15
+    # at the default block the candidates cost no more than the output
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        sinc_matrix(x, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * whole.nbytes
 
 
 def test_sinc_matrix_input_checks(monkeypatch):

@@ -113,10 +113,7 @@ def power_law_threshold(alpha_exponent: float) -> float:
     Any 0 < A below it makes the power-law grid a certified Riesz basis.
     """
     alpha = float(alpha_exponent)
-    if not math.isfinite(alpha) or alpha <= 0.5:
-        raise ValueError(
-            f"threshold requires alpha > 1/2 (zeta(2*alpha) finite), got {alpha!r}"
-        )
+    _check_exponent(alpha)  # zeta(2*alpha) is finite
     return 1.0 / (math.pi * math.sqrt(2.0 * math.sqrt(2.0) * riemann_zeta(2.0 * alpha)))
 
 
@@ -128,8 +125,7 @@ def power_law_certificate(A: float, alpha_exponent: float) -> BoundReport:
     """
     A = float(A)
     alpha = float(alpha_exponent)
-    if not math.isfinite(A) or A <= 0.0:
-        raise ValueError(f"amplitude must satisfy A > 0, got {A!r}")
+    _check_amplitude(A)
     if math.pi * A > math.pi / 4.0:
         raise ValueError(
             f"certificate requires pi*A in (0, pi/4], i.e. A <= 1/4; got A = {A!r}"

@@ -147,8 +147,8 @@ def _resolve_grid(args) -> grids.PerturbedGrid:
 def _resolve_window(args, grid) -> framekit.TruncationWindow:
     if not (0.0 < args.tol < 1.0):  # also rejects nan
         raise ValueError("--tol must lie strictly between 0 and 1")
-    if args.max_iter < 1:
-        raise ValueError("--max-iter must be at least 1")
+    if not 1 <= args.max_iter <= 2**31 - 1:
+        raise ValueError("--max-iter must lie between 1 and 2^31 - 1")
     if args.window is not None and args.window < 0:
         raise ValueError("--window must be at least 0")
     kwargs = {"norm_tolerance": args.tol, "max_iterations": args.max_iter}
@@ -404,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_window_flags(p)
     p.add_argument("--seed", type=int, default=0,
-                   help=f"ARPACK's start seed (for over {framekit.DENSE_EIG_CUTOFF} moved "
-                        f"columns in the norm or grid nodes in the Gram matrix)")
+                   help=f"ARPACK's start seed, for over {framekit.DENSE_EIG_CUTOFF} moved "
+                        f"norm columns or real Gram nodes (a complex Gram matrix is exact)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
                    help="dump the Gram matrix as 'm n re im' text, labelled by grid index")
 

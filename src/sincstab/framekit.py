@@ -11,9 +11,9 @@ matrix by a search of the sorted nodes, evaluated directly); a matrix over
 specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
 size is allocated.  The norm holds S - I on the moved columns only.  The
 complex Gram matrix is S^H S.  riesz_bounds_estimate builds S - I, releases
-it, then builds G once and hands it back with its summary.  Every eigenvalue
-is exact up to DENSE_EIG_CUTOFF columns, ARPACK's above (one run per end, or
-one for both ends of a real operator).
+it, then builds G once and hands it back with its summary.  Eigenvalues are
+exact for a complex Gram matrix and up to DENSE_EIG_CUTOFF columns otherwise,
+from one ARPACK run above ("LA" for the norm, "BE" for a real Gram matrix).
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class TruncationWindow:
             raise ValueError("window row range must be nonempty")
         if not (0.0 < self.norm_tolerance < 1.0):  # x = 0 meets a relative residual of 1
             raise ValueError("norm_tolerance must lie strictly between 0 and 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not 1 <= self.max_iterations <= 2**31 - 1:  # ARPACK's Fortran integer is 32-bit
+            raise ValueError("max_iterations must lie between 1 and 2^31 - 1")
 
     @property
     def rows(self) -> np.ndarray:
@@ -85,10 +85,7 @@ class TruncationWindow:
         lo = int(grid.indices[0])
         hi = int(grid.indices[-1])
         radius = max(abs(lo), abs(hi), 1)
-        pad = DEFAULT_PAD_FACTOR * radius
-        excess = (hi - lo + 1) + 2 * pad - DEFAULT_ROW_CAP
-        if excess > 0:
-            pad = max(pad - (excess + 1) // 2, 0)
+        pad = max(min(DEFAULT_PAD_FACTOR * radius, (DEFAULT_ROW_CAP - (hi - lo + 1)) // 2), 0)
         return cls(row_range=(lo - pad, hi + pad), **kwargs)
 
 
@@ -139,18 +136,17 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
                            entries=sinc_matrix(_window_rows(grid, window), grid.nodes))
 
 
-def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
+def _extremes(n: int, dense, matvec, dtype, which: str,
               window: TruncationWindow, seed: int) -> tuple[list[float], int]:
-    """Eigenvalues of an n x n Hermitian matrix ("SA" smallest, "LA" largest
-    per entry of which) and the operator products spent: eigvalsh of dense()
-    for n <= DENSE_EIG_CUTOFF, else ARPACK on matvec with the window's
-    tolerance and restart cap from a seeded start vector (nan if it fails).
-    A real operator gives ("SA", "LA") as the sorted pair of one "BE" run;
-    eigsh refuses "BE" for a complex one, which takes one run per end.
+    """Extremal eigenvalues of an n x n Hermitian matrix and the operator
+    products spent.  which is ARPACK's: "LA" gives [largest], "BE"
+    [smallest, largest].  eigvalsh of dense() for n <= DENSE_EIG_CUTOFF or
+    when matvec is None, else ARPACK on matvec with the window's tolerance
+    and restart cap from a seeded start vector (nan if it fails).
     """
-    if n <= DENSE_EIG_CUTOFF:
+    if n <= DENSE_EIG_CUTOFF or matvec is None:
         eigenvalues = np.linalg.eigvalsh(dense())
-        return [float(eigenvalues[0 if w == "SA" else -1]) for w in which], 0
+        return eigenvalues[[0, -1] if which == "BE" else [-1]].tolist(), 0
     import scipy.sparse.linalg  # here, not at the top: a CLI start need not load scipy
 
     products = 0
@@ -162,21 +158,17 @@ def _extremes(n: int, dense, matvec, dtype, which: tuple[str, ...],
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    real = not np.issubdtype(dtype, np.complexfloating)
-    if not real:
+    if np.issubdtype(dtype, np.complexfloating):
         v0 = v0 + 1j * rng.standard_normal(n)
     operator = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=dtype)
-    runs = [("BE", 2)] if real and which == ("SA", "LA") else [(w, 1) for w in which]
-    values = []
-    for w, k in runs:
-        try:
-            found = np.sort(np.real(scipy.sparse.linalg.eigsh(
-                operator, k=k, which=w, tol=window.norm_tolerance,
-                maxiter=window.max_iterations, v0=v0, return_eigenvectors=False)))
-        except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-            found = np.full(k, math.nan)
-        values += found.tolist()
-    return values, products
+    k = 2 if which == "BE" else 1
+    try:
+        found = np.sort(np.real(scipy.sparse.linalg.eigsh(
+            operator, k=k, which=which, tol=window.norm_tolerance,
+            maxiter=window.max_iterations, v0=v0, return_eigenvectors=False)))
+    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+        found = np.full(k, math.nan)
+    return found.tolist(), products
 
 
 def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
@@ -205,7 +197,7 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
         # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
         (top,), products = _extremes(
             moved.size, lambda: E.conj().T @ E, lambda v: ((E @ v).conj() @ E).conj(),
-            E.dtype, ("LA",), window, seed)
+            E.dtype, "LA", window, seed)
     norm = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
     return GramSummary(window=window, perturbation_norm=norm,
                        implied_riesz_lower=(1.0 - norm) ** 2 if norm < 1.0 else None,
@@ -235,15 +227,18 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     S - I is released before G is built, so the two never share memory; G
     is returned so that a caller writing it out need not build it again.
     iterations_used counts the operator products of both eigen-solves: the
-    norm's, over the moved columns, and the Gram matrix's, whose two ends
-    come from one ARPACK run when the grid is real.
+    norm's, over the moved columns, and a real Gram matrix's, whose two
+    ends come from one ARPACK run (a complex one is solved exactly).
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
     summary = perturbation_norm(grid, window, seed=seed)
     G = gram_matrix(grid, window)
-    (emin, emax), products = _extremes(G.shape[0], lambda: G, G.dot, G.dtype,
-                                       ("SA", "LA"), window, seed)
+    # a complex G is S^H S, whose O(rows n^2) build (rows >= n) outweighs its
+    # eigvalsh; ARPACK's complex path is slower and stalls once |Im lambda| ~ 1
+    (emin, emax), products = _extremes(G.shape[0], lambda: G,
+                                       None if grid.is_complex else G.dot, G.dtype,
+                                       "BE", window, seed)
     return replace(summary,
                    min_eigenvalue=max(emin, 0.0) if math.isfinite(emin) else emin,
                    max_eigenvalue=emax,

@@ -67,6 +67,16 @@ class BandlimitedSignal:
             raise ValueError("signal representation must be finite")
         if np.max(np.abs(shifts)) >= MAX_NODE_REAL:
             raise ValueError("signal shifts must satisfy |mu| < 2^52, as grid nodes do")
+        # W = sum |c_j| <= 2^256 keeps every value finite.  Samples and reference
+        # values are at most W (|sinc| <= 1).  The dense limit admits n < 2^14
+        # Gram nodes, so ||G|| <= n and ||b||^2 < 2^14 W^2.  With CG's iterates
+        # and the coefficients c within g ||b|| (|f_hat| <= sqrt(n) ||c||), CG's
+        # inner products stay below 2^28 g^2 W^2 and the trapezoid integrals of
+        # squares over an interval shorter than 2^53 below 2^82 g^2 W^2: finite
+        # for any g < 2^215.  A float sum overflows to inf silently; inf is refused.
+        if sum(map(abs, weights.tolist())) > 2.0 ** 256:
+            raise ValueError("signal weights must satisfy sum |c_j| <= 2^256, where the "
+                             "samples, the Gram solve and the error quadrature stay finite")
         shifts.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "shifts", shifts)
@@ -138,16 +148,15 @@ def _conjugate_gradient(G: np.ndarray, b: np.ndarray, rtol: float,
 def _smallest_ritz(alphas: Sequence[float], betas: Sequence[float]
                    ) -> Optional[float]:
     """Smallest eigenvalue of the Lanczos tridiagonal built from CG steps."""
-    k = len(alphas)
-    if k == 0:
+    if not alphas:
         return None
-    T = np.zeros((k, k))
-    T[0, 0] = 1.0 / alphas[0]
-    for i in range(1, k):
-        T[i, i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
-        off = math.sqrt(betas[i - 1]) / alphas[i - 1]
-        T[i, i - 1] = T[i - 1, i] = off
-    return float(np.linalg.eigvalsh(T)[0])
+    from scipy.linalg import eigvalsh_tridiagonal  # here: a CLI start need not load scipy
+    a = np.asarray(alphas)
+    b = np.asarray(betas[:len(alphas) - 1])  # a capped run ends with one beta too many
+    diagonal = 1.0 / a
+    diagonal[1:] += b / a[:-1]
+    return float(eigvalsh_tridiagonal(diagonal, np.sqrt(b) / a[:-1],
+                                      select="i", select_range=(0, 0))[0])
 
 
 def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,

@@ -539,9 +539,15 @@ def test_reconstruct_rejects_bad_evaluation_points(capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+WEIGHTS_MESSAGE = ("signal weights must satisfy sum |c_j| <= 2^256, where the samples, "
+                   "the Gram solve and the error quadrature stay finite")
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--signal", "1e308:1e308"), "signal shifts must satisfy |mu| < 2^52, as grid nodes do"),
     (("--signal", "0.3:1,1e16:1"), "signal shifts must satisfy |mu| < 2^52, as grid nodes do"),
+    (("--signal", "0:1e200"), WEIGHTS_MESSAGE),  # its samples overflowed CG's r @ r
+    (("--signal", "0:1e308,1:1e308"), WEIGHTS_MESSAGE),  # the sum itself overflows
     (("--signal", "0.3", "--eval-lo", "0", "--eval-hi", "1.7e308"),
      "evaluation interval must lie inside (-2^52, 2^52), as grid nodes do"),
     (("--signal", "0.3", "--uniform-offset", "1e17"),
@@ -554,6 +560,20 @@ def test_reconstruct_refuses_unrepresentable_input(capsys, flags, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("interval", [(), ("--eval-lo=-4503599627370495",
+                                           "--eval-hi", "4503599627370495",
+                                           "--eval-points", "2")])
+def test_reconstruct_accepts_weights_at_the_bound(capsys, interval):
+    # sum |c_j| = 2^256 exactly; a RuntimeWarning would fail the test
+    code, out, err = run(capsys, "reconstruct",
+                         "--signal", "0:5.78960446186581e+76,3.5:-5.78960446186581e+76",
+                         "--ingham", "--N", "3", *interval, "--format", "json")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert all(math.isfinite(v) for v in results["coefficients_head"])
+    assert math.isfinite(results["relative_l2_error"])
 
 
 def test_reconstruct_rejects_complex_grid(capsys):
@@ -603,12 +623,28 @@ def test_missing_paths_fail_cleanly(capsys, tmp_path, argv):
 @pytest.mark.parametrize("command, signal", [("gram", ()),
                                              ("reconstruct", ("--signal", "0.3"))])
 def test_unusable_tolerance_fails_cleanly(capsys, command, signal):
-    for flag, value in (("--tol", "inf"), ("--tol", "1"), ("--max-iter", "0")):
+    for flag, value in (("--tol", "inf"), ("--tol", "1"), ("--max-iter", "0"),
+                        ("--max-iter", "2147483648")):
         code, out, err = run(capsys, command, *signal, "--ingham", "--N", "3",
                              flag, value)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {flag} ") and len(err.splitlines()) == 1
+
+
+def test_complex_gram_with_large_imaginary_part_finishes():
+    # ARPACK's complex path never converged here (901 nodes, |Im lambda| = 3);
+    # a subprocess with a timeout keeps a regression from hanging the suite
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "sincstab.cli", "gram", "--uniform-offset",
+                           "0.1", "--imag", "3", "--N", "450", "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["converged"] is True
+    assert 0.0 <= results["min_eigenvalue"] < results["max_eigenvalue"] < math.inf
 
 
 def test_cli_import_leaves_scipy_unloaded():

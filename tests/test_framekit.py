@@ -21,6 +21,7 @@ from sincstab.framekit import (
     synthesis_matrix,
 )
 from sincstab.grids import (
+    PerturbedGrid,
     ingham_grid,
     power_law_grid,
     uniform_offset_grid,
@@ -57,8 +58,9 @@ def test_window_validation():
     for tol in (0.0, 1.0, math.inf):
         with pytest.raises(ValueError):
             TruncationWindow(row_range=(0, 1), norm_tolerance=tol)
-    with pytest.raises(ValueError):
-        TruncationWindow(row_range=(0, 1), max_iterations=0)
+    for cap in (0, 2**31):
+        with pytest.raises(ValueError):
+            TruncationWindow(row_range=(0, 1), max_iterations=cap)
 
 
 def test_window_for_grid_padding_and_cap():
@@ -424,18 +426,20 @@ def eigsh_calls(monkeypatch):
     return calls
 
 
-def test_complex_operator_takes_one_run_per_end(eigsh_calls):
-    # eigsh refuses "BE" for a complex operator
-    n = DENSE_EIG_CUTOFF + 1
-    rng = np.random.default_rng(4)
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    Q = np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real  # a unitary reflector
-    d = np.concatenate([[0.0], np.linspace(1.0, 2.0, n - 2), [3.0]])
-    H = (Q * d) @ Q.conj().T
-    (low, high), products = framekit._extremes(
-        n, lambda: H, H.dot, H.dtype, ("SA", "LA"), TruncationWindow.symmetric(n), 0)
-    assert eigsh_calls == ["SA", "LA"] and products > 0
-    assert abs(low - 0.0) <= 1e-10 and abs(high - 3.0) <= 1e-10
+def test_complex_gram_is_solved_exactly_above_the_cutoff(eigsh_calls):
+    # 1001 nodes, of which the 500 odd ones move: the norm's columns are
+    # under the cutoff and the complex Gram matrix is exact at any size, so
+    # ARPACK is never called
+    indices = np.arange(-500, 501)
+    nodes = indices + np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0)
+    grid = PerturbedGrid(kind="explicit", indices=indices, nodes=nodes)
+    window = TruncationWindow.symmetric(500)
+    summary, _ = riesz_bounds_estimate(grid, window)
+    eigenvalues = np.linalg.eigvalsh(gram_matrix(grid, window))
+    assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == []
+    assert summary.iterations_used == 0 and summary.converged
+    assert summary.min_eigenvalue == eigenvalues[0] > 0.0
+    assert summary.max_eigenvalue == eigenvalues[-1]
 
 
 def test_lanczos_path_matches_dense(eigsh_calls):

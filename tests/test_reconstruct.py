@@ -7,11 +7,13 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from sincstab.framekit import TruncationWindow
+from sincstab.framekit import TruncationWindow, gram_matrix
 from sincstab.grids import ingham_grid, power_law_grid, uniform_offset_grid
 from sincstab.reconstruct import (
     BandlimitedSignal,
     ConvergenceError,
+    _conjugate_gradient,
+    _smallest_ritz,
     evaluate_reconstruction,
     reconstruction_error,
     sample_signal,
@@ -49,6 +51,8 @@ def test_signal_validation():
         BandlimitedSignal(shifts=np.array([0.0]), weights=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         BandlimitedSignal(shifts=np.array([np.inf]), weights=np.array([1.0]))
+    with pytest.raises(ValueError, match="weights"):
+        BandlimitedSignal(shifts=np.array([0.0, 1.0]), weights=np.array([2.0 ** 256, 1e62]))
 
 
 def test_sampling_integer_grid_is_kronecker():
@@ -209,6 +213,35 @@ def test_conditioning_warning(caplog):
         grid = power_law_grid(0.2, 1.0, 64, extend_nonpositive=True)
         solve_coefficients(sample_signal(sig, grid), grid)
     assert not caplog.records
+
+
+def _dense_tridiagonal_ritz(alphas, betas):
+    """The probe from a dense Lanczos tridiagonal, filled entry by entry."""
+    k = len(alphas)
+    T = np.zeros((k, k))
+    T[0, 0] = 1.0 / alphas[0]
+    for i in range(1, k):
+        T[i, i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
+        T[i, i - 1] = T[i - 1, i] = math.sqrt(betas[i - 1]) / alphas[i - 1]
+    return float(np.linalg.eigvalsh(T)[0])
+
+
+def test_ritz_probe_matches_dense_smallest_eigenvalue():
+    # CG run to the residual floor has met G's smallest eigenvalue, so the
+    # probe reads it
+    rng = np.random.default_rng(5)
+    for grid in (ingham_grid(3), ingham_grid(10),
+                 power_law_grid(0.2, 1.0, 10, extend_nonpositive=True)):
+        G = gram_matrix(grid)
+        *_, ritz = _conjugate_gradient(G, rng.standard_normal(len(grid)), 1e-15, len(grid))
+        assert ritz == pytest.approx(np.linalg.eigvalsh(G)[0], rel=1e-12)
+    # betas has k - 1 entries after a converged run and k after a capped one
+    for k in range(1, 201):
+        alphas, betas = rng.uniform(0.5, 2.0, k).tolist(), rng.uniform(0.0, 1.0, k).tolist()
+        for used in (betas[:k - 1], betas):
+            assert _smallest_ritz(alphas, used) == pytest.approx(
+                _dense_tridiagonal_ritz(alphas, used), rel=1e-12)
+    assert _smallest_ritz([], []) is None
 
 
 def test_ingham_grid_reconstructs_worse():

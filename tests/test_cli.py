@@ -546,8 +546,6 @@ WEIGHTS_MESSAGE = ("signal weights must satisfy sum |c_j| <= 2^256, where the sa
 @pytest.mark.parametrize("flags, message", [
     (("--signal", "1e308:1e308"), "signal shifts must satisfy |mu| < 2^52, as grid nodes do"),
     (("--signal", "0.3:1,1e16:1"), "signal shifts must satisfy |mu| < 2^52, as grid nodes do"),
-    (("--signal", "0:1e200"), WEIGHTS_MESSAGE),  # its samples overflowed CG's r @ r
-    (("--signal", "0:1e308,1:1e308"), WEIGHTS_MESSAGE),  # the sum itself overflows
     (("--signal", "0.3", "--eval-lo", "0", "--eval-hi", "1.7e308"),
      "evaluation interval must lie inside (-2^52, 2^52), as grid nodes do"),
     (("--signal", "0.3", "--uniform-offset", "1e17"),
@@ -560,6 +558,17 @@ def test_reconstruct_refuses_unrepresentable_input(capsys, flags, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("signal", [
+    "0:1e200",  # its samples overflowed CG's r @ r
+    "0:1e308,1:1e308",  # the sum itself overflows
+])
+def test_reconstruct_refuses_weights_above_the_bound(capsys, signal):
+    code, out, err = run(capsys, "reconstruct", "--signal", signal, "--ingham", "--N", "3")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {WEIGHTS_MESSAGE}\n"
 
 
 @pytest.mark.parametrize("interval", [(), ("--eval-lo=-4503599627370495",

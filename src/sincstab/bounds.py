@@ -4,7 +4,8 @@ Every estimator returns a :class:`BoundReport` whose ``lambda_value`` is an
 upper bound for the relative-deviation constant of the perturbed system; the
 system is certified as a Riesz basis when that constant is below 1.  Reports
 never raise on a violated bound -- ``satisfies_pw`` goes false instead;
-exceptions are reserved for domain errors.
+exceptions are reserved for domain errors.  Only lemma_sum_bound, which sums
+over a grid, uses numpy; the other estimators need the standard library alone.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .grids import PerturbedGrid, max_deviation
 from .specfun import lamb_oseen_alpha, riemann_zeta, sinc, sinc_array, zeta_minus_one
+
+if TYPE_CHECKING:
+    from .grids import PerturbedGrid
 
 __all__ = [
     "BOUND_NAMES",
@@ -94,6 +95,10 @@ def lemma_sum_bound(grid: PerturbedGrid) -> BoundReport:
 
     Stated for real grids only; unperturbed indices contribute exactly 0.
     """
+    import numpy as np
+
+    from .grids import max_deviation
+
     if grid.is_complex:
         raise ValueError("the sum bound applies to real grids only")
     lam = 2.0 * float(np.sum(1.0 - sinc_array(grid.nodes - grid.indices)))
@@ -263,7 +268,8 @@ def _critical_root(series) -> float:
                 f"no sign change: table estimate stays below 1 up to A = {hi}"
             )
         hi = min(hi + 0.1, 1.0)
-    values = [f(a) for a in np.linspace(lo, hi, 25).tolist()]
+    step = (hi - lo) / 24  # the 25 points of np.linspace(lo, hi, 25)
+    values = [f(a) for a in [lo + i * step for i in range(24)] + [hi]]
     if not all(b > a for a, b in zip(values, values[1:])):
         raise ValueError("table estimate is not strictly increasing on the bracket")
     if f(lo) >= 0.0:

@@ -3,7 +3,9 @@
 Subcommands: oseen | bounds | table | gram | reconstruct.  Output is
 human-readable (6 significant digits), JSON, or CSV; JSON and CSV carry full
 double precision.  Exit status is 0 only when every requested computation
-converged and no domain error occurred.
+converged and no domain error occurred.  oseen, bounds and table run on the
+standard library alone; gram and reconstruct load numpy and the numerics
+modules when they start.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from . import bounds as bounds_mod
-from . import framekit, grids, reconstruct, specfun
+from . import specfun
+
+if TYPE_CHECKING:
+    from . import framekit, grids, reconstruct
 
 OK = 0
 FAILURE = 1
@@ -67,6 +71,10 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_signal(text: str) -> reconstruct.BandlimitedSignal:
     """Parse 'mu' or 'mu:c,mu:c,...' into a sinc-translate combination."""
+    import numpy as np
+
+    from . import reconstruct
+
     shifts, weights = [], []
     for tok in text.split(","):
         tok = tok.strip()
@@ -125,6 +133,8 @@ def _resolve_grid(args) -> grids.PerturbedGrid:
     """The requested grid.  gram and reconstruct build at least one real
     n x n matrix on an n-node grid, so a generated grid is refused before any
     of its arrays is made when that matrix would be over the dense limit."""
+    from . import grids
+
     if args.grid_file is not None:
         return grids.grid_from_file(args.grid_file)
     if args.power_law:
@@ -145,6 +155,8 @@ def _resolve_grid(args) -> grids.PerturbedGrid:
 
 
 def _resolve_window(args, grid) -> framekit.TruncationWindow:
+    from . import framekit
+
     if not (0.0 < args.tol < 1.0):  # also rejects nan
         raise ValueError("--tol must lie strictly between 0 and 1")
     if not 1 <= args.max_iter <= 2**31 - 1:
@@ -245,6 +257,8 @@ def _run_table(args):
 
 
 def _run_gram(args):
+    from . import framekit
+
     if args.seed < 0:
         raise ValueError("--seed must be at least 0")
     grid = _resolve_grid(args)
@@ -268,6 +282,10 @@ def _run_gram(args):
 
 
 def _run_reconstruct(args):
+    import numpy as np
+
+    from . import grids, reconstruct
+
     grid = _resolve_grid(args)
     window = _resolve_window(args, grid)
     signal = _parse_signal(args.signal)
@@ -404,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_window_flags(p)
     p.add_argument("--seed", type=int, default=0,
-                   help=f"ARPACK's start seed, for over {framekit.DENSE_EIG_CUTOFF} moved "
-                        f"norm columns or real Gram nodes (a complex Gram matrix is exact)")
+                   help="ARPACK's start seed, for more moved norm columns or real Gram "
+                        "nodes than framekit.DENSE_EIG_CUTOFF (a complex Gram matrix "
+                        "is exact)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
                    help="dump the Gram matrix as 'm n re im' text, labelled by grid index")
 
@@ -433,6 +452,14 @@ _HANDLERS = {
 }
 
 
+def _reported_errors() -> tuple:
+    """The exceptions main reports as one error line.  ConvergenceError is
+    looked up only once reconstruct, whose solver alone raises it, is
+    loaded, so that catching an error never loads numpy."""
+    reconstruct = sys.modules.get(f"{__package__}.reconstruct")
+    return (OSError, ValueError) + ((reconstruct.ConvergenceError,) if reconstruct else ())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -440,7 +467,7 @@ def main(argv=None) -> int:
         params, results, converged = _HANDLERS[args.command](args)
         runtime_ms = (time.perf_counter() - start) * 1e3
         _emit(args, args.command, params, results, runtime_ms)
-    except (OSError, ValueError, reconstruct.ConvergenceError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     return OK if converged else FAILURE

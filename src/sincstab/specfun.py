@@ -5,14 +5,19 @@ two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
 constant, and the Riemann zeta function for real argument s > 1.  The scalar
 functions return plain floats (complex for sinc_complex); sinc_matrix finds
 its near pairs by one search of the sorted nodes.  All are pure and thread-safe.
+sinc, the Lambert W branches, the Lamb-Oseen constant and zeta use only the
+standard library; the array functions (and sinc_complex, which calls one)
+import numpy when they run, so the closed-form thresholds need no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "sinc",
@@ -69,6 +74,7 @@ def _sinc_kernel(x: np.ndarray) -> np.ndarray:
     """np.sinc (exactly 1 at 0) with exact zeros at the nonzero real integers,
     the only points where x == floor(x.real) for real and complex x alike.
     np.asarray makes np.sinc's scalar result for 0-d input writable."""
+    import numpy as np
     y = np.asarray(np.sinc(x))
     y[(x == np.floor(x.real)) & (x != 0)] = 0.0
     return y
@@ -76,18 +82,21 @@ def _sinc_kernel(x: np.ndarray) -> np.ndarray:
 
 def sinc_array(x) -> np.ndarray:
     """Vectorized real sinc with exact Kronecker values at the integers."""
+    import numpy as np
     return _sinc_kernel(np.asarray(x, dtype=np.float64))
 
 
 def sinc_complex_array(z) -> np.ndarray:
     """Vectorized complex sinc, exact on the real integers.  The direct
     quotient keeps full relative accuracy near 0, so it needs no series."""
+    import numpy as np
     return _sinc_kernel(np.asarray(z, dtype=np.complex128))
 
 
 def _sin_cos_pi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin(pi*x) and cos(pi*x) from the exact split x = a + r, a = round(Re x):
     (-1)^a sin(pi*r) and (-1)^a cos(pi*r), exactly 0 and +-1 at the integers."""
+    import numpy as np
     a = np.round(x.real)
     r = np.pi * (x - a)
     sign = 1.0 - 2.0 * np.mod(a, 2.0)
@@ -108,6 +117,7 @@ def sinc_matrix(u, v) -> np.ndarray:
     binary search, SINC_BLOCK candidates at a time.  Raises ValueError,
     before allocating, when M would take more than MAX_DENSE_BYTES.
     """
+    import numpy as np
     u, v = np.asarray(u), np.asarray(v)
     if u.ndim != 1 or v.ndim != 1:
         raise ValueError("sinc_matrix takes two 1-d node arrays")

@@ -641,15 +641,20 @@ def test_unusable_tolerance_fails_cleanly(capsys, command, signal):
         assert err.startswith(f"error: {flag} ") and len(err.splitlines()) == 1
 
 
-def test_complex_gram_with_large_imaginary_part_finishes():
-    # ARPACK's complex path never converged here (901 nodes, |Im lambda| = 3);
-    # a subprocess with a timeout keeps a regression from hanging the suite
+def run_fresh(*args, timeout):
+    """python *args in a fresh interpreter that imports sincstab from src/."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "sincstab.cli", "gram", "--uniform-offset",
-                           "0.1", "--imag", "3", "--N", "450", "--format", "json"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_complex_gram_with_large_imaginary_part_finishes():
+    # ARPACK's complex path never converged here (901 nodes, |Im lambda| = 3);
+    # a subprocess with a timeout keeps a regression from hanging the suite
+    proc = run_fresh("-m", "sincstab.cli", "gram", "--uniform-offset", "0.1", "--imag", "3",
+                     "--N", "450", "--format", "json", timeout=60)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert results["converged"] is True
@@ -657,21 +662,40 @@ def test_complex_gram_with_large_imaginary_part_finishes():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.sparse is loaded only by an ARPACK eigen-solve; a table run needs none
+    # the closed-form subcommands run on the standard library: numpy loads
+    # with gram or reconstruct, and scipy.sparse only with an ARPACK solve
     code = (
         "import sys\n"
+        "import sincstab\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from sincstab import bounds\n"  # asks the package for 'bounds' first
+        "assert 'sincstab.framekit' not in sys.modules\n"
         "from sincstab.cli import main\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
-        "assert main(['table', '--alpha', '1', '--critical']) == 0\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules\n"
+        "for argv in (['table', '--alpha', '1', '--critical'],\n"
+        "             ['bounds', '--kadec', '--L', '0.2'],\n"
+        "             ['bounds', '--complex', '--L', '0.2'],\n"
+        "             ['bounds', '--power-law', '--A', '0.1', '--alpha', '1'],\n"
+        "             ['oseen']):\n"
+        "    assert main(argv) == 0\n"
+        "    assert 'numpy' not in sys.modules and 'scipy' not in sys.modules, argv\n"
+        "assert main(['gram', '--ingham', '--N', '3']) == 0\n"
+        "assert 'numpy' in sys.modules and 'scipy.sparse' not in sys.modules\n"
     )
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_fresh("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(critical)" in proc.stdout
+
+
+def test_stalled_gram_solve_is_one_error_line():
+    # a fresh interpreter, so reconstruct (which defines ConvergenceError)
+    # is first loaded inside the reconstruct run that raises it
+    proc = run_fresh("-m", "sincstab.cli", "reconstruct", "--signal", "0.3", "--ingham",
+                     "--N", "32", "--tol", "1e-14", "--max-iter", "2", timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: Gram solve stalled")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_csv_format_for_scalar_reports(capsys):

@@ -2,15 +2,16 @@
 
 Every estimator returns a :class:`BoundReport` whose ``lambda_value`` is an
 upper bound for the relative-deviation constant of the perturbed system; the
-system is certified as a Riesz basis when that constant is below 1.  Reports
-never raise on a violated bound -- ``satisfies_pw`` goes false instead;
-exceptions are reserved for domain errors.  Only lemma_sum_bound, which sums
-over a grid, uses numpy; the other estimators need the standard library alone.
+system is certified as a Riesz basis when that constant is below 1, as every
+report's ``satisfies_pw`` says.  Reports never raise on a violated bound;
+exceptions are for domain errors.  Only lemma_sum_bound, which sums over a
+grid, uses numpy; the other estimators need the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -41,39 +42,59 @@ BOUND_NAMES = (
     "power_law_threshold",
     "complex_master",
     "table_lambda",
-    "empirical_norm",
 )
 
 KADEC_EDGE = 0.25
 SERIES_TOL = 1e-13  # alternating series stop: tail bounded by first omitted term
 CRITICAL_TOL = 1e-6  # bracket width at which the critical-amplitude bisection stops
+LOG_DBL_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
+
+# Largest amplitude of the split estimate.  Its series lambda2 alternates, so
+# a float sum loses about log10(S/lambda2) digits, S the sum of its terms'
+# sizes.  Expanding zeta(2l alpha) - 1 = sum_{n>=2} n^(-2l alpha), with
+# x_n = pi A/n^alpha, gives S = 2 sum_{n>=2} (sinh(x_n)/x_n - 1) and
+# lambda2 = 2 sum_{n>=2} (1 - sin(x_n)/x_n).  The ratio of the n-th parts,
+# r(x) = (sinh x/x - 1)/(1 - sin x/x), grows with x, so S/lambda2 <= r(x_2),
+# and x_2 = pi A/2^alpha < pi A/sqrt(2) for every alpha > 1/2.  The relative
+# rounding error is thus about eps r(pi A/sqrt(2)): 2.2e-8 at A = 10 and
+# 1.8e-7 at A = 11, so 10 is the largest whole amplitude that keeps 7
+# digits at every exponent (against mpmath it is below 2e-12 at alpha =
+# 0.55, 1 and 2).  Past it the sum drifts (1.3e-3 off at A = 20, alpha =
+# 0.55), turns negative (A = 30, alpha = 1), and is nan where (pi A)^(2l)
+# overflows before the terms fall below SERIES_TOL (A = 30 at alpha = 0.55,
+# A = 100 at alpha = 1).
+MAX_TABLE_AMPLITUDE = 10.0
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A stability verdict: attained lambda versus the lambda < 1 criterion."""
+    """A closed-form bound: lambda (+inf on overflow) and its inputs."""
 
     bound_name: str
     inputs: dict
     lambda_value: float
     threshold: Optional[float]
-    satisfies_pw: bool
     components: Optional[dict] = None
-    cross_check: Optional["BoundReport"] = None
 
     def __post_init__(self):
         if self.bound_name not in BOUND_NAMES:
             raise ValueError(f"unknown bound name {self.bound_name!r}")
-        if self.lambda_value < 0.0:
-            raise ValueError("lambda estimates are nonnegative by construction")
+        if not self.lambda_value >= 0.0:  # also refuses nan
+            raise ValueError(f"lambda estimates are nonnegative by construction, "
+                             f"got {self.lambda_value!r}")
+
+    @property
+    def satisfies_pw(self) -> bool:
+        """The criterion of both theorems: a Riesz basis when lambda < 1."""
+        return self.lambda_value < 1.0
 
 
 def kadec_transfer_lambda(L: float) -> BoundReport:
     """Deviation constant transferred from the classical 1/4 estimate.
 
     lambda = 1 - cos(pi*L) + sin(pi*L), valid and below 1 for 0 <= L < 1/4.
-    For L >= 1/4 the report carries satisfies_pw = False (the estimate is
-    clamped to >= 1 there: 1/4 is the optimality edge).
+    For L >= 1/4 the estimate is clamped to >= 1, so the report fails the
+    criterion there: 1/4 is the optimality edge.
     """
     L = float(L)
     if not math.isfinite(L) or L < 0.0:
@@ -86,7 +107,6 @@ def kadec_transfer_lambda(L: float) -> BoundReport:
         inputs={"L": L},
         lambda_value=lam,
         threshold=KADEC_EDGE,
-        satisfies_pw=lam < 1.0,
     )
 
 
@@ -108,7 +128,6 @@ def lemma_sum_bound(grid: PerturbedGrid) -> BoundReport:
         inputs={"nodes": len(grid), "max_deviation": max_deviation(grid)},
         lambda_value=lam,
         threshold=None,
-        satisfies_pw=lam < 1.0,
     )
 
 
@@ -142,7 +161,6 @@ def power_law_certificate(A: float, alpha_exponent: float) -> BoundReport:
         inputs={"A": A, "alpha_exponent": alpha},
         lambda_value=lam,
         threshold=threshold,
-        satisfies_pw=lam < 1.0,
     )
 
 
@@ -160,7 +178,8 @@ def complex_master(L: float) -> BoundReport:
     """Master bound lambda = (e^x - x - 1)/x with x = (8/3)*pi^2*L^2.
 
     Equals 1 exactly when x is the Lamb-Oseen constant, i.e. when L equals
-    complex_bound_L(); tends to 0 as L -> 0.
+    complex_bound_L(); tends to 0 as L -> 0.  Where e^x overflows (x above
+    ln DBL_MAX = 709.78, from L = 5.19) lambda is +inf, a failing bound.
     """
     L = float(L)
     if not math.isfinite(L) or L < 0.0:
@@ -171,6 +190,8 @@ def complex_master(L: float) -> BoundReport:
     elif x < 1e-4:
         # series x/2 + x^2/6 + x^3/24 avoids the e^x - x - 1 cancellation
         lam = x / 2.0 + x * x / 6.0 + x ** 3 / 24.0
+    elif x > LOG_DBL_MAX:  # also x = inf, where L * L overflows
+        lam = math.inf
     else:
         lam = (math.expm1(x) - x) / x
     return BoundReport(
@@ -178,7 +199,6 @@ def complex_master(L: float) -> BoundReport:
         inputs={"L": L},
         lambda_value=lam,
         threshold=complex_bound_L(),
-        satisfies_pw=lam < 1.0,
     )
 
 
@@ -224,6 +244,13 @@ def _check_amplitude(A: float) -> None:
         raise ValueError(f"amplitude must satisfy A > 0, got {A!r}")
 
 
+def _check_table_amplitude(A: float) -> None:
+    _check_amplitude(A)
+    if A > MAX_TABLE_AMPLITUDE:
+        raise ValueError(f"the split estimate keeps its digits only for A <= "
+                         f"{MAX_TABLE_AMPLITUDE:g}, got {A!r}")
+
+
 def _split_report(A: float, alpha: float, series) -> BoundReport:
     """The table_lambda report at A, evaluated on alpha's series."""
     lambda1, lambda2 = series(A)
@@ -233,7 +260,6 @@ def _split_report(A: float, alpha: float, series) -> BoundReport:
         inputs={"A": A, "alpha_exponent": alpha},
         lambda_value=lam,
         threshold=None,
-        satisfies_pw=lam < 1.0,
         components={"lambda1": lambda1, "lambda2": lambda2},
     )
 
@@ -244,11 +270,12 @@ def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
     lambda1 = 2*(1 - sinc(A)) collects the n = 1 contribution with zeta
     replaced by 1; lambda2 = 2*sum_l (-1)^(l+1) (pi*A)^(2l)/(2l+1)! *
     [zeta(2*l*alpha) - 1] carries the remaining zeta weight.  The alternating
-    series is summed until the next term falls below 1e-13.
+    series is summed until the next term falls below 1e-13.  A may not exceed
+    MAX_TABLE_AMPLITUDE, past which the float sum loses its digits.
     """
     A = float(A)
     alpha = float(alpha_exponent)
-    _check_amplitude(A)
+    _check_table_amplitude(A)
     _check_exponent(alpha)
     return _split_report(A, alpha, _lambda_series(alpha))
 
@@ -313,7 +340,7 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
     _check_exponent(alpha)
     amplitudes = [float(A) for A in amplitudes]
     for A in amplitudes:
-        _check_amplitude(A)
+        _check_table_amplitude(A)
     series = _lambda_series(alpha)
     if critical:
         amplitudes.append(_critical_root(series))

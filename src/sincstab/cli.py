@@ -29,6 +29,7 @@ FAILURE = 1
 
 
 MAX_RANGE_VALUES = 100_000  # longest lo:hi:step range a list may expand
+TABLE_COLUMNS = ("alpha", "A", "lambda1", "lambda2", "lambda")
 
 
 def _range_count(lo: float, hi: float, step: float) -> float:
@@ -245,10 +246,8 @@ def _run_table(args):
     for alpha in alphas:
         reports = bounds_mod.table_rows(alpha, amps, critical=args.critical)
         for i, rep in enumerate(reports):
-            row = {"alpha": alpha, "A": rep.inputs["A"],
-                   "lambda1": rep.components["lambda1"],
-                   "lambda2": rep.components["lambda2"],
-                   "lambda": rep.lambda_value}
+            row = dict(zip(TABLE_COLUMNS, (alpha, rep.inputs["A"], rep.components["lambda1"],
+                                           rep.components["lambda2"], rep.lambda_value)))
             if i == len(amps):  # the row appended at the critical amplitude
                 row["critical"] = True
             rows.append(row)
@@ -331,10 +330,9 @@ def _fmt(value) -> str:
 def _render_human(command: str, results: dict) -> str:
     lines = []
     if command == "table":
-        header = ("alpha", "A", "lambda1", "lambda2", "lambda")
-        lines.append("  ".join(f"{h:>10s}" for h in header))
+        lines.append("  ".join(f"{h:>10s}" for h in TABLE_COLUMNS))
         for row in results["rows"]:
-            cells = [f"{_fmt(row[h]):>10s}" for h in header]
+            cells = [f"{_fmt(row[h]):>10s}" for h in TABLE_COLUMNS]
             if row.get("critical"):
                 cells.append("(critical)")
             lines.append("  ".join(cells))
@@ -347,10 +345,9 @@ def _render_human(command: str, results: dict) -> str:
 def _render_csv(command: str, results: dict) -> str:
     lines = []
     if command == "table":
-        lines.append("alpha,A,lambda1,lambda2,lambda")
+        lines.append(",".join(TABLE_COLUMNS))
         for row in results["rows"]:
-            lines.append(",".join(repr(float(row[h]))
-                                  for h in ("alpha", "A", "lambda1", "lambda2", "lambda")))
+            lines.append(",".join(repr(float(row[h])) for h in TABLE_COLUMNS))
     else:
         lines.append("key,value")
         for key, value in results.items():

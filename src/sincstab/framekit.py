@@ -2,8 +2,10 @@
 
 The synthesis matrix S holds the expansion coefficients sinc(lambda_n - k)
 of the perturbed atoms over the integer-translate basis; S - I measures the
-perturbation, and its spectral norm is the empirical deviation constant.
-Gram matrices and their extremal eigenvalues estimate the Riesz bounds.
+perturbation.  Its spectral norm on a row window is only a lower bound for
+the grid's deviation constant, so this module gives no verdict: only bounds,
+which it does not import, certifies lambda < 1.  Gram matrices and their
+extremal eigenvalues estimate the Riesz bounds.
 S and the real Gram matrix are dense, built in one pass of row blocks by
 specfun.sinc_matrix from per-node sines and cosines (a rank-2 numerator
 over pi times the node difference; pairs closer than 1, found once per
@@ -24,8 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundReport, complex_master, lemma_sum_bound
-from .grids import PerturbedGrid, max_deviation
+from .grids import PerturbedGrid
 from .specfun import check_dense_size, sinc_matrix
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "perturbation_norm",
     "gram_matrix",
     "riesz_bounds_estimate",
-    "paley_wiener_check",
     "dump_matrix",
 ]
 
@@ -244,37 +244,6 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
                    max_eigenvalue=emax,
                    iterations_used=summary.iterations_used + products,
                    converged=summary.converged and math.isfinite(emin + emax)), G
-
-
-def paley_wiener_check(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
-                       seed: int = 0) -> BoundReport:
-    """Empirical stability verdict: lambda = ||S - I|| on the truncation.
-
-    The report passes only when the estimate converged and lies below 1.
-    Where an analytic bound applies (real grids: the deviation sum; complex
-    constant-offset grids: the master bound) it is attached as cross_check.
-    """
-    summary = perturbation_norm(grid, window, seed=seed)
-    window = summary.window
-    cross: Optional[BoundReport] = None
-    if not grid.is_complex:
-        cross = lemma_sum_bound(grid)
-    else:
-        offsets = grid.nodes - grid.indices
-        if np.allclose(offsets, offsets[0], rtol=0.0, atol=1e-14):
-            cross = complex_master(max_deviation(grid))
-    lam = summary.perturbation_norm
-    return BoundReport(
-        bound_name="empirical_norm",
-        inputs={"nodes": len(grid), "max_deviation": max_deviation(grid),
-                "window_rows": int(window.row_range[1] - window.row_range[0] + 1),
-                "converged": summary.converged,
-                "iterations": summary.iterations_used},
-        lambda_value=lam,
-        threshold=None,
-        satisfies_pw=(lam < 1.0) and summary.converged,
-        cross_check=cross,
-    )
 
 
 def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:

@@ -1,10 +1,10 @@
 """Construction and validation of perturbed sampling sequences {lambda_n}.
 
-A grid pairs an ordered set of integer indices n with nodes lambda_n (real
-or complex).  Generators cover the power-law family lambda_n = n + A/n^alpha,
-constant offsets, the classical n +/- 1/4 counterexample sequence, and
-explicit node lists loaded from text files.  Grids are immutable after
-construction.
+A grid pairs ordered integer indices n with nodes lambda_n (real or complex)
+and records nothing else.  Generators cover the power-law family lambda_n =
+n + A/n^alpha, constant offsets, the classical n +/- 1/4 counterexample
+sequence, and explicit node lists loaded from text files.  Grids are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "GRID_KINDS",
     "PerturbedGrid",
     "power_law_grid",
     "uniform_offset_grid",
@@ -24,8 +23,6 @@ __all__ = [
     "grid_from_file",
     "max_deviation",
 ]
-
-GRID_KINDS = ("power_law", "uniform_offset", "complex_offset", "ingham", "explicit")
 
 # Nodes lie in |Re lambda| < MAX_NODE_REAL and |Im lambda| <= MAX_NODE_IMAG.
 # Below 2^52 doubles are at most 1/2 apart, so a node keeps its offset from
@@ -43,13 +40,10 @@ MAX_NODE_IMAG = 100.0
 class PerturbedGrid:
     """A sampling set {lambda_n} aligned with an ordered integer index set."""
 
-    kind: str
     indices: np.ndarray
     nodes: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in GRID_KINDS:
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         indices = np.asarray(self.indices, dtype=np.int64)
         nodes = np.asarray(self.nodes)
         if nodes.dtype.kind == "c":
@@ -120,7 +114,7 @@ def power_law_grid(
     nodes = indices.astype(np.float64)
     pos = indices >= 1
     nodes[pos] += A / indices[pos].astype(np.float64) ** alpha
-    return PerturbedGrid(kind="power_law", indices=indices, nodes=nodes)
+    return PerturbedGrid(indices=indices, nodes=nodes)
 
 
 def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
@@ -143,12 +137,10 @@ def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
         )
     if not np.all(np.isfinite(offs.view(np.float64) if offs.dtype.kind == "c" else offs)):
         raise ValueError("offsets must be finite")
-    is_complex = offs.dtype.kind == "c" and np.any(offs.imag != 0.0)
-    if offs.dtype.kind == "c" and not is_complex:
+    if offs.dtype.kind == "c" and not np.any(offs.imag):
         offs = offs.real
     nodes = indices + offs
-    return PerturbedGrid(kind="complex_offset" if is_complex else "uniform_offset",
-                         indices=indices, nodes=nodes)
+    return PerturbedGrid(indices=indices, nodes=nodes)
 
 
 def ingham_grid(N: int) -> PerturbedGrid:
@@ -162,7 +154,7 @@ def ingham_grid(N: int) -> PerturbedGrid:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     indices = np.arange(-N, N + 1, dtype=np.int64)
     nodes = indices + 0.25 * np.sign(indices).astype(np.float64)
-    return PerturbedGrid(kind="ingham", indices=indices, nodes=nodes)
+    return PerturbedGrid(indices=indices, nodes=nodes)
 
 
 def grid_from_file(path) -> PerturbedGrid:
@@ -204,8 +196,7 @@ def grid_from_file(path) -> PerturbedGrid:
         raise ValueError(f"{path}: no grid records found")
     arr = np.array(values, dtype=np.complex128)
     nodes = arr.real if np.all(arr.imag == 0.0) else arr
-    return PerturbedGrid(kind="explicit", indices=np.array(indices, dtype=np.int64),
-                         nodes=nodes)
+    return PerturbedGrid(indices=np.array(indices, dtype=np.int64), nodes=nodes)
 
 
 def max_deviation(grid: PerturbedGrid) -> float:

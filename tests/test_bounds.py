@@ -1,6 +1,7 @@
 """Closed-form bound estimators against frozen oracles and paper-grade tables."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,10 @@ def test_master_values():
     assert rep.lambda_value == pytest.approx(0.14394092935186429, abs=1e-14)
     assert complex_master(complex_bound_L()).lambda_value == pytest.approx(
         1.0, abs=1e-10)
+    rep = complex_master(0.3)
+    # frozen from the series evaluation at x = (8/3)*pi^2*0.09
+    assert rep.lambda_value == pytest.approx(3.0881192458317549, abs=1e-10)
+    assert not rep.satisfies_pw
 
 
 def test_master_series_agreement():
@@ -181,6 +186,26 @@ def test_master_monotone_and_flags():
 def test_master_domain():
     with pytest.raises(ValueError):
         complex_master(-0.1)
+
+
+def test_master_is_infinite_where_the_exponential_overflows():
+    # x = (8/3) pi^2 L^2 passes ln(DBL_MAX) = 709.78 at L = 5.1931
+    edge = math.sqrt(3.0 * math.log(sys.float_info.max) / 8.0) / math.pi
+    assert edge == pytest.approx(5.1931, abs=1e-4)
+    assert math.isfinite(complex_master(5.193).lambda_value)
+    for L in (5.2, 6.0, 1e200, 1e300):
+        rep = complex_master(L)
+        assert rep.lambda_value == math.inf
+        assert not rep.satisfies_pw
+
+
+def test_report_refuses_nan_and_negative_lambda():
+    for value in (math.nan, -1e-300):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bounds.BoundReport(bound_name="lemma_sum", inputs={}, lambda_value=value,
+                               threshold=None)
+    assert bounds.BoundReport(bound_name="lemma_sum", inputs={}, lambda_value=0.999,
+                              threshold=None).satisfies_pw
 
 
 def test_series_majorant_inequality():
@@ -246,6 +271,45 @@ def test_table_domain():
         table_lambda(0.0, 1.0)
     with pytest.raises(ValueError):
         table_lambda(0.25, 0.5)
+    limit = bounds.MAX_TABLE_AMPLITUDE
+    for A in (math.nextafter(limit, math.inf), 20.0, 1e308):
+        with pytest.raises(ValueError, match="A <= 10"):
+            table_lambda(A, 1.0)
+        with pytest.raises(ValueError, match="A <= 10"):
+            table_rows(1.0, [0.25, A])
+
+
+def test_table_amplitude_limit_derivation():
+    # the float sum of lambda2 loses digits at most by the factor
+    # r(pi A/sqrt(2)) (derived at MAX_TABLE_AMPLITUDE); 10 is the largest
+    # whole amplitude where eps r stays below 1e-7
+    def r(x):
+        return (math.sinh(x) / x - 1.0) / (1.0 - math.sin(x) / x)
+
+    xs = np.linspace(0.01, 40.0, 4000)
+    assert all(b > a for a, b in zip(map(r, xs), map(r, xs[1:])))
+    eps = sys.float_info.epsilon
+    limit = bounds.MAX_TABLE_AMPLITUDE
+    assert limit == 10.0
+    assert eps * r(math.pi * limit / math.sqrt(2.0)) < 1e-7
+    assert eps * r(math.pi * (limit + 1.0) / math.sqrt(2.0)) > 1e-7
+
+
+@pytest.mark.parametrize("alpha", [0.55, 1.0, 2.0])
+def test_table_at_the_amplitude_limit_matches_mpmath(alpha):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.pi * 10
+        lam = 2 * (1 - mp.sin(x) / x)
+        l = 1
+        while True:
+            term = (2 * (-1) ** (l + 1) * x ** (2 * l) / mp.factorial(2 * l + 1)
+                    * (mp.zeta(2 * l * mp.mpf(alpha)) - 1))
+            lam += term
+            if abs(term) < mp.mpf(10) ** -30 * abs(lam):
+                break
+            l += 1
+        assert table_lambda(10.0, alpha).lambda_value == pytest.approx(float(lam), rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

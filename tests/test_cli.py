@@ -84,6 +84,23 @@ def test_bounds_requires_regime(capsys):
     assert code == 1 and "regime" in err
 
 
+def reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@pytest.mark.parametrize("L", ["6", "1e200"])
+def test_complex_bound_overflow_is_a_fail(capsys, L):
+    # e^x overflows from L = 5.19; lambda is +inf, which JSON writes as null
+    code, out, err = run(capsys, "bounds", "--complex", "--L", L, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=reject_constant)
+    json.dumps(payload, allow_nan=False)
+    assert payload["results"]["lambda"] is None
+    assert payload["results"]["verdict"] == "fail"
+    code, out, _ = run(capsys, "bounds", "--complex", "--L", L)
+    assert code == 0 and "lambda = inf" in out and "verdict = fail" in out
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -141,6 +158,22 @@ def test_table_rejects_unusable_range(capsys, values):
     assert code == 1
     assert out == ""
     assert err.startswith("error: range ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("A", ["20", "30", "100", "1e3", "1e308"])
+def test_table_refuses_amplitudes_past_the_float_series(capsys, A):
+    # past A = 10 the float series loses its digits, then its sign, then
+    # becomes nan; each is refused with one error line
+    for fmt in ("human", "json", "csv"):
+        code, out, err = run(capsys, "table", "--alpha", "1", "--A", A, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the split estimate keeps its digits only for A <= 10")
+        assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "table", "--alpha", "0.55,1,2", "--A", "10", "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=reject_constant)["results"]["rows"]
+    assert all(math.isfinite(row["lambda"]) and row["lambda"] > 1.0 for row in rows)
 
 
 def test_table_range_length_is_capped(capsys):
@@ -685,6 +718,11 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = run_fresh("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(critical)" in proc.stdout
+    # and the numerics layer holds no verdict: it does not load the bounds
+    proc = run_fresh("-c", "import sys\n"
+                           "import sincstab.framekit\n"
+                           "assert 'sincstab.bounds' not in sys.modules\n", timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stalled_gram_solve_is_one_error_line():

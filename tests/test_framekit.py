@@ -15,7 +15,6 @@ from sincstab.framekit import (
     TruncationWindow,
     dump_matrix,
     gram_matrix,
-    paley_wiener_check,
     perturbation_norm,
     riesz_bounds_estimate,
     synthesis_matrix,
@@ -280,6 +279,9 @@ def test_norm_dominated_by_deviation_sum():
         window = TruncationWindow(row_range=(-500, 500))
         norm = perturbation_norm(grid, window).perturbation_norm
         assert norm ** 2 <= lemma_sum_bound(grid).lambda_value + 1e-6
+    # on the default window the norm stays below sqrt of the split-table
+    # estimate table_lambda(0.25, 1) = 0.3315
+    assert perturbation_norm(power_law_grid(0.25, 1.0, 500)).perturbation_norm < 0.576
 
 
 def test_norm_seed_determinism():
@@ -354,6 +356,10 @@ def test_complex_gram_via_cross_products():
     assert G.shape == (11, 11)
     assert np.allclose(G, G.conj().T)
     assert np.all(G.diagonal().real > 1.0)  # complex atoms carry extra energy
+    # at 0.3i the window norm of S - I already exceeds 1, as the master
+    # bound complex_master(0.3) = 3.088 does
+    grid = uniform_offset_grid([0.3j] * 101, (-50, 50))
+    assert perturbation_norm(grid).perturbation_norm > 1.0
 
 
 def test_riesz_bounds_returns_its_gram_matrix():
@@ -432,7 +438,7 @@ def test_complex_gram_is_solved_exactly_above_the_cutoff(eigsh_calls):
     # ARPACK is never called
     indices = np.arange(-500, 501)
     nodes = indices + np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0)
-    grid = PerturbedGrid(kind="explicit", indices=indices, nodes=nodes)
+    grid = PerturbedGrid(indices=indices, nodes=nodes)
     window = TruncationWindow.symmetric(500)
     summary, _ = riesz_bounds_estimate(grid, window)
     eigenvalues = np.linalg.eigvalsh(gram_matrix(grid, window))
@@ -453,42 +459,6 @@ def test_lanczos_path_matches_dense(eigsh_calls):
     assert summary.min_eigenvalue == pytest.approx(eigenvalues[0], abs=1e-10)
     assert summary.max_eigenvalue == pytest.approx(eigenvalues[-1], abs=1e-10)
     assert summary.converged
-
-
-# ---------------------------------------------------------------------------
-# stability check
-
-def test_check_unperturbed_passes():
-    report = paley_wiener_check(integer_grid(10))
-    assert report.lambda_value == 0.0
-    assert report.satisfies_pw
-    assert report.cross_check is not None
-    assert report.cross_check.bound_name == "lemma_sum"
-
-
-def test_check_power_law_passes_below_table_value():
-    grid = power_law_grid(0.25, 1.0, 500)
-    report = paley_wiener_check(grid)
-    assert report.satisfies_pw
-    assert report.lambda_value < 0.576  # sqrt of the split-table estimate
-
-
-def test_check_complex_offsets_fail_with_cross_reference():
-    grid = uniform_offset_grid([0.3j] * 101, (-50, 50))
-    report = paley_wiener_check(grid)
-    assert not report.satisfies_pw
-    assert report.lambda_value > 1.0
-    cross = report.cross_check
-    assert cross is not None and cross.bound_name == "complex_master"
-    # frozen from the series evaluation at x = (8/3)*pi^2*0.09
-    assert cross.lambda_value == pytest.approx(3.0881192458317549, abs=1e-10)
-    assert not cross.satisfies_pw
-
-
-def test_check_nonuniform_complex_has_no_cross_reference():
-    grid = uniform_offset_grid([0.1j, 0.2j, 0.1j], (-1, 1))
-    report = paley_wiener_check(grid)
-    assert report.cross_check is None
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_power_law_rejects(A, alpha, N):
 
 def test_uniform_offset_zero():
     g = uniform_offset_grid([0.0] * 5, (-2, 2))
-    assert g.kind == "uniform_offset"
+    assert not g.is_complex
     assert np.array_equal(g.nodes, g.indices.astype(float))
     assert max_deviation(g) == 0.0
 
@@ -80,7 +80,6 @@ def test_uniform_offset_real():
 
 def test_uniform_offset_complex():
     g = uniform_offset_grid([0.2j] * 5, (-2, 2))
-    assert g.kind == "complex_offset"
     assert g.is_complex
     assert max_deviation(g) == pytest.approx(0.2, abs=1e-16)
 
@@ -131,7 +130,6 @@ def test_grid_from_file(tmp_path):
         encoding="utf-8",
     )
     g = grid_from_file(path)
-    assert g.kind == "explicit"
     assert g.indices.tolist() == [-1, 0, 1, 2]  # sorted on load
     assert g.is_complex
     assert g.nodes[3] == 2.0 + 0.3j
@@ -161,18 +159,17 @@ def test_grid_from_file_errors(tmp_path, content, fragment):
 
 def test_duplicate_index_rejected_in_constructor():
     with pytest.raises(ValueError):
-        PerturbedGrid(kind="explicit", indices=np.array([1, 1]),
-                      nodes=np.array([1.0, 1.5]))
+        PerturbedGrid(indices=np.array([1, 1]), nodes=np.array([1.0, 1.5]))
 
 
 def test_node_bounds():
     # the real part stays below 2^52, where doubles are 1 apart; the
     # imaginary part at most 100, where S^H S stays finite
     edge = 2.0 ** 52 - 0.5
-    grid = PerturbedGrid(kind="explicit", indices=[0, 1], nodes=[-edge, 100j])
+    grid = PerturbedGrid(indices=[0, 1], nodes=[-edge, 100j])
     assert grid.nodes[0] == -edge and grid.nodes[1] == 100j
     for node, fragment in [(2.0 ** 52, "|Re lambda| < 2^52"), (-1e17, "|Re lambda| < 2^52"),
                            (1 - 100.5j, "|Im lambda| <= 100")]:
         with pytest.raises(ValueError, match=re.escape(fragment)):
-            PerturbedGrid(kind="explicit", indices=[0], nodes=[node])
+            PerturbedGrid(indices=[0], nodes=[node])
 

@@ -46,7 +46,7 @@ BOUND_NAMES = (
 
 KADEC_EDGE = 0.25
 SERIES_TOL = 1e-13  # alternating series stop: tail bounded by first omitted term
-CRITICAL_TOL = 1e-6  # bracket width at which the critical-amplitude bisection stops
+CRITICAL_TOL = 1e-6  # A* bisection stop: bracket width relative to its upper end
 LOG_DBL_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
 
 # Largest amplitude of the split estimate.  Its series lambda2 alternates, so
@@ -94,12 +94,15 @@ def kadec_transfer_lambda(L: float) -> BoundReport:
 
     lambda = 1 - cos(pi*L) + sin(pi*L), valid and below 1 for 0 <= L < 1/4.
     For L >= 1/4 the estimate is clamped to >= 1, so the report fails the
-    criterion there: 1/4 is the optimality edge.
+    criterion there (at every finite L): 1/4 is the optimality edge.
     """
     L = float(L)
     if not math.isfinite(L) or L < 0.0:
         raise ValueError(f"deviation bound L must be >= 0, got {L!r}")
-    lam = 1.0 - math.cos(math.pi * L) + math.sin(math.pi * L)
+    # the period of cos(pi*L) and sin(pi*L) is 2, and fmod reduces by it
+    # exactly; pi*L itself overflows from L = 5.7e307
+    x = math.pi * math.fmod(L, 2.0)
+    lam = 1.0 - math.cos(x) + math.sin(x)
     if L >= KADEC_EDGE:
         lam = max(lam, 1.0)
     return BoundReport(
@@ -251,19 +254,6 @@ def _check_table_amplitude(A: float) -> None:
                          f"{MAX_TABLE_AMPLITUDE:g}, got {A!r}")
 
 
-def _split_report(A: float, alpha: float, series) -> BoundReport:
-    """The table_lambda report at A, evaluated on alpha's series."""
-    lambda1, lambda2 = series(A)
-    lam = lambda1 + lambda2
-    return BoundReport(
-        bound_name="table_lambda",
-        inputs={"A": A, "alpha_exponent": alpha},
-        lambda_value=lam,
-        threshold=None,
-        components={"lambda1": lambda1, "lambda2": lambda2},
-    )
-
-
 def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
     """Split estimate lambda = lambda1 + lambda2 for power-law grids.
 
@@ -273,68 +263,32 @@ def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
     series is summed until the next term falls below 1e-13.  A may not exceed
     MAX_TABLE_AMPLITUDE, past which the float sum loses its digits.
     """
-    A = float(A)
-    alpha = float(alpha_exponent)
-    _check_table_amplitude(A)
-    _check_exponent(alpha)
-    return _split_report(A, alpha, _lambda_series(alpha))
-
-
-def _critical_root(series) -> float:
-    """Bisection for the root of lambda1 + lambda2 = 1 on one series, down
-    to a bracket of width CRITICAL_TOL."""
-
-    def f(A: float) -> float:
-        lambda1, lambda2 = series(A)
-        return lambda1 + lambda2 - 1.0
-
-    lo, hi = 1e-6, 0.5
-    while f(hi) < 0.0:
-        if hi >= 1.0:
-            raise ValueError(
-                f"no sign change: table estimate stays below 1 up to A = {hi}"
-            )
-        hi = min(hi + 0.1, 1.0)
-    step = (hi - lo) / 24  # the 25 points of np.linspace(lo, hi, 25)
-    values = [f(a) for a in [lo + i * step for i in range(24)] + [hi]]
-    if not all(b > a for a, b in zip(values, values[1:])):
-        raise ValueError("table estimate is not strictly increasing on the bracket")
-    if f(lo) >= 0.0:
-        raise ValueError(f"no sign change in bracket [{lo}, {hi}]")
-    while hi - lo > CRITICAL_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return table_rows(alpha_exponent, [A])[0]
 
 
 def critical_A(alpha_exponent: float) -> float:
-    """Root A* of table_lambda(A, alpha) = 1, located by bisection.
-
-    The estimate is verified to be strictly increasing in A on the bracket
-    before root-finding.  The bracket starts at [1e-6, 0.5] and is widened
-    (up to A = 1) when the estimate has not yet crossed 1, which happens for
-    large alpha where the zeta weight vanishes.  Every evaluation (about 46
-    per root) runs on one _lambda_series for alpha, so each zeta weight
-    zeta(2*l*alpha) - 1 is computed once per call: 7 zeta evaluations per
-    root at alpha = 1, 8 at alpha = 0.55, about 0.3 ms per root on a 2-core
-    VM.  The values are bit-identical to table_lambda's.
-    """
-    alpha = float(alpha_exponent)
-    _check_exponent(alpha)
-    return _critical_root(_lambda_series(alpha))
+    """Root A* of table_lambda(A, alpha) = 1: the amplitude of the critical
+    row of table_rows, which states how it is found."""
+    return table_rows(alpha_exponent, [], critical=True)[0].inputs["A"]
 
 
 def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
                ) -> list[BoundReport]:
     """table_lambda(A, alpha) for each amplitude, followed, when critical is
-    set, by the report at critical_A(alpha).
+    set, by the report at the critical amplitude A*, the root of lambda = 1.
 
     Every row and the root are evaluated on one _lambda_series, so each zeta
-    weight of the exponent is computed once for the whole list rather than
-    once per row; the reports are bit-identical to table_lambda's.
+    weight of the exponent is computed once for the whole list.
+
+    The series sums to lambda(A) = 2 sum_{n>=1} (1 - sinc(A/n^alpha)), and
+    sinc decreases on [0, 1.43], so lambda increases in A on [0, 0.61], from
+    lambda(0) = 0 to lambda(0.61) >= lambda1(0.61) = 1.018 at every exponent.
+    A* is bisected on that bracket until it is narrower than CRITICAL_TOL
+    times its upper end, and is its midpoint.  Each 1 - sinc term grows no
+    faster than A^2 there, so the critical row has |lambda - 1| <= about
+    CRITICAL_TOL at any exponent, however close to 1/2.  The bisection takes
+    log2(0.61/(CRITICAL_TOL A*)) series evaluations, rounded up: 21 at
+    alpha = 1, 47 at the smallest exponent above 1/2.
     """
     alpha = float(alpha_exponent)
     _check_exponent(alpha)
@@ -343,8 +297,25 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
         _check_table_amplitude(A)
     series = _lambda_series(alpha)
     if critical:
-        amplitudes.append(_critical_root(series))
-    return [_split_report(A, alpha, series) for A in amplitudes]
+        lo, hi = 0.0, 0.61
+        while hi - lo >= CRITICAL_TOL * hi:
+            mid = 0.5 * (lo + hi)
+            if sum(series(mid)) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+        amplitudes.append(0.5 * (lo + hi))
+    reports = []
+    for A in amplitudes:
+        lambda1, lambda2 = series(A)
+        reports.append(BoundReport(
+            bound_name="table_lambda",
+            inputs={"A": A, "alpha_exponent": alpha},
+            lambda_value=lambda1 + lambda2,
+            threshold=None,
+            components={"lambda1": lambda1, "lambda2": lambda2},
+        ))
+    return reports
 
 
 def series_majorant_margin(k: int) -> Fraction:

@@ -250,7 +250,8 @@ _EM_HEAD = 24  # head length; keeps the asymptotic-series remainder < 1e-14
 
 
 def zeta_minus_one(s: float) -> float:
-    """zeta(s) - 1 for real s > 1, computed without cancellation near 1.
+    """zeta(s) - 1 for real s > 1 (0 at s = inf), computed without
+    cancellation near 1.
 
     Euler-Maclaurin summation: an explicit head of length 24 plus the
     integral term, the half-sample correction and Bernoulli corrections.
@@ -258,6 +259,8 @@ def zeta_minus_one(s: float) -> float:
     term, whose size bounds the remainder (well below 1e-14 here).
     """
     s = float(s)
+    if s == math.inf:
+        return 0.0  # the limit, already reached at every finite s >= 1076
     if not math.isfinite(s) or s <= 1.0:
         raise ValueError(f"zeta is only evaluated for real s > 1, got {s!r}")
     n = _EM_HEAD

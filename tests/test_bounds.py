@@ -42,6 +42,8 @@ def test_kadec_flags_and_threshold():
     assert not edge.satisfies_pw
     beyond = kadec_transfer_lambda(0.3)
     assert not beyond.satisfies_pw and beyond.lambda_value > 1.0
+    far = kadec_transfer_lambda(1e308)  # pi*L overflows
+    assert not far.satisfies_pw and far.lambda_value >= 1.0
 
 
 def test_kadec_strictly_increasing():
@@ -96,6 +98,7 @@ def test_threshold_values():
     assert power_law_threshold(0.75) == pytest.approx(0.11710079461328488, abs=1e-14)
     # alpha -> inf limit: 1/(pi*2^(3/4))
     assert power_law_threshold(200.0) == pytest.approx(0.18926819071273510, abs=1e-14)
+    assert power_law_threshold(1e308) == pytest.approx(0.18926819071273510, abs=1e-14)
 
 
 def test_threshold_domain():
@@ -339,6 +342,8 @@ def test_critical_amplitude_large_exponent_limit():
             hi = mid
     pure_root = 0.5 * (lo + hi)
     assert critical_A(50.0) == pytest.approx(pure_root, abs=1e-5)
+    # zeta(2 alpha) - 1 is 0 once 2 alpha overflows to inf
+    assert critical_A(1e308) == pytest.approx(pure_root, abs=1e-5)
 
 
 def _per_term_split(A, alpha):
@@ -385,14 +390,46 @@ def test_critical_amplitude_computes_each_zeta_weight_once(monkeypatch):
     monkeypatch.undo()
     # the same bisection written over the public table_lambda
     f = lambda A: table_lambda(A, 1.0).lambda_value - 1.0
-    lo, hi = 1e-6, 0.5
-    while hi - lo > 1e-6:
+    lo, hi = 0.0, 0.61
+    while hi - lo >= 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     assert a_star == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alphas", [
+    [math.nextafter(0.5, 1.0)], [0.5000000000001], [0.500000001], [0.5000001],
+    [0.55], [1.0], [50.0], [1e308], [0.55 + 0.0025 * i for i in range(181)],
+], ids=lambda alphas: f"{len(alphas)}-exponents" if len(alphas) > 1 else repr(alphas[0]))
+def test_critical_row_is_at_lambda_one(alphas):
+    # the bisection is relative, so the root holds at every exponent,
+    # however close to 1/2
+    for alpha in alphas:
+        row = table_rows(alpha, [], critical=True)[0]
+        assert abs(row.lambda_value - 1.0) <= 1e-6, alpha
+        assert 0.0 < row.inputs["A"] < 0.61
+
+
+@pytest.mark.parametrize("alpha", [0.55, 1.0, 50.0])
+def test_critical_amplitude_series_evaluations(monkeypatch, alpha):
+    evaluations = []
+    make_series = bounds._lambda_series
+
+    def counting_series(a):
+        series = make_series(a)
+
+        def evaluate(A):
+            evaluations.append(A)
+            return series(A)
+
+        return evaluate
+
+    monkeypatch.setattr(bounds, "_lambda_series", counting_series)
+    critical_A(alpha)
+    assert len(evaluations) <= 25
 
 
 @pytest.mark.parametrize("alpha", [0.55, 1.0, 7.5])

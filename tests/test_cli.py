@@ -709,6 +709,10 @@ def test_cli_import_leaves_scipy_unloaded():
         "             ['bounds', '--kadec', '--L', '0.2'],\n"
         "             ['bounds', '--complex', '--L', '0.2'],\n"
         "             ['bounds', '--power-law', '--A', '0.1', '--alpha', '1'],\n"
+        "             ['table', '--alpha', '0.5000000000001,1e308', '--A', '0.1',\n"
+        "              '--critical'],\n"
+        "             ['bounds', '--kadec', '--L', '1e308'],\n"
+        "             ['bounds', '--power-law', '--A', '0.1', '--alpha', '1e308'],\n"
         "             ['oseen']):\n"
         "    assert main(argv) == 0\n"
         "    assert 'numpy' not in sys.modules and 'scipy' not in sys.modules, argv\n"

@@ -393,6 +393,8 @@ def test_zeta_strictly_decreasing_and_limit():
     assert all(a > b for a, b in zip(values, values[1:]))
     assert riemann_zeta(50.0) - 1.0 < 1e-15
     assert zeta_minus_one(50.0) == pytest.approx(2.0 ** -50.0, rel=1e-6)
+    # the limit, which 2 alpha reaches when it overflows
+    assert zeta_minus_one(math.inf) == 0.0 == zeta_minus_one(1076.0)
 
 
 def test_zeta_against_mpmath_ladder():
@@ -403,7 +405,7 @@ def test_zeta_against_mpmath_ladder():
         assert riemann_zeta(float(s)) == pytest.approx(expected, abs=1e-13, rel=1e-13)
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, math.nan])
+@pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, math.nan, -math.inf])
 def test_zeta_domain(bad):
     with pytest.raises(ValueError):
         riemann_zeta(bad)

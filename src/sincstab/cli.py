@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "nodes than framekit.DENSE_EIG_CUTOFF (a complex Gram matrix "
                         "is exact)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
-                   help="dump the Gram matrix as 'm n re im' text, labelled by grid index")
+                   help="dump the Gram matrix as text, one 'k n re im' record per "
+                        "entry, k and n its grid indices")
 
     p = sub.add_parser("reconstruct", help="reconstruct a bandlimited signal")
     _add_common_flags(p)

@@ -21,13 +21,14 @@ from one ARPACK run above ("LA" for the norm, "BE" for a real Gram matrix).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .grids import PerturbedGrid
-from .specfun import check_dense_size, sinc_matrix
+from .specfun import SINC_BLOCK, check_dense_size, sinc_matrix
 
 __all__ = [
     "TruncationWindow",
@@ -249,22 +250,39 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
 def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
     """Write a matrix as plain text, one ``k n re im`` record per entry.
 
-    k and n are the entry's labels from row_labels and col_labels (for a
-    Gram matrix, the grid's indices).  Entries are written with repr of a
-    double (imaginary part 0.0 for real matrices), so the file reads back
-    exactly.
+    k and n are the entry's row and column labels from row_labels and
+    col_labels (for a Gram matrix, both are the grid's indices); re and im
+    are its real and imaginary parts (im is 0.0 for a real matrix), written
+    with repr, the shortest string that reads back as the same double, so
+    the file reads back exactly.  The rows are taken in blocks of at most
+    8 * SINC_BLOCK doubles (one row when a row alone is longer), and each
+    distinct bit pattern of a block is formatted once: Gram matrices repeat
+    most of their values, since entries depend on node differences and
+    exact zeros are common.  -0.0 and 0.0 are distinct patterns, so each
+    keeps its sign.
     """
     M = np.asarray(matrix)
     rows, cols = np.asarray(row_labels).tolist(), np.asarray(col_labels).tolist()
     if M.shape != (len(rows), len(cols)):
         raise ValueError(f"{len(rows)} x {len(cols)} labels for a matrix of shape {M.shape}")
     is_complex = np.iscomplexobj(M)
-    M = M.astype(np.complex128 if is_complex else np.float64, copy=False)
+    dtype, tail = (np.complex128, "\n") if is_complex else (np.float64, " 0.0\n")
+    step = max(1, 8 * SINC_BLOCK // max(len(cols) * (2 if is_complex else 1), 1))
     cols = [f"{n} " for n in cols]
     with open(path, "w", encoding="utf-8") as fh:
-        for label, entries in zip(rows, M):
-            k, row = f"{label} ", entries.tolist()  # one row of Python numbers at a time
+        if not cols:  # a row of no entries writes no record, not its label
+            return
+        for r0 in range(0, len(rows), step):
+            # the block's doubles, a complex row as re, im pairs; copied
+            # only when M is not already C-ordered doubles
+            block = np.ascontiguousarray(M[r0:r0 + step], dtype=dtype).view(np.float64)
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            inverse = inverse.reshape(block.shape)  # 1-d or block-shaped, by numpy version
+            reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             if is_complex:
-                fh.write("".join(f"{k}{n}{z.real!r} {z.imag!r}\n" for n, z in zip(cols, row)))
+                strings = reprs[inverse[:, 0::2]] + " " + reprs[inverse[:, 1::2]]
             else:
-                fh.write("".join(f"{k}{n}{x!r} 0.0\n" for n, x in zip(cols, row)))
+                strings = reprs[inverse]
+            for k, row in zip(rows[r0:r0 + step], strings.tolist()):
+                k = f"{k} "
+                fh.write(k + (tail + k).join(map(operator.add, cols, row)) + tail)

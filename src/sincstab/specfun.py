@@ -109,13 +109,15 @@ def sinc_matrix(u, v) -> np.ndarray:
     Each entry is the rank-2 quotient (sin(pi u_i) cos(pi v_j) - cos(pi u_i)
     sin(pi v_j)) / (pi (u_i - v_j)) of per-node sines and cosines, filled
     elementwise into the output SINC_BLOCK entries at a time, so no
-    full-size temporary is made and M(u, u) is bitwise symmetric.  Pairs
-    with |Re(u_i - v_j)| < 1 are then overwritten with the direct kernel
-    (sinc_array or sinc_complex_array) of the difference: that keeps the
-    exact 1 at u_i = v_j and avoids cancellation between close nodes.  They
-    are found once per call among the Re v within 2 of Re u_i, located by
-    binary search, SINC_BLOCK candidates at a time.  Raises ValueError,
-    before allocating, when M would take more than MAX_DENSE_BYTES.
+    full-size temporary is made.  M(u, u) is symmetric; mirrored exact zeros
+    may differ in sign (both have a +0.0 numerator, over denominators of
+    opposite sign).  Pairs with |Re(u_i - v_j)| < 1 are then overwritten
+    with the direct kernel (sinc_array or sinc_complex_array) of the
+    difference: that keeps the exact 1 at u_i = v_j and avoids cancellation
+    between close nodes.  They are found once per call among the Re v
+    within 2 of Re u_i, located by binary search, SINC_BLOCK candidates at
+    a time.  Raises ValueError, before allocating, when M would take more
+    than MAX_DENSE_BYTES.
     """
     import numpy as np
     u, v = np.asarray(u), np.asarray(v)

@@ -487,17 +487,50 @@ def _dump_per_entry(matrix, path, row_labels, col_labels):
                 fh.write(f"{int(row_labels[i])} {int(col_labels[j])} {z.real!r} {z.imag!r}\n")
 
 
-def test_dump_matrix_matches_per_entry_writer(tmp_path):
+def test_dump_matrix_matches_per_entry_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     signed_zero = rng.standard_normal((4, 6))
     signed_zero[0, 0] = signed_zero[2, 3] = -0.0
     complex_matrix = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     complex_matrix[1, 1] = complex(-0.0, -0.0)
-    for matrix, labels in ((gram_matrix(ingham_grid(6)), (np.arange(-6, 7),) * 2),
-                           (complex_matrix, (np.arange(2, 7), np.array([-1, 3, 40]))),
-                           (signed_zero, (np.arange(4), np.arange(6)))):
+    # G[-3, -2] is -0.0 and its mirror G[-2, -3] is 0.0: a writer that merges
+    # values by == or copies the upper triangle writes one sign for both
+    ingham = gram_matrix(ingham_grid(3))
+    assert np.signbit(ingham[0, 1]) and not np.signbit(ingham[1, 0]) and ingham[0, 1] == 0.0
+    # lambda_n = 1.1 n: Toeplitz in exact arithmetic, 206 distinct of 1681 entries
+    toeplitz = gram_matrix(uniform_offset_grid(0.1 * np.arange(-20, 21), (-20, 20)))
+    hermitian = gram_matrix(uniform_offset_grid(np.full(9, 0.1 + 0.1j), (-4, 4)),
+                            TruncationWindow.symmetric(30))
+    cases = [(gram_matrix(ingham_grid(6)), (np.arange(-6, 7),) * 2),
+             (complex_matrix, (np.arange(2, 7), np.array([-1, 3, 40]))),
+             (signed_zero, (np.arange(4), np.arange(6))),
+             (ingham, (np.arange(-3, 4),) * 2),
+             (toeplitz, (np.arange(-20, 21),) * 2),
+             (hermitian, (np.arange(-4, 5),) * 2),
+             (np.zeros((3, 0)), (np.arange(3), np.arange(0)))]
+    for matrix, labels in cases:
         dump_matrix(matrix, tmp_path / "rows.txt", *labels)
         _dump_per_entry(matrix, tmp_path / "entries.txt", *labels)
         assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "entries.txt").read_bytes()
     with pytest.raises(ValueError, match="labels"):
         dump_matrix(signed_zero, tmp_path / "rows.txt", np.arange(4), np.arange(5))
+
+    # blocks of at most 16 doubles: 7 x 5 real rows go 3, 3, 1 and 7 x 3
+    # complex rows (6 doubles each) 2, 2, 2, 1; np.unique sees one block a call
+    unique_sizes = []
+    unique = np.unique
+
+    def recorded(values, **kwargs):
+        unique_sizes.append(values.size)
+        return unique(values, **kwargs)
+
+    monkeypatch.setattr(framekit, "SINC_BLOCK", 2)
+    monkeypatch.setattr(np, "unique", recorded)
+    for matrix, labels, sizes in (
+            (toeplitz[:7, :5], (np.arange(7), np.arange(5)), [15, 15, 5]),
+            (hermitian[:7, :3], (np.arange(7), np.arange(3)), [12, 12, 12, 6])):
+        unique_sizes.clear()
+        dump_matrix(matrix, tmp_path / "rows.txt", *labels)
+        _dump_per_entry(matrix, tmp_path / "entries.txt", *labels)
+        assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "entries.txt").read_bytes()
+        assert unique_sizes == sizes and max(unique_sizes) <= 8 * framekit.SINC_BLOCK

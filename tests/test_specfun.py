@@ -232,6 +232,20 @@ def test_sinc_matrix_near_pairs_match_sorted_search(name, u, v):
     assert np.array_equal(M.view(np.uint8), expected.view(np.uint8))
 
 
+def test_sinc_matrix_symmetric_up_to_signs_of_zeros():
+    # M(u, u) equals its transpose, and its bits differ from the mirror's
+    # only at exact zeros: on the Ingham nodes n + sign(n)/4, M[-3, -2] is
+    # -0.0 and M[-2, -3] is 0.0
+    n = np.arange(-3, 4)
+    ingham = sinc_matrix(n + 0.25 * np.sign(n), n + 0.25 * np.sign(n))
+    assert np.signbit(ingham[0, 1]) and not np.signbit(ingham[1, 0])
+    x = np.sort(np.random.default_rng(4).uniform(-20.0, 20.0, 300))
+    for M in (ingham, sinc_matrix(x, x)):
+        assert np.array_equal(M, M.T)
+        differ = M.view(np.int64) != M.T.view(np.int64)
+        assert not np.any(differ & (M != 0.0))
+
+
 def test_sinc_matrix_clustered_nodes_in_small_chunks(monkeypatch):
     # 1500 nodes within 2 of each other make every pair a near-pair
     # candidate; they are expanded SINC_BLOCK at a time, which changes no bit

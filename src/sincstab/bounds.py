@@ -22,7 +22,6 @@ if TYPE_CHECKING:
     from .grids import PerturbedGrid
 
 __all__ = [
-    "BOUND_NAMES",
     "BoundReport",
     "kadec_transfer_lambda",
     "lemma_sum_bound",
@@ -35,14 +34,6 @@ __all__ = [
     "table_rows",
     "series_majorant_margin",
 ]
-
-BOUND_NAMES = (
-    "kadec_transfer",
-    "lemma_sum",
-    "power_law_threshold",
-    "complex_master",
-    "table_lambda",
-)
 
 KADEC_EDGE = 0.25
 SERIES_TOL = 1e-13  # alternating series stop: tail bounded by first omitted term
@@ -77,8 +68,6 @@ class BoundReport:
     components: Optional[dict] = None
 
     def __post_init__(self):
-        if self.bound_name not in BOUND_NAMES:
-            raise ValueError(f"unknown bound name {self.bound_name!r}")
         if not self.lambda_value >= 0.0:  # also refuses nan
             raise ValueError(f"lambda estimates are nonnegative by construction, "
                              f"got {self.lambda_value!r}")
@@ -180,28 +169,32 @@ def complex_bound_L() -> float:
 def complex_master(L: float) -> BoundReport:
     """Master bound lambda = (e^x - x - 1)/x with x = (8/3)*pi^2*L^2.
 
-    Equals 1 exactly when x is the Lamb-Oseen constant, i.e. when L equals
-    complex_bound_L(); tends to 0 as L -> 0.  Where e^x overflows (x above
-    ln DBL_MAX = 709.78, from L = 5.19) lambda is +inf, a failing bound.
+    lambda is 1 exactly at L* = (1/pi)*sqrt(3*alpha/8), alpha the Lamb-Oseen
+    constant, and +inf where e^x overflows (x > ln DBL_MAX, from L = 5.19).
+    The formula reads 0.9999999999999997 at complex_bound_L(), the smallest
+    double above L* (by 1.07e-17; the next one below is 1.70e-17 under L*, by
+    a 50-digit root of e^a = 2a + 1), so lambda is clamped to >= 1 from there
+    on, as kadec_transfer_lambda is from 1/4: a double L fails iff L > L*.
     """
     L = float(L)
     if not math.isfinite(L) or L < 0.0:
         raise ValueError(f"deviation bound L must be >= 0, got {L!r}")
     x = (8.0 / 3.0) * math.pi ** 2 * L * L
-    if x == 0.0:
-        lam = 0.0
-    elif x < 1e-4:
+    if x < 1e-4:
         # series x/2 + x^2/6 + x^3/24 avoids the e^x - x - 1 cancellation
         lam = x / 2.0 + x * x / 6.0 + x ** 3 / 24.0
     elif x > LOG_DBL_MAX:  # also x = inf, where L * L overflows
         lam = math.inf
     else:
         lam = (math.expm1(x) - x) / x
+    edge = complex_bound_L()
+    if L >= edge:
+        lam = max(lam, 1.0)
     return BoundReport(
         bound_name="complex_master",
         inputs={"L": L},
         lambda_value=lam,
-        threshold=complex_bound_L(),
+        threshold=edge,
     )
 
 

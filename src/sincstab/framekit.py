@@ -68,10 +68,6 @@ class TruncationWindow:
         if not 1 <= self.max_iterations <= 2**31 - 1:  # ARPACK's Fortran integer is 32-bit
             raise ValueError("max_iterations must lie between 1 and 2^31 - 1")
 
-    @property
-    def rows(self) -> np.ndarray:
-        return np.arange(self.row_range[0], self.row_range[1] + 1)
-
     @classmethod
     def symmetric(cls, radius: int, **kwargs) -> "TruncationWindow":
         radius = int(radius)
@@ -119,7 +115,7 @@ def _window_rows(grid: PerturbedGrid, window: TruncationWindow) -> np.ndarray:
     if int(grid.indices[0]) < lo or int(grid.indices[-1]) > hi:
         raise ValueError("window rows do not cover the grid indices")
     check_dense_size(hi - lo + 1, len(grid), grid.is_complex)
-    return window.rows
+    return np.arange(lo, hi + 1)
 
 
 def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None

@@ -79,10 +79,6 @@ class PerturbedGrid:
     def is_complex(self) -> bool:
         return self.nodes.dtype.kind == "c"
 
-    def deviations(self) -> np.ndarray:
-        """|lambda_n - n| for every listed index."""
-        return np.abs(self.nodes - self.indices)
-
 
 def power_law_grid(
     A: float,
@@ -120,16 +116,13 @@ def power_law_grid(
 def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
     """Grid with lambda_n = n + offset_n over an integer index range.
 
-    base is an inclusive (lo, hi) pair or a range; offsets (real or complex)
-    must align with it.  Real offsets yield a real grid.
+    base is an inclusive (lo, hi) pair; offsets (real or complex) must align
+    with it.  Real offsets yield a real grid.
     """
-    if isinstance(base, range):
-        indices = np.array(list(base), dtype=np.int64)
-    else:
-        lo, hi = int(base[0]), int(base[1])
-        if hi < lo:
-            raise ValueError(f"empty index range {base!r}")
-        indices = np.arange(lo, hi + 1, dtype=np.int64)
+    lo, hi = int(base[0]), int(base[1])
+    if hi < lo:
+        raise ValueError(f"empty index range {base!r}")
+    indices = np.arange(lo, hi + 1, dtype=np.int64)
     offs = np.asarray(offsets)
     if offs.shape != indices.shape:
         raise ValueError(
@@ -201,4 +194,4 @@ def grid_from_file(path) -> PerturbedGrid:
 
 def max_deviation(grid: PerturbedGrid) -> float:
     """max |lambda_n - n| over the listed indices (complex modulus)."""
-    return float(np.max(grid.deviations()))
+    return float(np.max(np.abs(grid.nodes - grid.indices)))

@@ -82,10 +82,6 @@ class BandlimitedSignal:
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def single(cls, shift: float, weight: float = 1.0) -> "BandlimitedSignal":
-        return cls(shifts=np.array([shift]), weights=np.array([weight]))
-
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         return sinc_array(t[..., None] - self.shifts) @ self.weights

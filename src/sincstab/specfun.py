@@ -3,11 +3,10 @@
 Normalized sinc (real and complex) and the dense matrix sinc(u_i - v_j), the
 two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
 constant, and the Riemann zeta function for real argument s > 1.  The scalar
-functions return plain floats (complex for sinc_complex); sinc_matrix finds
-its near pairs by one search of the sorted nodes.  All are pure and thread-safe.
-sinc, the Lambert W branches, the Lamb-Oseen constant and zeta use only the
-standard library; the array functions (and sinc_complex, which calls one)
-import numpy when they run, so the closed-form thresholds need no numpy.
+functions return plain floats; sinc_matrix finds its near pairs by one search
+of the sorted nodes.  All are pure and thread-safe.  The scalar functions use
+only the standard library; the array functions import numpy when they run, so
+the closed-form thresholds need no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "sinc",
-    "sinc_complex",
     "sinc_array",
     "sinc_complex_array",
     "sinc_matrix",
@@ -60,14 +58,6 @@ def sinc(x: float) -> float:
         return 1.0 if x == 0.0 else 0.0
     px = math.pi * x
     return math.sin(px) / px
-
-
-def sinc_complex(z: complex) -> complex:
-    """Analytic continuation sin(pi*z)/(pi*z) of the normalized sinc."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"sinc_complex requires a finite argument, got {z!r}")
-    return complex(sinc_complex_array(z))
 
 
 def _sinc_kernel(x: np.ndarray) -> np.ndarray:

@@ -175,7 +175,7 @@ def test_criterion_08_ingham_degradation():
 def test_criterion_09_reconstruction():
     with criterion(9, "nonuniform reconstruction"):
         start = time.perf_counter()
-        signal = ss.BandlimitedSignal.single(0.3)
+        signal = ss.BandlimitedSignal([0.3], [1.0])
         errors = []
         for N in (25, 50, 100, 200):
             grid = ss.power_law_grid(0.2, 1.0, N, extend_nonpositive=True)

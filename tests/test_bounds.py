@@ -1,5 +1,6 @@
 """Closed-form bound estimators against frozen oracles and paper-grade tables."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from sincstab.bounds import (
     table_lambda,
     table_rows,
 )
-from sincstab import bounds
+from sincstab import bounds, cli
 from sincstab.grids import power_law_grid, uniform_offset_grid
 from sincstab.specfun import sinc, zeta_minus_one
 
@@ -184,6 +185,24 @@ def test_master_monotone_and_flags():
     assert all(b > a for a, b in zip(values, values[1:]))
     assert complex_master(0.2).satisfies_pw
     assert not complex_master(0.22).satisfies_pw
+
+
+def test_master_edge_is_decided_at_the_exact_root(capsys):
+    # L* = (1/pi) sqrt(3a/8), a the root of e^a = 2a + 1 (the Lamb-Oseen
+    # constant), to 50 digits: complex_bound_L() is the smallest double above
+    # L*, where the rounded formula reads 0.9999999999999997, so the clamp at
+    # complex_bound_L() makes it fail and the double below it pass
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = mp.findroot(lambda t: mp.exp(t) - 2 * t - 1, 1.25)
+        exact = mp.sqrt(3 * a / 8) / mp.pi
+        d = complex_bound_L()
+        below = math.nextafter(d, 0.0)
+        assert mp.mpf(below) < exact < mp.mpf(d)
+    assert not complex_master(d).satisfies_pw
+    assert complex_master(below).satisfies_pw
+    assert cli.main(["bounds", "--complex", "--L", repr(d), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "fail"
 
 
 def test_master_domain():

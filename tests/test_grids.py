@@ -53,7 +53,7 @@ def test_power_law_exact_formula():
 
 def test_power_law_deviations_strictly_decreasing():
     g = power_law_grid(0.25, 0.7, 100)
-    d = g.deviations()
+    d = np.abs(g.nodes - g.indices)
     assert np.all(np.diff(d) < 0)
     assert max_deviation(g) == 0.25  # attained at n = 1
 
@@ -82,11 +82,6 @@ def test_uniform_offset_complex():
     g = uniform_offset_grid([0.2j] * 5, (-2, 2))
     assert g.is_complex
     assert max_deviation(g) == pytest.approx(0.2, abs=1e-16)
-
-
-def test_uniform_offset_accepts_range():
-    g = uniform_offset_grid([0.1, 0.2, 0.3], range(0, 3))
-    assert g.indices.tolist() == [0, 1, 2]
 
 
 def test_uniform_offset_errors():

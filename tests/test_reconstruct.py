@@ -36,7 +36,7 @@ def error_on(sig, result, grid, interval, n_points):
 # signals and sampling
 
 def test_signal_evaluation():
-    sig = BandlimitedSignal.single(0.3)
+    sig = BandlimitedSignal([0.3], [1.0])
     assert sig(0.3) == 1.0
     assert sig(np.array([0.3, 1.3]))[1] == 0.0  # integer offset from the shift
     combo = BandlimitedSignal(shifts=np.array([0.0, 2.5]),
@@ -56,26 +56,26 @@ def test_signal_validation():
 
 
 def test_sampling_integer_grid_is_kronecker():
-    sig = BandlimitedSignal.single(0.0)
+    sig = BandlimitedSignal([0.0], [1.0])
     samples = sample_signal(sig, integer_grid(3))
     assert samples.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_sampling_hits_node_exactly():
     grid = uniform_offset_grid([0.3], (0, 0))
-    assert sample_signal(BandlimitedSignal.single(0.3), grid)[0] == 1.0
+    assert sample_signal(BandlimitedSignal([0.3], [1.0]), grid)[0] == 1.0
 
 
 def test_sampling_reference_value():
     grid = uniform_offset_grid([0.25], (1, 1))  # node at 1.25
-    value = sample_signal(BandlimitedSignal.single(0.0), grid)[0]
+    value = sample_signal(BandlimitedSignal([0.0], [1.0]), grid)[0]
     assert value == pytest.approx(-0.18006326323142121, abs=1e-15)
 
 
 def test_sampling_rejects_complex_grid():
     grid = uniform_offset_grid([0.1j] * 3, (-1, 1))
     with pytest.raises(ValueError):
-        sample_signal(BandlimitedSignal.single(0.0), grid)
+        sample_signal(BandlimitedSignal([0.0], [1.0]), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_sampling_rejects_complex_grid():
 def test_integer_grid_returns_samples():
     # G = I, so the coefficients are the samples themselves, bitwise
     grid = integer_grid(20)
-    samples = sample_signal(BandlimitedSignal.single(0.3), grid)
+    samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
     result = solve_coefficients(samples, grid)
     assert np.array_equal(result.coefficients, samples)
     assert result.residual_norm == 0.0
@@ -117,7 +117,7 @@ def test_cg_matches_dense_solve():
 
 def test_interpolation_consistency():
     grid = power_law_grid(0.2, 1.0, 60, extend_nonpositive=True)
-    samples = sample_signal(BandlimitedSignal.single(0.3), grid)
+    samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
     result = solve_coefficients(samples, grid)
     values = evaluate_reconstruction(result, grid, grid.nodes)
     tolerance = 10.0 * 1e-10 * float(np.linalg.norm(samples))
@@ -132,7 +132,7 @@ def test_solver_misalignment_rejected():
 
 def test_solver_nonconvergence_reports_diagnostics():
     grid = ingham_grid(32)
-    samples = sample_signal(BandlimitedSignal.single(0.3), grid)
+    samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
     window = TruncationWindow.for_grid(grid, norm_tolerance=1e-14,
                                        max_iterations=2)
     with pytest.raises(ConvergenceError) as err:
@@ -146,7 +146,7 @@ def test_solver_nonconvergence_reports_diagnostics():
 
 def test_shannon_partial_sum_at_shift():
     grid = integer_grid(200)
-    samples = sample_signal(BandlimitedSignal.single(0.3), grid)
+    samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
     result = solve_coefficients(samples, grid)
     value = evaluate_reconstruction(result, grid, [0.3])[0]
     assert abs(value - 1.0) < 1e-3
@@ -154,7 +154,7 @@ def test_shannon_partial_sum_at_shift():
 
 def test_far_field_decay_envelope():
     grid = power_law_grid(0.2, 1.0, 30, extend_nonpositive=True)
-    samples = sample_signal(BandlimitedSignal.single(0.3), grid)
+    samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
     result = solve_coefficients(samples, grid)
     t = 250.0
     value = evaluate_reconstruction(result, grid, [t])[0]
@@ -177,7 +177,7 @@ def test_self_expansion_error_is_solver_limited():
 
 
 def test_error_decreases_with_grid_size():
-    sig = BandlimitedSignal.single(0.3)
+    sig = BandlimitedSignal([0.3], [1.0])
     errors = []
     for N in (25, 50, 100, 200):
         grid = power_law_grid(0.2, 1.0, N, extend_nonpositive=True)
@@ -189,7 +189,7 @@ def test_error_decreases_with_grid_size():
 
 
 def test_degradation_with_amplitude():
-    sig = BandlimitedSignal.single(0.3)
+    sig = BandlimitedSignal([0.3], [1.0])
     errors, iterations = [], []
     for A in (0.1, 0.2, 0.3, 0.4):
         grid = power_law_grid(A, 1.0, 100, extend_nonpositive=True)
@@ -203,7 +203,7 @@ def test_degradation_with_amplitude():
 def test_conditioning_warning(caplog):
     import logging
 
-    sig = BandlimitedSignal.single(0.3)
+    sig = BandlimitedSignal([0.3], [1.0])
     with caplog.at_level(logging.WARNING, logger="sincstab.reconstruct"):
         grid = ingham_grid(64)
         solve_coefficients(sample_signal(sig, grid), grid)
@@ -245,7 +245,7 @@ def test_ritz_probe_matches_dense_smallest_eigenvalue():
 
 
 def test_ingham_grid_reconstructs_worse():
-    sig = BandlimitedSignal.single(0.3)
+    sig = BandlimitedSignal([0.3], [1.0])
     N = 64
     power = power_law_grid(0.2, 1.0, N, extend_nonpositive=True)
     result_p = solve_coefficients(sample_signal(sig, power), power)
@@ -262,7 +262,7 @@ def test_error_metric_validation():
     # is made (tests/test_cli.py); sinc(t) vanishes exactly at the integer
     # quadrature points 1, 2, 3
     grid = integer_grid(3)
-    sig = BandlimitedSignal.single(0.0)
+    sig = BandlimitedSignal([0.0], [1.0])
     result = solve_coefficients(sample_signal(sig, grid), grid)
     with pytest.raises(ValueError, match="vanishes"):
         error_on(sig, result, grid, (1.0, 3.0), 3)
@@ -273,7 +273,7 @@ def test_error_metric_validation():
 
 def test_write_csv(tmp_path):
     grid = integer_grid(10)
-    sig = BandlimitedSignal.single(0.3)
+    sig = BandlimitedSignal([0.3], [1.0])
     result = solve_coefficients(sample_signal(sig, grid), grid)
     t = np.linspace(-5.0, 5.0, 101)
     f_ref, f_hat = sig(t), evaluate_reconstruction(result, grid, t)

@@ -296,6 +296,7 @@ def _run_reconstruct(args):
         raise ValueError("evaluation interval must be finite")
     if max(abs(args.eval_lo), abs(args.eval_hi)) >= grids.MAX_NODE_REAL:
         raise ValueError("evaluation interval must lie inside (-2^52, 2^52), as grid nodes do")
+    # bounds the evaluation's work, one term per point and node (no matrix is made)
     specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
     samples = reconstruct.sample_signal(signal, grid)
     result = reconstruct.solve_coefficients(samples, grid, window)

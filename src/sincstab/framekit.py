@@ -8,8 +8,9 @@ which it does not import, certifies lambda < 1.  Gram matrices and their
 extremal eigenvalues estimate the Riesz bounds.
 S and the real Gram matrix are dense, built in one pass of row blocks by
 specfun.sinc_matrix from per-node sines and cosines (a rank-2 numerator
-over pi times the node difference; pairs closer than 1, found once per
-matrix by a search of the sorted nodes, evaluated directly); a matrix over
+over pi times the node difference, one term on integer rows, so on every
+row of S; pairs closer than 1, found once per matrix by a search of the
+sorted nodes, evaluated directly); a matrix over
 specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
 size is allocated.  The norm holds S - I on the moved columns only.  The
 complex Gram matrix is S^H S.  riesz_bounds_estimate builds S - I, releases

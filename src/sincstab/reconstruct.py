@@ -5,7 +5,8 @@ bandlimited, so error measurements carry no model error.  Expansion
 coefficients over a perturbed grid come from solving the Gram system
 G c = samples by conjugate gradients; in the certified Riesz regime G is
 symmetric positive definite with a known eigenvalue sandwich, so CG
-convergence is guaranteed.
+convergence is guaranteed.  The expansion is evaluated from two weighted
+sums per point, streamed in row blocks, without an evaluation matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .framekit import TruncationWindow, gram_matrix
 from .grids import MAX_NODE_REAL, PerturbedGrid
-from .specfun import sinc_array, sinc_matrix
+from .specfun import SINC_BLOCK, _near_pairs, _sin_cos_pi, sinc_array, sinc_complex_array
 
 __all__ = [
     "BandlimitedSignal",
@@ -192,11 +193,39 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
 
 def evaluate_reconstruction(result: ReconstructionResult, grid: PerturbedGrid,
                             t_values: Sequence[float]) -> np.ndarray:
-    """Evaluate f_hat(t) = sum_n c_n * sinc(t - lambda_n) at the requested t."""
+    """Evaluate f_hat(t) = sum_n c_n * sinc(t - lambda_n) at the requested t.
+
+    With W_in = 1/(pi (t_i - lambda_n)), f_hat(t_i) is sin(pi t_i) sum_n
+    W_in c_n cos(pi lambda_n) - cos(pi t_i) sum_n W_in c_n sin(pi lambda_n).
+    W is formed SINC_BLOCK entries at a time in one scratch array, so no
+    evaluation matrix is made.  Its near pairs, |Re(t_i - lambda_n)| < 1,
+    are zeroed and taken from the direct kernel instead.
+    """
     t = np.asarray(t_values, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation points must be finite")
-    return sinc_matrix(t, grid.nodes) @ result.coefficients
+    nodes, c = grid.nodes, result.coefficients
+    kernel = sinc_complex_array if grid.is_complex else sinc_array
+    sin_l, cos_l = _sin_cos_pi(nodes)
+    weights = np.stack([c * cos_l, c * sin_l], axis=1)
+    sums = np.empty((t.size, 2), dtype=weights.dtype)
+    f = np.zeros(t.size, dtype=weights.dtype)
+    step = max(1, SINC_BLOCK // max(nodes.size, 1))
+    scratch = np.empty((min(step, t.size), nodes.size), dtype=nodes.dtype)
+    with np.errstate(divide="ignore"):  # t_i = lambda_n: zeroed, a near pair
+        for r0, r1, rows, cols, d in _near_pairs(t, nodes):
+            np.add.at(f, rows, c[cols] * kernel(d))
+            starts = range(r0, r1, step)
+            cuts = np.searchsorted(rows, [*starts, r1]).tolist()
+            for i0, a, b in zip(starts, cuts, cuts[1:]):
+                i1 = min(i0 + step, r1)
+                W = scratch[:i1 - i0]
+                np.subtract(t[i0:i1, None], nodes, out=W)
+                np.divide(1.0 / np.pi, W, out=W)
+                W[rows[a:b] - i0, cols[a:b]] = 0.0
+                np.matmul(W, weights, out=sums[i0:i1])
+    sin_t, cos_t = _sin_cos_pi(t)
+    return f + sin_t * sums[:, 0] - cos_t * sums[:, 1]
 
 
 def reconstruction_error(t: np.ndarray, f_ref: np.ndarray, f_hat: np.ndarray) -> float:

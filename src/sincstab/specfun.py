@@ -3,10 +3,11 @@
 Normalized sinc (real and complex) and the dense matrix sinc(u_i - v_j), the
 two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
 constant, and the Riemann zeta function for real argument s > 1.  The scalar
-functions return plain floats; sinc_matrix finds its near pairs by one search
-of the sorted nodes.  All are pure and thread-safe.  The scalar functions use
-only the standard library; the array functions import numpy when they run, so
-the closed-form thresholds need no numpy.
+functions return plain floats; sinc_matrix fills rows at integer nodes with
+one term, and finds its near pairs by one search of the sorted nodes, which
+reconstruct's evaluation shares.  All are pure and thread-safe.  The scalar
+functions use only the standard library; the array functions import numpy
+when they run, so the closed-form thresholds need no numpy.
 """
 
 from __future__ import annotations
@@ -93,21 +94,50 @@ def _sin_cos_pi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sign * np.sin(r), sign * np.cos(r)
 
 
+def _near_pairs(u, v):
+    """Yield the pairs (i, j) with |Re(u_i - v_j)| < 1 as (r0, r1, i, j, u_i - v_j),
+    i ascending within consecutive row ranges [r0, r1) that tile the rows.
+    Row i's candidates, the Re v within 2 of Re u_i, are found by binary
+    search of the sorted Re v, listed whole rows and at most SINC_BLOCK (or
+    one row) at a time, and trimmed by the exact test on the difference."""
+    import numpy as np
+    order = np.argsort(v.real, kind="stable")
+    sorted_v = v.real[order]
+    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
+    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
+    ends = np.cumsum(count)
+    offset = first + count - ends  # candidate p of row i is column order[p + offset[i]]
+    r0 = 0
+    while r0 < u.size:
+        p0 = ends[r0] - count[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(ends, p0 + SINC_BLOCK, side="right")))
+        p = np.arange(p0, ends[r1 - 1])
+        rows = np.searchsorted(ends, p, side="right")
+        cols = order[p + offset[rows]]
+        d = u[rows] - v[cols]
+        near = np.abs(d.real) < 1.0
+        yield r0, r1, rows[near], cols[near], d[near]
+        r0 = r1
+
+
 def sinc_matrix(u, v) -> np.ndarray:
     """M[i, j] = sinc(u_i - v_j) for 1-d node arrays u and v, at most one complex.
 
     Each entry is the rank-2 quotient (sin(pi u_i) cos(pi v_j) - cos(pi u_i)
     sin(pi v_j)) / (pi (u_i - v_j)) of per-node sines and cosines, filled
     elementwise into the output SINC_BLOCK entries at a time, so no
-    full-size temporary is made.  M(u, u) is symmetric; mirrored exact zeros
-    may differ in sign (both have a +0.0 numerator, over denominators of
-    opposite sign).  Pairs with |Re(u_i - v_j)| < 1 are then overwritten
-    with the direct kernel (sinc_array or sinc_complex_array) of the
-    difference: that keeps the exact 1 at u_i = v_j and avoids cancellation
-    between close nodes.  They are found once per call among the Re v
-    within 2 of Re u_i, located by binary search, SINC_BLOCK candidates at
-    a time.  Raises ValueError, before allocating, when M would take more
-    than MAX_DENSE_BYTES.
+    full-size temporary is made.  A row block whose u_i are all integers
+    (sin(pi u_i) exactly 0) is filled with the one remaining term,
+    sin(pi v_j) / (pi (u_i - v_j) * -cos(pi u_i)) in 3 passes instead of 6:
+    cos(pi u_i) = +-1 multiplies exactly, so every nonzero entry keeps the
+    quotient's bits.
+    M(u, u) is symmetric up to the signs of mirrored exact zeros.  Pairs with
+    |Re(u_i - v_j)| < 1 are then overwritten with the direct kernel
+    (sinc_array or sinc_complex_array) of the difference: that keeps the
+    exact 1 at u_i = v_j and avoids cancellation between close nodes.  They
+    are found once per call by the sorted search of _near_pairs.  Raises
+    ValueError, before allocating, when M would take more than
+    MAX_DENSE_BYTES.
     """
     import numpy as np
     u, v = np.asarray(u), np.asarray(v)
@@ -128,29 +158,22 @@ def sinc_matrix(u, v) -> np.ndarray:
     scratch = np.empty((min(step, u.size), v.size), dtype=dtype)
     with np.errstate(divide="ignore", invalid="ignore"):  # u_i = v_j: redone below
         for i0 in range(0, u.size, step):
-            block = out[i0:i0 + step]
+            rows = slice(i0, i0 + step)
+            block = out[rows]
             work = scratch[:len(block)]
-            np.multiply(su[i0:i0 + step, None], cv, out=block)
-            np.multiply(cu[i0:i0 + step, None], sv, out=work)
-            block -= work
-            np.subtract(u[i0:i0 + step, None], v, out=work)
-            work *= np.pi
-            block /= work
-    # candidate near columns of row i: the sorted Re v within 2 of Re u_i,
-    # listed SINC_BLOCK at a time as positions p of one flat sequence
-    order = np.argsort(v.real, kind="stable")
-    sorted_v = v.real[order]
-    first = np.searchsorted(sorted_v, u.real - 2.0, side="right")
-    count = np.searchsorted(sorted_v, u.real + 2.0, side="left") - first
-    ends = np.cumsum(count)
-    offset = first + count - ends  # candidate p of row i is column order[p + offset[i]]
-    for p0 in range(0, int(count.sum()), SINC_BLOCK):
-        p = np.arange(p0, min(p0 + SINC_BLOCK, ends[-1]))
-        rows = np.searchsorted(ends, p, side="right")
-        cols = order[p + offset[rows]]
-        d = u[rows] - v[cols]
-        near = np.abs(d.real) < 1.0
-        out[rows[near], cols[near]] = kernel(d[near])
+            if su[rows].any():
+                np.multiply(su[rows, None], cv, out=block)
+                np.multiply(cu[rows, None], sv, out=work)
+                block -= work
+                np.subtract(u[rows, None], v, out=work)
+                work *= np.pi
+                block /= work
+            else:  # integer rows: -cos(pi u_i) = -+1 moves exactly into the denominator
+                np.subtract(u[rows, None], v, out=work)
+                work *= -np.pi * cu[rows, None]
+                np.divide(sv, work, out=block)
+    for _, _, rows, cols, d in _near_pairs(u, v):
+        out[rows, cols] = kernel(d)
     return out
 
 

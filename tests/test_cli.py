@@ -524,22 +524,21 @@ def test_reconstruct_csv_output(capsys, tmp_path):
 
 
 def test_reconstruct_csv_evaluates_once(capsys, tmp_path, monkeypatch):
-    # the report's error and the CSV rows share one 41 x 61 evaluation matrix
-    from sincstab import framekit, reconstruct
+    # the report's error and the CSV rows share one evaluation on the 41 points
+    from sincstab import reconstruct
 
-    shapes = []
+    calls = []
 
-    def counted(u, v):
-        out = specfun.sinc_matrix(u, v)
-        shapes.append(out.shape)
-        return out
+    def counted(result, grid, t_values):
+        calls.append((len(t_values), len(grid)))
+        return evaluate(result, grid, t_values)
 
-    for module in (framekit, reconstruct):
-        monkeypatch.setattr(module, "sinc_matrix", counted)
+    evaluate = reconstruct.evaluate_reconstruction
+    monkeypatch.setattr(reconstruct, "evaluate_reconstruction", counted)
     code, _, _ = run(capsys, "reconstruct", "--signal", "0.3", "--uniform-offset", "0",
                      "--N", "30", "--eval-points", "41", "--csv", str(tmp_path / "r.csv"))
     assert code == 0
-    assert shapes.count((41, 61)) == 1
+    assert calls == [(41, 61)]
 
 
 def test_reconstruct_csv_report_has_two_fields_per_row(capsys):

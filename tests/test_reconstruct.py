@@ -7,11 +7,13 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from sincstab import reconstruct
 from sincstab.framekit import TruncationWindow, gram_matrix
 from sincstab.grids import ingham_grid, power_law_grid, uniform_offset_grid
 from sincstab.reconstruct import (
     BandlimitedSignal,
     ConvergenceError,
+    ReconstructionResult,
     _conjugate_gradient,
     _smallest_ritz,
     evaluate_reconstruction,
@@ -161,6 +163,66 @@ def test_far_field_decay_envelope():
     distance = t - float(np.max(grid.nodes.real))
     envelope = float(np.sum(np.abs(result.coefficients))) / (math.pi * distance)
     assert abs(value) <= envelope
+
+
+def _evaluation_points(nodes):
+    """Points on a node, 1e-9 off one, one ulp either side of node +-1,
+    at an integer and far away."""
+    node = float(nodes.real[len(nodes) // 2 + 3])
+    edges = [node + 1.0, node - 1.0]
+    ulps = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.array([node, node + 1e-9, node - 1e-9, *edges, *ulps, 0.0, 7.0, -2.75, 250.5])
+
+
+@pytest.mark.parametrize("grid", [
+    power_law_grid(0.2, 1.0, 20, extend_nonpositive=True),
+    uniform_offset_grid([0.1 + 0.1j] * 41, (-20, 20)),
+], ids=["power-law", "complex-offset"])
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_evaluation_against_mpmath(monkeypatch, grid, block_rows):
+    # 14 points, no multiple of a 3-row block: the streamed sums with their
+    # near pairs from the kernel, against 40 digits and the kernel on every pair
+    mp = pytest.importorskip("mpmath")
+    from sincstab import specfun
+
+    if block_rows:
+        monkeypatch.setattr(specfun, "SINC_BLOCK", block_rows * len(grid))
+        monkeypatch.setattr(reconstruct, "SINC_BLOCK", block_rows * len(grid))
+    t = _evaluation_points(grid.nodes)
+    c = np.random.default_rng(5).standard_normal(len(grid))
+    result = ReconstructionResult(coefficients=c, residual_norm=0.0, solver_iterations=0)
+    values = evaluate_reconstruction(result, grid, t)
+    kernel = specfun.sinc_complex_array if grid.is_complex else specfun.sinc_array
+    bound = 1e-15 * np.sum(np.abs(c))
+    assert np.max(np.abs(values - kernel(t[:, None] - grid.nodes) @ c)) <= bound
+    with mp.workdps(40):
+        for ti, value in zip(t, values):
+            exact = mp.fsum(float(cj) * _mp_sinc(mp, ti, node) for cj, node in zip(c, grid.nodes))
+            assert abs(mp.mpc(value) - exact) <= bound, ti
+
+
+def _mp_sinc(mp, a, b):
+    """sinc(a - b) at the exact values of the doubles a and b."""
+    d = mp.mpmathify(complex(a)) - mp.mpmathify(complex(b))
+    return mp.mpf(1) if d == 0 else mp.sin(mp.pi * d) / (mp.pi * d)
+
+
+def test_evaluation_makes_no_evaluation_matrix():
+    # 4001 points on 2001 nodes: the old evaluation matrix took 64 MB
+    import tracemalloc
+
+    grid = power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True)
+    c = np.random.default_rng(6).standard_normal(len(grid))
+    result = ReconstructionResult(coefficients=c, residual_norm=0.0, solver_iterations=0)
+    t = np.linspace(-20.0, 20.0, 4001)
+    tracemalloc.start()
+    try:
+        values = evaluate_reconstruction(result, grid, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == t.shape
+    assert peak < t.size * len(grid) * 8 / 16
 
 
 def test_self_expansion_error_is_solver_limited():

@@ -158,6 +158,53 @@ def test_sinc_matrix_complex_against_mpmath():
             assert abs(mp.mpc(M[i, j]) - expected) <= 2e-15 * abs(expected)
 
 
+def test_sinc_matrix_integer_rows_against_mpmath(monkeypatch):
+    # blocks of 3 rows: all-integer blocks take the one-term fill (odd and
+    # even rows, so cos(pi u_i) is -1 and 1), and the blocks that mix
+    # integer and non-integer rows, either first, keep the rank-2 quotient
+    mp = pytest.importorskip("mpmath")
+    u = np.array([-7.0, -6.0, -5.0, 0.0, 1.0, 1.5, 2.25, 3.0, 4.0, 9.0, 10.0, 1e5 + 1.0])
+    rng = np.random.default_rng(12)
+    v = np.concatenate([rng.uniform(-12.0, 12.0, 30), [-6.0, 0.0, 3.0, 1e5 + 0.3, 1e5 - 7.6]])
+    monkeypatch.setattr(specfun, "SINC_BLOCK", 3 * v.size)
+    M = sinc_matrix(u, v)
+    Z = sinc_matrix(u, v + 0.3j)
+    with mp.workdps(40):
+        for i, j in np.ndindex(M.shape):
+            assert abs(M[i, j] - _mp_sinc(mp, u[i], v[j])) <= 1e-15, (u[i], v[j])
+            expected = _mp_sinc(mp, u[i], v[j] + 0.3j)
+            assert abs(mp.mpc(Z[i, j]) - expected) <= 2e-15 * abs(expected), (u[i], v[j])
+
+
+def _integer_row_cases():
+    from sincstab.grids import power_law_grid
+
+    power = power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True).nodes
+    k = np.arange(-1200.0, 1201.0)
+    complex_nodes = np.arange(-300.0, 301.0) + 0.1 + 0.1j
+    yield "S, real columns", k, power
+    yield "S, complex columns", k, complex_nodes
+    yield "S, complex integer rows", k.astype(np.complex128), power
+    # 1001 unmoved rows, then 1000 moved; the row block over 992..1007 mixes both
+    yield "Gram with unmoved rows", power, power
+    # 16-row blocks: rows 16..31 end in one moved row, 32..40 are all moved
+    straddling = np.arange(-20.0, 21.0) + 0.5 * (np.arange(41) > 30)
+    yield "block straddling the integer rows", straddling, power
+
+
+@pytest.mark.parametrize("name, u, v", list(_integer_row_cases()),
+                         ids=[case[0] for case in _integer_row_cases()])
+def test_sinc_matrix_integer_rows_keep_quotient_bits(name, u, v):
+    # the one-term fill equals the rank-2 quotient, and its nonzero real and
+    # imaginary parts have the same bits: only the signs of zeros may differ
+    M = sinc_matrix(u, v)
+    rank2 = _masked_sinc_matrix(u, v, one_term=False)
+    assert np.array_equal(M, rank2)
+    parts, expected = M.view(np.float64), rank2.view(np.float64)
+    nonzero = parts != 0.0
+    assert np.array_equal(parts[nonzero].view(np.int64), expected[nonzero].view(np.int64))
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (13, 5), (37, 29)])
 def test_sinc_matrix_blocks_do_not_change_values(monkeypatch, shape):
     # sizes that are no multiple of the block: a 7-entry block gives bitwise
@@ -174,9 +221,12 @@ def test_sinc_matrix_blocks_do_not_change_values(monkeypatch, shape):
     assert np.max(np.abs(sinc_matrix(u, z) - sinc_complex_array(u[:, None] - z))) <= 1e-15
 
 
-def _masked_sinc_matrix(u, v):
+def _masked_sinc_matrix(u, v, one_term=True):
     """sinc_matrix with its near pairs marked by testing every difference,
-    |Re(u_i - v_j)| < 1 on the whole matrix, instead of a binary search."""
+    |Re(u_i - v_j)| < 1 on the whole matrix, instead of a binary search.
+    With one_term, its row blocks of integer u_i take the one-term fill, as
+    sinc_matrix's do, so that the signs of exact zeros agree too; without,
+    every far entry is the rank-2 quotient."""
     u, v = np.asarray(u), np.asarray(v)
     u = u.astype(np.result_type(u, np.float64), copy=False)
     v = v.astype(np.result_type(v, np.float64), copy=False)
@@ -186,6 +236,11 @@ def _masked_sinc_matrix(u, v):
     d = u[:, None] - v
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (su[:, None] * cv - cu[:, None] * sv) / (d * np.pi)
+        step = max(1, specfun.SINC_BLOCK // max(v.size, 1))
+        for i0 in range(0, u.size, step):
+            rows = slice(i0, i0 + step)
+            if one_term and not np.any(su[rows]):
+                out[rows] = sv / (d[rows] * np.pi) * -cu[rows, None]
     near = np.abs(d.real) < 1.0
     out[near] = kernel(d[near])
     return out
@@ -242,12 +297,13 @@ def test_sinc_matrix_symmetric_up_to_signs_of_zeros():
 
 def test_sinc_matrix_clustered_nodes_in_small_chunks(monkeypatch):
     # 1500 nodes within 2 of each other make every pair a near-pair
-    # candidate; they are expanded SINC_BLOCK at a time, which changes no bit
+    # candidate; they are expanded whole rows at a time, at most SINC_BLOCK
+    # of them or one row, which changes no bit
     rng = np.random.default_rng(11)
     x = rng.uniform(-0.9, 0.9, 1500)
     monkeypatch.setattr(specfun, "SINC_BLOCK", x.size ** 2)
     whole = sinc_matrix(x, x)
-    for block in (1000, 4099):  # chunks shorter than a row, and chunks ending mid-row
+    for block in (1000, 4099):  # one row, longer than a block, and two rows per chunk
         monkeypatch.setattr(specfun, "SINC_BLOCK", block)
         assert np.array_equal(sinc_matrix(x, x).view(np.uint8), whole.view(np.uint8))
     assert np.max(np.abs(whole - sinc_array(x[:, None] - x))) <= 1e-15

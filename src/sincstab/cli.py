@@ -277,6 +277,8 @@ def _run_gram(args):
         "iterations_used": summary.iterations_used,
         "converged": summary.converged,
     }
+    if not summary.min_eigenvalue_resolved:  # the key appears only when it is false
+        results["min_eigenvalue_resolved"] = False
     return params, results, summary.converged
 
 

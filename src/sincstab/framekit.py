@@ -13,10 +13,14 @@ row of S; pairs closer than 1, found once per matrix by a search of the
 sorted nodes, evaluated directly); a matrix over
 specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
 size is allocated.  The norm holds S - I on the moved columns only.  The
-complex Gram matrix is S^H S.  riesz_bounds_estimate builds S - I, releases
-it, then builds G once and hands it back with its summary.  Eigenvalues are
-exact for a complex Gram matrix and up to DENSE_EIG_CUTOFF columns otherwise,
-from one ARPACK run above ("LA" for the norm, "BE" for a real Gram matrix).
+complex Gram matrix is the window's S^H S, assembled from that S - I and
+its (S - I)^H (S - I) instead of formed as a product, so a complex
+riesz_bounds_estimate builds S - I once for its norm and G; a real one
+builds S - I, releases it, then builds G.  Either hands G back with its
+summary.  Eigenvalues are exact for a complex Gram matrix and up to
+DENSE_EIG_CUTOFF columns otherwise, from one ARPACK run above ("LA" for the
+norm, "BE" for a real Gram matrix); a smallest Gram eigenvalue below the
+solve's resolution is reported as unresolved.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ class GramSummary:
     window: TruncationWindow
     perturbation_norm: float
     min_eigenvalue: Optional[float] = None
+    min_eigenvalue_resolved: bool = True
     max_eigenvalue: Optional[float] = None
     implied_riesz_lower: Optional[float] = None
     implied_riesz_upper: Optional[float] = None
@@ -169,6 +174,63 @@ def _extremes(n: int, dense, matvec, dtype, which: str,
     return found.tolist(), products
 
 
+def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
+                   norm: bool = True, gram: bool = False
+                   ) -> tuple[Optional[GramSummary], Optional[np.ndarray]]:
+    """perturbation_norm's summary (None unless norm) and, if gram, the
+    complex Gram matrix S^H S assembled from the same E = S - I.
+
+    E holds the moved columns; M = E^H E is formed when the norm is exact
+    or G is wanted.  S = E + P, where P has a 1 at row n of each moved
+    column n, and an unmoved column of S is the unit vector at row n.  With
+    C the rows of E at the grid indices (R those at the moved ones), S^H S
+    is I on unmoved x unmoved, C on unmoved x moved, C^H on moved x
+    unmoved and M + R + R^H + I on moved x moved: O(n^2) beyond M.  E is
+    released once C is copied, and G is built in M's buffer when every
+    column moved.
+    """
+    rows = _window_rows(grid, window)
+    moved = np.flatnonzero(grid.nodes != grid.indices)
+    top, products, G = 0.0, 0, None  # for E = 0, on which ARPACK cannot start
+    if moved.size:
+        E = sinc_matrix(rows, grid.nodes[moved])
+        E[grid.indices[moved] - window.row_range[0], np.arange(moved.size)] -= 1.0
+        M = E.conj().T @ E if gram or moved.size <= DENSE_EIG_CUTOFF else None
+        if norm:
+            # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
+            (top,), products = _extremes(
+                moved.size, lambda: M, lambda v: ((E @ v).conj() @ E).conj(),
+                E.dtype, "LA", window, seed)
+        if gram:
+            C = E[grid.indices - window.row_range[0]]
+            del E
+            R = C if moved.size == len(grid) else C[moved]
+            M += R
+            np.conjugate(R, out=R)
+            M += R.T
+            M[np.arange(moved.size), np.arange(moved.size)] += 1.0
+            del R
+            if moved.size == len(grid):
+                G = M
+            else:
+                unmoved = np.flatnonzero(grid.nodes == grid.indices)
+                G = np.zeros((len(grid), len(grid)), dtype=M.dtype)
+                G[:, moved] = C
+                np.conjugate(C, out=C)
+                G[moved] = C.T
+                G[np.ix_(moved, moved)] = M
+                G[unmoved, unmoved] = 1.0
+    elif gram:
+        G = np.eye(len(grid), dtype=np.complex128)
+    if not norm:
+        return None, G
+    norm_value = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
+    return GramSummary(window=window, perturbation_norm=norm_value,
+                       implied_riesz_lower=(1.0 - norm_value) ** 2 if norm_value < 1.0 else None,
+                       implied_riesz_upper=(1.0 + norm_value) ** 2,
+                       iterations_used=products, converged=math.isfinite(norm_value)), G
+
+
 def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
                       seed: int = 0) -> GramSummary:
     """Spectral norm of S - I on the truncation: the empirical deviation
@@ -186,21 +248,7 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    rows = _window_rows(grid, window)
-    moved = np.flatnonzero(grid.nodes != grid.indices)
-    top, products = 0.0, 0  # for E = 0, on which ARPACK cannot start
-    if moved.size:
-        E = sinc_matrix(rows, grid.nodes[moved])
-        E[grid.indices[moved] - window.row_range[0], np.arange(moved.size)] -= 1.0
-        # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
-        (top,), products = _extremes(
-            moved.size, lambda: E.conj().T @ E, lambda v: ((E @ v).conj() @ E).conj(),
-            E.dtype, "LA", window, seed)
-    norm = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
-    return GramSummary(window=window, perturbation_norm=norm,
-                       implied_riesz_lower=(1.0 - norm) ** 2 if norm < 1.0 else None,
-                       implied_riesz_upper=(1.0 + norm) ** 2,
-                       iterations_used=products, converged=math.isfinite(norm))
+    return _norm_and_gram(grid, window, seed)[0]
 
 
 def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
@@ -208,12 +256,14 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
     """Gram matrix of the grid's atoms.
 
     Real grids use the closed form G(m, n) = sinc(lambda_m - lambda_n)
-    (symmetric, unit diagonal).  Complex grids are routed to the
-    window-truncated S^H S, which converges to the Gram as the window grows.
+    (symmetric, unit diagonal).  A complex grid's is the window-truncated
+    S^H S, which converges to the Gram as the window grows; it is assembled
+    from S - I on the moved columns in O(rows m^2 + n^2) for m moved of n
+    columns, as riesz_bounds_estimate assembles it (see _norm_and_gram).
     """
     if grid.is_complex:
-        S = synthesis_matrix(grid, window).entries
-        return S.conj().T @ S
+        return _norm_and_gram(grid, window or TruncationWindow.for_grid(grid), 0,
+                              norm=False, gram=True)[1]
     return sinc_matrix(grid.nodes, grid.nodes)
 
 
@@ -222,23 +272,36 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     """Extremal eigenvalues of the truncated Gram matrix plus the bounds
     implied by the perturbation norm, and the Gram matrix itself.
 
-    S - I is released before G is built, so the two never share memory; G
-    is returned so that a caller writing it out need not build it again.
-    iterations_used counts the operator products of both eigen-solves: the
-    norm's, over the moved columns, and a real Gram matrix's, whose two
-    ends come from one ARPACK run (a complex one is solved exactly).
+    A real grid's S - I is released before G is built, so the two never
+    share memory.  A complex grid builds S - I once, for both: its norm
+    comes from E^H E exactly as perturbation_norm's does, and G is
+    assembled from E^H E and E's rows at the grid indices after E is
+    released (see _norm_and_gram).  G is returned so that a caller writing
+    it out need not build it again.  iterations_used counts the operator
+    products of both eigen-solves: the norm's, over the moved columns, and
+    a real Gram matrix's, whose two ends come from one ARPACK run (a
+    complex one is solved exactly).  A smallest eigenvalue below the
+    solve's resolution, len(G) * eps * lambda_max for eigvalsh and
+    norm_tolerance * lambda_max for ARPACK, has no reliable digit: it is
+    reported as None with min_eigenvalue_resolved False.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    summary = perturbation_norm(grid, window, seed=seed)
-    G = gram_matrix(grid, window)
-    # a complex G is S^H S, whose O(rows n^2) build (rows >= n) outweighs its
-    # eigvalsh; ARPACK's complex path is slower and stalls once |Im lambda| ~ 1
+    if grid.is_complex:
+        summary, G = _norm_and_gram(grid, window, seed, gram=True)
+    else:
+        summary, G = perturbation_norm(grid, window, seed=seed), gram_matrix(grid, window)
+    # a complex G is solved exactly at any size: ARPACK's complex path needs
+    # a run per end, is slower and stalls once |Im lambda| ~ 1
     (emin, emax), products = _extremes(G.shape[0], lambda: G,
                                        None if grid.is_complex else G.dot, G.dtype,
                                        "BE", window, seed)
+    # products is 0 exactly when eigvalsh gave the ends (ARPACK makes at least one)
+    resolution = (window.norm_tolerance if products else len(G) * np.finfo(float).eps) * emax
+    resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
     return replace(summary,
-                   min_eigenvalue=max(emin, 0.0) if math.isfinite(emin) else emin,
+                   min_eigenvalue=emin if resolved else None,
+                   min_eigenvalue_resolved=resolved,
                    max_eigenvalue=emax,
                    iterations_used=summary.iterations_used + products,
                    converged=summary.converged and math.isfinite(emin + emax)), G

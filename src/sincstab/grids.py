@@ -30,8 +30,11 @@ __all__ = [
 # By Parseval a column of S with |Im lambda| = y has squared norm at most
 # sinh(2 pi y) / (2 pi y), and the dense limit allows at most 8192 complex
 # columns, so trace(S^H S), which bounds every entry and eigenvalue of S^H S
-# and of (S - I)^H (S - I), stays finite up to y = 112.69.  At y = 100 it
-# is below DBL_MAX / 3e34, headroom for the eigen-solvers' own sums.
+# and of (S - I)^H (S - I), stays finite up to y = 112.69.  framekit
+# assembles a complex S^H S as M + R + R^H + I from M = (S - I)^H (S - I)
+# and R, rows of S - I; each term's entries are bounded by those traces or
+# by 1, so the sum stays within 4 times them.  At y = 100 the trace is
+# below DBL_MAX / 3e34, headroom for that sum and the eigen-solvers' own.
 MAX_NODE_REAL = 2.0 ** 52
 MAX_NODE_IMAG = 100.0
 

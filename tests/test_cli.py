@@ -435,7 +435,10 @@ def test_gram_accepts_nodes_at_the_bounds(capsys):
     code, out, err = run(capsys, "gram", "--power-law", "--A", "5", "--alpha", "1",
                          "--N", "6", "--format", "json")
     assert code == 0 and err == ""
-    assert 0.0 <= json.loads(out)["results"]["min_eigenvalue"] < 1e-14
+    # its smallest eigenvalue, 0 up to rounding, is below eigvalsh's
+    # resolution 6 * eps * lambda_max = 3.2e-15 (6 nodes)
+    results = json.loads(out)["results"]
+    assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
 
 
 def test_gram_dump_labels_entries_by_grid_index(capsys, tmp_path):
@@ -690,7 +693,21 @@ def test_complex_gram_with_large_imaginary_part_finishes():
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert results["converged"] is True
-    assert 0.0 <= results["min_eigenvalue"] < results["max_eigenvalue"] < math.inf
+    # ||G|| = 1.46e8, so eigvalsh resolves nothing below 901 * eps * 1.46e8
+    # = 2.9e-5: the smallest eigenvalue (about 5e-9) has no reliable digit
+    assert 1e8 < results["max_eigenvalue"] < math.inf
+    assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
+    assert results["implied_riesz_upper"] > results["max_eigenvalue"]
+
+
+def test_gram_resolved_min_eigenvalue_has_no_flag(capsys):
+    # a well-conditioned complex grid: the smallest eigenvalue is far above
+    # the resolution, so it is reported and the flag is left out
+    code, out, _ = run(capsys, "gram", "--uniform-offset", "0.1", "--imag", "0.1",
+                       "--N", "20", "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and "min_eigenvalue_resolved" not in results
+    assert 0.1 < results["min_eigenvalue"] < 1.0 < results["max_eigenvalue"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

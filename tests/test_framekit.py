@@ -139,8 +139,13 @@ def test_matrices_agree_with_direct_kernel(grid, window):
     rows = np.arange(window.row_range[0], window.row_range[1] + 1, dtype=np.float64)
     direct_S = kernel(grid.nodes[None, :] - rows[:, None])
     assert np.max(np.abs(synthesis_matrix(grid, window).entries - direct_S)) <= 1e-15
-    direct_G = (direct_S.conj().T @ direct_S if grid.is_complex
-                else sinc_array(grid.nodes[:, None] - grid.nodes[None, :]))
+    if grid.is_complex:
+        # the exact product of S's entries, summed in long double: a float
+        # S^H S is itself 1.5e-15 away from it
+        direct_S = direct_S.astype(np.clongdouble)
+        direct_G = direct_S.conj().T @ direct_S
+    else:
+        direct_G = sinc_array(grid.nodes[:, None] - grid.nodes[None, :])
     assert np.max(np.abs(gram_matrix(grid, window) - direct_G)) <= 1e-15
     t = np.linspace(-20.0, 20.0, 401)
     c = np.random.default_rng(3).standard_normal(len(grid))
@@ -367,6 +372,81 @@ def test_complex_gram_via_cross_products():
     assert perturbation_norm(grid).perturbation_norm > 1.0
 
 
+def odd_moved_grid(radius):
+    """Nodes n + 0.1 + 0.1i at odd n, unmoved integers at even n."""
+    indices = np.arange(-radius, radius + 1)
+    return PerturbedGrid(indices=indices,
+                         nodes=indices + np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0))
+
+
+COMPLEX_GRIDS = [
+    (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None),
+    (uniform_offset_grid([0.3 + 0.2j] * 101, (-50, 50)), None),
+    (odd_moved_grid(50), TruncationWindow.symmetric(500)),
+]
+COMPLEX_IDS = ["complex-offset", "offset-0.3+0.2i", "odd-moved"]
+
+
+@pytest.mark.parametrize("grid, window", COMPLEX_GRIDS, ids=COMPLEX_IDS)
+def test_complex_gram_against_long_double_product(grid, window):
+    # G is assembled from S - I, not formed as S^H S; against the product
+    # of S's own entries summed in long double it is within 1e-15, where a
+    # float S^H S is 1.3e-15 to 2.2e-15 away
+    window = window or TruncationWindow.for_grid(grid)
+    S = synthesis_matrix(grid, window).entries.astype(np.clongdouble)
+    G = gram_matrix(grid, window)
+    assert G.dtype == np.complex128 and G.shape == (len(grid), len(grid))
+    assert np.max(np.abs(G - S.conj().T @ S)) <= 1e-15
+
+
+@pytest.mark.parametrize("grid, window", COMPLEX_GRIDS, ids=COMPLEX_IDS)
+def test_riesz_bounds_returns_the_complex_gram_bitwise(grid, window):
+    # riesz_bounds_estimate assembles G from the S - I it takes the norm of,
+    # gram_matrix from an S - I of its own: the bits agree
+    summary, G = riesz_bounds_estimate(grid, window)
+    assert np.array_equal(G.view(np.uint8), gram_matrix(grid, window).view(np.uint8))
+    assert summary.min_eigenvalue == np.linalg.eigvalsh(G)[0]
+
+
+@pytest.mark.parametrize("moved", [800, 801])
+def test_complex_norm_is_perturbation_norms_bitwise(moved):
+    # riesz_bounds_estimate builds S - I once for the norm and G: on either
+    # side of the cutoff (eigvalsh of E^H E, ARPACK on E) the norm is the
+    # one perturbation_norm gives
+    grid = uniform_offset_grid([0.1 + 0.1j] * moved, (-400, moved - 401))
+    window = TruncationWindow.symmetric(400)
+    summary, _ = riesz_bounds_estimate(grid, window, seed=5)
+    alone = perturbation_norm(grid, window, seed=5)
+    assert summary.perturbation_norm == alone.perturbation_norm > 0.0
+    assert (alone.iterations_used > 0) == (moved > DENSE_EIG_CUTOFF)
+
+
+def test_complex_gram_of_unmoved_grid_is_identity():
+    # complex-typed nodes that all sit at their indices: no column moves
+    grid = PerturbedGrid(indices=np.arange(-2, 3), nodes=np.arange(-2, 3) + 0j)
+    summary, G = riesz_bounds_estimate(grid)
+    assert grid.is_complex and np.array_equal(G, np.eye(5))
+    assert summary.perturbation_norm == 0.0 and summary.min_eigenvalue == 1.0
+
+
+def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):
+    # below len(G) * eps * lambda_max (eigvalsh) or norm_tolerance *
+    # lambda_max (ARPACK, which spent products) the smallest eigenvalue
+    # has no reliable digit
+    grid = ingham_grid(4)  # 9 nodes
+    eps = np.finfo(float).eps
+    cases = [(9 * eps * 1.01, 0, True), (9 * eps * 0.99, 0, False), (-1e-16, 0, False),
+             (1.01e-10, 7, True), (0.99e-10, 7, False)]
+    for emin, products, resolved in cases:
+        monkeypatch.setattr(framekit, "_extremes",
+                            lambda n, dense, matvec, dtype, which, window, seed:
+                            ([emin, 1.0], products) if which == "BE" else ([0.25], 0))
+        summary, _ = riesz_bounds_estimate(grid)
+        assert summary.min_eigenvalue_resolved is resolved
+        assert summary.min_eigenvalue == (emin if resolved else None)
+        assert summary.converged
+
+
 def test_riesz_bounds_returns_its_gram_matrix():
     grid = ingham_grid(20)
     window = TruncationWindow.for_grid(grid)
@@ -393,6 +473,28 @@ def test_riesz_bounds_never_hold_s_and_g_together():
     assert len(grid) > DENSE_EIG_CUTOFF and G.nbytes == s_bytes
     assert summary.converged
     assert peak < 1.5 * s_bytes
+
+
+@pytest.mark.parametrize("grid, window, e_factor, g_factor", [
+    # E is 1001 x 201 and G 201^2: E's build peaks the parent and the change
+    (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None, 2.25, 1.0),
+    # E is 1001 x 500 and G 1001^2: the parent, holding S and G together,
+    # peaked at E + 2.5 G; the assembly holds E's rows, E^H E and G, E + 1.3 G
+    (odd_moved_grid(500), TruncationWindow.symmetric(500), 1.0, 2.75),
+], ids=["complex-offset", "half-moved"])
+def test_complex_riesz_bounds_peak_memory(grid, window, e_factor, g_factor):
+    window = window or TruncationWindow.for_grid(grid)
+    rows = window.row_range[1] - window.row_range[0] + 1
+    moved = int(np.count_nonzero(grid.nodes != grid.indices))
+    e_bytes, g_bytes = rows * moved * 16, len(grid) ** 2 * 16
+    tracemalloc.start()
+    try:
+        summary, G = riesz_bounds_estimate(grid, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.converged and G.nbytes == g_bytes
+    assert peak < e_factor * e_bytes + g_factor * g_bytes
 
 
 def test_riesz_bounds_unperturbed():

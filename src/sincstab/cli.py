@@ -151,8 +151,8 @@ def _resolve_grid(args) -> grids.PerturbedGrid:
                                     extend_nonpositive=args.extend_nonpositive)
     if args.ingham:
         return grids.ingham_grid(args.N)
-    offset = args.uniform_offset + 1j * args.imag if args.imag else args.uniform_offset
-    return grids.uniform_offset_grid([offset] * n, (-args.N, args.N))
+    return grids.uniform_offset_grid([args.uniform_offset + 1j * args.imag] * n,
+                                     (-args.N, args.N))
 
 
 def _resolve_window(args, grid) -> framekit.TruncationWindow:
@@ -200,18 +200,6 @@ def _run_oseen(args):
     return {}, results, True
 
 
-def _report_dict(report: bounds_mod.BoundReport) -> dict:
-    d = {
-        "bound_name": report.bound_name,
-        "lambda": report.lambda_value,
-        "threshold": report.threshold,
-        "satisfies_pw": report.satisfies_pw,
-    }
-    if report.components:
-        d.update(report.components)
-    return d
-
-
 def _run_bounds(args):
     if args.complex:
         if args.L is None:
@@ -230,8 +218,13 @@ def _run_bounds(args):
         params = {"regime": "power_law", "A": args.A, "alpha": args.alpha}
     else:
         raise ValueError("select a regime: --kadec, --complex or --power-law")
-    results = _report_dict(report)
-    results["verdict"] = "pass" if report.satisfies_pw else "fail"
+    results = {
+        "bound_name": report.bound_name,
+        "lambda": report.lambda_value,
+        "threshold": report.threshold,
+        "satisfies_pw": report.satisfies_pw,
+        "verdict": "pass" if report.satisfies_pw else "fail",
+    }
     return params, results, True
 
 
@@ -298,8 +291,11 @@ def _run_reconstruct(args):
         raise ValueError("evaluation interval must be finite")
     if max(abs(args.eval_lo), abs(args.eval_hi)) >= grids.MAX_NODE_REAL:
         raise ValueError("evaluation interval must lie inside (-2^52, 2^52), as grid nodes do")
-    # bounds the evaluation's work, one term per point and node (no matrix is made)
+    # bounds the evaluation's work, one term per point and node (no matrix is made),
+    # and the signal's points x atoms and nodes x atoms matrices
     specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
+    specfun.check_dense_size(max(args.eval_points, len(grid)), len(signal.shifts),
+                             is_complex=False)
     samples = reconstruct.sample_signal(signal, grid)
     result = reconstruct.solve_coefficients(samples, grid, window)
     t = np.linspace(args.eval_lo, args.eval_hi, args.eval_points)

@@ -5,22 +5,23 @@ of the perturbed atoms over the integer-translate basis; S - I measures the
 perturbation.  Its spectral norm on a row window is only a lower bound for
 the grid's deviation constant, so this module gives no verdict: only bounds,
 which it does not import, certifies lambda < 1.  Gram matrices and their
-extremal eigenvalues estimate the Riesz bounds.
-S and the real Gram matrix are dense, built in one pass of row blocks by
-specfun.sinc_matrix from per-node sines and cosines (a rank-2 numerator
-over pi times the node difference, one term on integer rows, so on every
-row of S; pairs closer than 1, found once per matrix by a search of the
-sorted nodes, evaluated directly); a matrix over
-specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
-size is allocated.  The norm holds S - I on the moved columns only.  The
-complex Gram matrix is the window's S^H S, assembled from that S - I and
-its (S - I)^H (S - I) instead of formed as a product, so a complex
-riesz_bounds_estimate builds S - I once for its norm and G; a real one
-builds S - I, releases it, then builds G.  Either hands G back with its
-summary.  Eigenvalues are exact for a complex Gram matrix and up to
-DENSE_EIG_CUTOFF columns otherwise, from one ARPACK run above ("LA" for the
-norm, "BE" for a real Gram matrix); a smallest Gram eigenvalue below the
-solve's resolution is reported as unresolved.
+extremal eigenvalues estimate the Riesz bounds.  A grid takes the complex
+paths below exactly when grids.PerturbedGrid has made it complex.
+S and the real Gram matrix are dense arrays (synthesis_matrix returns S
+itself), built in one pass of row blocks by specfun.sinc_matrix from
+per-node sines and cosines (a rank-2 numerator over pi times the node
+difference, one term on integer rows, so on every row of S; pairs closer
+than 1, found once per matrix by a search of the sorted nodes, evaluated
+directly); a matrix over specfun.MAX_DENSE_BYTES is refused with ValueError
+before anything of its size is allocated.  The norm holds S - I on the
+moved columns only.  The complex Gram matrix is the window's S^H S,
+assembled from that S - I and its (S - I)^H (S - I) instead of formed as a
+product, so a complex riesz_bounds_estimate builds S - I once for its norm
+and G; a real one builds S - I, releases it, then builds G.  Either hands G
+back with its summary.  Eigenvalues are exact for a complex Gram matrix and
+up to DENSE_EIG_CUTOFF columns otherwise, from one ARPACK run above ("LA"
+for the norm, "BE" for a real Gram matrix); a smallest Gram eigenvalue
+below the solve's resolution is reported as unresolved.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .specfun import SINC_BLOCK, check_dense_size, sinc_matrix
 
 __all__ = [
     "TruncationWindow",
-    "SynthesisMatrix",
     "GramSummary",
     "synthesis_matrix",
     "perturbation_norm",
@@ -92,14 +92,6 @@ class TruncationWindow:
 
 
 @dataclass(frozen=True)
-class SynthesisMatrix:
-    """Truncated synthesis matrix: entry (k, n) = sinc(lambda_n - k)."""
-
-    window: TruncationWindow
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class GramSummary:
     """Diagnostics of a truncated system: perturbation norm, extremal Gram
     eigenvalues, and the Riesz bounds they imply."""
@@ -125,18 +117,16 @@ def _window_rows(grid: PerturbedGrid, window: TruncationWindow) -> np.ndarray:
 
 
 def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
-                     ) -> SynthesisMatrix:
-    """Build the truncated synthesis matrix of a grid.
+                     ) -> np.ndarray:
+    """The truncated synthesis matrix of a grid, as sinc_matrix's array.
 
     Rows span window.row_range; columns are the grid's listed indices, which
     must lie inside it.  Real grids produce real matrices.  S(k, n) is
     built as sinc(k - lambda_n), which equals it because sinc is even.  An
     oversized S is refused before its rows are listed.
     """
-    if window is None:
-        window = TruncationWindow.for_grid(grid)
-    return SynthesisMatrix(window=window,
-                           entries=sinc_matrix(_window_rows(grid, window), grid.nodes))
+    return sinc_matrix(_window_rows(grid, window or TruncationWindow.for_grid(grid)),
+                       grid.nodes)
 
 
 def _extremes(n: int, dense, matvec, dtype, which: str,
@@ -180,7 +170,8 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
     """perturbation_norm's summary (None unless norm) and, if gram, the
     complex Gram matrix S^H S assembled from the same E = S - I.
 
-    E holds the moved columns; M = E^H E is formed when the norm is exact
+    E holds the moved columns, of which a complex grid, the only kind G is
+    asked for, has at least one; M = E^H E is formed when the norm is exact
     or G is wanted.  S = E + P, where P has a 1 at row n of each moved
     column n, and an unmoved column of S is the unit vector at row n.  With
     C the rows of E at the grid indices (R those at the moved ones), S^H S
@@ -220,8 +211,6 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
                 G[moved] = C.T
                 G[np.ix_(moved, moved)] = M
                 G[unmoved, unmoved] = 1.0
-    elif gram:
-        G = np.eye(len(grid), dtype=np.complex128)
     if not norm:
         return None, G
     norm_value = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0

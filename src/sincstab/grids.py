@@ -4,7 +4,8 @@ A grid pairs ordered integer indices n with nodes lambda_n (real or complex)
 and records nothing else.  Generators cover the power-law family lambda_n =
 n + A/n^alpha, constant offsets, the classical n +/- 1/4 counterexample
 sequence, and explicit node lists loaded from text files.  Grids are
-immutable after construction.
+immutable after construction, and PerturbedGrid alone decides whether a grid
+is complex: nodes whose imaginary parts are all 0.0 or -0.0 make a real grid.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ MAX_NODE_IMAG = 100.0
 
 @dataclass(frozen=True)
 class PerturbedGrid:
-    """A sampling set {lambda_n} aligned with an ordered integer index set."""
+    """A sampling set {lambda_n} aligned with an ordered integer index set.
+
+    nodes are complex128 if an imaginary part is nonzero, else float64 (a
+    complex node's real part, bit for bit)."""
 
     indices: np.ndarray
     nodes: np.ndarray
@@ -49,17 +53,16 @@ class PerturbedGrid:
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
         nodes = np.asarray(self.nodes)
-        if nodes.dtype.kind == "c":
-            nodes = nodes.astype(np.complex128)
-        else:
-            nodes = nodes.astype(np.float64)
+        if nodes.dtype.kind == "c" and not np.any(nodes.imag):  # 0.0 and -0.0 alike
+            nodes = nodes.real
+        nodes = nodes.astype(np.complex128 if nodes.dtype.kind == "c" else np.float64)
         if indices.ndim != 1 or nodes.shape != indices.shape:
             raise ValueError("indices and nodes must be aligned 1-d sequences")
         if indices.size == 0:
             raise ValueError("grid must contain at least one node")
         if np.unique(indices).size != indices.size:
             raise ValueError("grid indices must be distinct")
-        if not np.all(np.isfinite(nodes.view(np.float64))):
+        if not np.all(np.isfinite(nodes)):
             raise ValueError("grid nodes must be finite")
         if np.max(np.abs(nodes.real)) >= MAX_NODE_REAL:
             raise ValueError("grid nodes must satisfy |Re lambda| < 2^52, where a double "
@@ -120,7 +123,7 @@ def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
     """Grid with lambda_n = n + offset_n over an integer index range.
 
     base is an inclusive (lo, hi) pair; offsets (real or complex) must align
-    with it.  Real offsets yield a real grid.
+    with it.  Offsets with no nonzero imaginary part yield a real grid.
     """
     lo, hi = int(base[0]), int(base[1])
     if hi < lo:
@@ -131,12 +134,9 @@ def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
         raise ValueError(
             f"{offs.size} offsets do not align with {indices.size} indices"
         )
-    if not np.all(np.isfinite(offs.view(np.float64) if offs.dtype.kind == "c" else offs)):
+    if not np.all(np.isfinite(offs)):
         raise ValueError("offsets must be finite")
-    if offs.dtype.kind == "c" and not np.any(offs.imag):
-        offs = offs.real
-    nodes = indices + offs
-    return PerturbedGrid(indices=indices, nodes=nodes)
+    return PerturbedGrid(indices=indices, nodes=indices + offs)
 
 
 def ingham_grid(N: int) -> PerturbedGrid:
@@ -157,7 +157,8 @@ def grid_from_file(path) -> PerturbedGrid:
     """Load an explicit grid from a text file.
 
     One record per line: ``index<TAB>re<TAB>im`` with the imaginary part
-    optional (default 0).  ``#`` starts a comment; blank lines are skipped.
+    optional (default 0); a file whose imaginary parts are all zero gives a
+    real grid.  ``#`` starts a comment; blank lines are skipped.
     Indices must be distinct; nodes must be finite.  Parse errors report the
     offending line number.
     """
@@ -190,9 +191,7 @@ def grid_from_file(path) -> PerturbedGrid:
             values.append(complex(re, im))
     if not indices:
         raise ValueError(f"{path}: no grid records found")
-    arr = np.array(values, dtype=np.complex128)
-    nodes = arr.real if np.all(arr.imag == 0.0) else arr
-    return PerturbedGrid(indices=np.array(indices, dtype=np.int64), nodes=nodes)
+    return PerturbedGrid(indices=indices, nodes=values)
 
 
 def max_deviation(grid: PerturbedGrid) -> float:

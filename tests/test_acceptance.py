@@ -30,7 +30,7 @@ def criterion(number, label):
 
 def perturbation(grid, window):
     """S - I: the grid's synthesis matrix less 1 at row k = n of column n."""
-    E = synthesis_matrix(grid, window).entries
+    E = synthesis_matrix(grid, window)
     E[grid.indices - window.row_range[0], np.arange(len(grid))] -= 1.0
     return E
 

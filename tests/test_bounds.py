@@ -21,7 +21,7 @@ from sincstab.bounds import (
     table_rows,
 )
 from sincstab import bounds, cli
-from sincstab.grids import power_law_grid, uniform_offset_grid
+from sincstab.grids import PerturbedGrid, power_law_grid, uniform_offset_grid
 from sincstab.specfun import sinc, zeta_minus_one
 
 
@@ -81,6 +81,13 @@ def test_lemma_sum_converges_to_table_split():
     partial = lemma_sum_bound(power_law_grid(0.25, 1.0, 200_000)).lambda_value
     assert partial < table  # partial sums increase towards the series value
     assert table - partial < 2e-6
+
+
+def test_lemma_sum_of_complex_typed_real_nodes():
+    # complex-typed nodes with zero imaginary parts make a real grid
+    indices = np.arange(-50, 51)
+    typed = lemma_sum_bound(PerturbedGrid(indices=indices, nodes=indices + 0.2 + 0j))
+    assert typed == lemma_sum_bound(uniform_offset_grid([0.2] * 101, (-50, 50)))
 
 
 def test_lemma_sum_rejects_complex():
@@ -237,6 +244,12 @@ def test_series_majorant_inequality():
         assert margin >= 0
         assert (margin == 0) == (k == 1)
     assert series_majorant_margin(2) == Fraction(158, 135)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_series_majorant_margin_domain(k):
+    with pytest.raises(ValueError, match=f"k must be a positive integer, got {k}"):
+        series_majorant_margin(k)
 
 
 # ---------------------------------------------------------------------------

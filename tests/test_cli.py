@@ -160,6 +160,12 @@ def test_table_rejects_unusable_range(capsys, values):
     assert err.startswith("error: range ") and len(err.splitlines()) == 1
 
 
+def test_table_skips_empty_list_tokens(capsys):
+    code, out, err = run(capsys, "table", "--alpha", "1,", "--A", ",0.1", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "table", "--alpha", "1", "--A", "0.1", "--format", "csv")[1]
+
+
 @pytest.mark.parametrize("A", ["20", "30", "100", "1e3", "1e308"])
 def test_table_refuses_amplitudes_past_the_float_series(capsys, A):
     # past A = 10 the float series loses its digits, then its sign, then
@@ -272,6 +278,25 @@ def test_gram_grid_file(capsys, tmp_path):
     assert results["max_eigenvalue"] == pytest.approx(1.180063, abs=1e-6)
 
 
+def test_gram_of_real_nodes_is_the_same_from_every_source(capsys, tmp_path):
+    # a zero imaginary part, given or not, makes the same real grid
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"{n} {n + 0.2!r} 0.0\n" for n in range(-50, 51)),
+                    encoding="utf-8")
+    sources = [("--uniform-offset", "0.2", "--N", "50"),
+               ("--uniform-offset", "0.2", "--imag", "0", "--N", "50"),
+               ("--grid-file", str(path))]
+    reports = []
+    for i, flags in enumerate(sources):
+        dump = tmp_path / f"gram{i}.txt"
+        code, out, _ = run(capsys, "gram", *flags, "--format", "json",
+                           "--dump-matrix", str(dump))
+        assert code == 0
+        reports.append((json.loads(out)["results"], dump.read_bytes()))
+    assert reports[0][0]["gram_method"] == "analytic_sinc"
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_gram_dump_matrix(capsys, tmp_path):
     dump = tmp_path / "gram_dump.txt"
     code, _, _ = run(capsys, "gram", "--ingham", "--N", "2",
@@ -330,6 +355,27 @@ def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
 ])
 def test_gram_rejects_negative_window_and_seed(capsys, flags, message):
     code, out, err = run(capsys, "gram", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "--complex"), "--complex requires --L"),
+    (("bounds", "--kadec"), "--kadec requires --L"),
+    (("bounds", "--power-law", "--A", "0.1"), "--power-law requires --A and --alpha"),
+    (("table", "--alpha", "x"), "expected numbers or lo:hi:step ranges, got 'x'"),
+    (("table", "--alpha", "0.6:0.7"), "expected numbers or lo:hi:step ranges, got '0.6:0.7'"),
+    (("table", "--alpha", ","), "--alpha must list at least one exponent"),
+    (("table", "--alpha", "1"), "provide --A values and/or --critical"),
+    (("gram", "--power-law", "--A", "0.1", "--N", "5"),
+     "--power-law requires --A, --alpha and --N"),
+    (("gram", "--ingham"), "--ingham requires --N"),
+    (("reconstruct", "--signal", "0.3", "--uniform-offset", "0.1"),
+     "--uniform-offset requires --N"),
+])
+def test_incomplete_requests_fail_cleanly(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
@@ -407,6 +453,28 @@ def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, shape):
     assert err == (f"error: a {shape[0]} x {shape[1]} sinc matrix needs "
                    f"{shape[0] * shape[1] * 8} bytes, over the dense limit of "
                    f"{specfun.MAX_DENSE_BYTES} bytes\n")
+
+
+@pytest.mark.parametrize("flags, shape", [
+    (("--ingham", "--N", "1", "--eval-points", "10"), (10, 4)),   # points x atoms
+    (("--ingham", "--N", "1", "--eval-points", "2"), (3, 4)),     # nodes x atoms
+])
+def test_oversized_signal_fails_before_sampling(capsys, monkeypatch, flags, shape):
+    # the reference signal is evaluated densely at the points and at the
+    # nodes; a matrix over the lowered limit is refused before either
+    from sincstab import reconstruct
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("signal sampled for an oversized request")
+
+    limit = shape[0] * shape[1] * 8 - 1
+    monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", limit)
+    monkeypatch.setattr(reconstruct, "sample_signal", unreachable)
+    code, out, err = run(capsys, "reconstruct", "--signal", "0.5,1.5,2.5,3.5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: a {shape[0]} x {shape[1]} sinc matrix needs {limit + 1} bytes, "
+                   f"over the dense limit of {limit} bytes\n")
 
 
 @pytest.mark.parametrize("flags, message", [

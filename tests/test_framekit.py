@@ -35,7 +35,7 @@ def integer_grid(radius):
 
 def perturbation(grid, window):
     """S - I: the grid's synthesis matrix less 1 at row k = n of column n."""
-    E = synthesis_matrix(grid, window).entries
+    E = synthesis_matrix(grid, window)
     E[grid.indices - window.row_range[0], np.arange(len(grid))] -= 1.0
     return E
 
@@ -82,7 +82,7 @@ def test_window_must_cover_grid():
 @pytest.mark.parametrize("radius", [1, 7, 30])
 def test_unperturbed_synthesis_is_identity(radius):
     grid = integer_grid(radius)
-    S = synthesis_matrix(grid, TruncationWindow.symmetric(radius)).entries
+    S = synthesis_matrix(grid, TruncationWindow.symmetric(radius))
     assert np.array_equal(S, np.eye(2 * radius + 1))
 
 
@@ -95,7 +95,7 @@ def test_unperturbed_identity_in_tall_window():
 def test_single_node_column():
     grid = uniform_offset_grid([0.5], (0, 0))
     S = synthesis_matrix(grid, TruncationWindow(row_range=(-1, 1)))
-    column = S.entries[:, 0]
+    column = S[:, 0]
     # sinc(1.5), sinc(0.5), sinc(-0.5) = -2/(3*pi), 2/pi, 2/pi
     assert column == pytest.approx(
         [-2.0 / (3.0 * math.pi), 2.0 / math.pi, 2.0 / math.pi], abs=1e-15)
@@ -106,21 +106,21 @@ def test_ingham_column_direct_evaluation():
     window = TruncationWindow.symmetric(4)
     S = synthesis_matrix(grid, window)
     k = np.arange(-4, 5)
-    assert S.entries[:, 2] == pytest.approx(np.sinc(1.25 - k), abs=1e-15)
+    assert S[:, 2] == pytest.approx(np.sinc(1.25 - k), abs=1e-15)
 
 
 def test_real_grid_gives_real_matrix():
     S = synthesis_matrix(ingham_grid(2))
-    assert S.entries.dtype == np.float64
+    assert S.dtype == np.float64
     Sc = synthesis_matrix(uniform_offset_grid([0.1j] * 3, (-1, 1)))
-    assert Sc.entries.dtype == np.complex128
+    assert Sc.dtype == np.complex128
 
 
 def test_integer_grid_in_tall_window_is_exact():
     # 101 columns over 801 rows fill several row blocks of the builder
     grid = integer_grid(50)
     window = TruncationWindow.symmetric(400)
-    assert np.array_equal(synthesis_matrix(grid, window).entries, np.eye(801, 101, k=-350))
+    assert np.array_equal(synthesis_matrix(grid, window), np.eye(801, 101, k=-350))
     assert np.all(perturbation(grid, window) == 0.0)
 
 
@@ -138,7 +138,7 @@ def test_matrices_agree_with_direct_kernel(grid, window):
     kernel = sinc_complex_array if grid.is_complex else sinc_array
     rows = np.arange(window.row_range[0], window.row_range[1] + 1, dtype=np.float64)
     direct_S = kernel(grid.nodes[None, :] - rows[:, None])
-    assert np.max(np.abs(synthesis_matrix(grid, window).entries - direct_S)) <= 1e-15
+    assert np.max(np.abs(synthesis_matrix(grid, window) - direct_S)) <= 1e-15
     if grid.is_complex:
         # the exact product of S's entries, summed in long double: a float
         # S^H S is itself 1.5e-15 away from it
@@ -159,7 +159,7 @@ def test_matrices_agree_with_direct_kernel(grid, window):
 @pytest.mark.parametrize("radius", [50, 200, 800])
 def test_column_normalization(radius):
     grid = uniform_offset_grid([0.37, -0.2, 0.11], (-1, 1))
-    S = synthesis_matrix(grid, TruncationWindow.symmetric(radius)).entries
+    S = synthesis_matrix(grid, TruncationWindow.symmetric(radius))
     sums = np.sum(S ** 2, axis=0)
     assert np.all(sums <= 1.0 + 1e-9)
     # approaches 1 from below as the window grows: tail ~ 1/radius
@@ -353,7 +353,7 @@ def test_gram_matches_truncated_cross_products():
     errors = []
     for radius in (501, 2001, 8001):
         window = TruncationWindow(row_range=(-radius, radius))
-        S = synthesis_matrix(grid, window).entries
+        S = synthesis_matrix(grid, window)
         errors.append(float(np.max(np.abs(G - S.T @ S))))
     assert errors[0] < 3e-4
     assert errors[2] < errors[1] < errors[0]
@@ -393,7 +393,7 @@ def test_complex_gram_against_long_double_product(grid, window):
     # of S's own entries summed in long double it is within 1e-15, where a
     # float S^H S is 1.3e-15 to 2.2e-15 away
     window = window or TruncationWindow.for_grid(grid)
-    S = synthesis_matrix(grid, window).entries.astype(np.clongdouble)
+    S = synthesis_matrix(grid, window).astype(np.clongdouble)
     G = gram_matrix(grid, window)
     assert G.dtype == np.complex128 and G.shape == (len(grid), len(grid))
     assert np.max(np.abs(G - S.conj().T @ S)) <= 1e-15
@@ -421,12 +421,23 @@ def test_complex_norm_is_perturbation_norms_bitwise(moved):
     assert (alone.iterations_used > 0) == (moved > DENSE_EIG_CUTOFF)
 
 
-def test_complex_gram_of_unmoved_grid_is_identity():
-    # complex-typed nodes that all sit at their indices: no column moves
+def test_complex_typed_unmoved_grid_is_real():
+    # complex-typed nodes that all sit at their indices make a real grid,
+    # whose Gram matrix sinc(m - n) is exactly the identity
     grid = PerturbedGrid(indices=np.arange(-2, 3), nodes=np.arange(-2, 3) + 0j)
     summary, G = riesz_bounds_estimate(grid)
-    assert grid.is_complex and np.array_equal(G, np.eye(5))
+    assert not grid.is_complex and G.dtype == np.float64 and np.array_equal(G, np.eye(5))
     assert summary.perturbation_norm == 0.0 and summary.min_eigenvalue == 1.0
+
+
+def test_complex_typed_real_nodes_get_the_real_estimate():
+    # n + 0.2 + 0j is the real grid n + 0.2: its Gram matrix is the exact
+    # sinc(lambda_m - lambda_n), about I, not a window's S^H S (0.9715)
+    indices = np.arange(-50, 51)
+    typed = riesz_bounds_estimate(PerturbedGrid(indices=indices, nodes=indices + 0.2 + 0j))
+    real = riesz_bounds_estimate(PerturbedGrid(indices=indices, nodes=indices + 0.2))
+    assert typed[0] == real[0] and np.array_equal(typed[1], real[1])
+    assert typed[0].min_eigenvalue == pytest.approx(1.0, abs=1e-13)
 
 
 def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):

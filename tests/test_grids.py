@@ -152,6 +152,37 @@ def test_grid_from_file_errors(tmp_path, content, fragment):
     assert fragment in str(err.value) or "2" in str(err.value)
 
 
+@pytest.mark.parametrize("imag", [0.0, -0.0])
+def test_complex_nodes_on_the_real_axis_make_a_real_grid(tmp_path, imag):
+    # PerturbedGrid alone decides the dtype: complex nodes whose imaginary
+    # parts are all zero are stored as their real parts, -0.0 included
+    nodes = np.empty(3, dtype=np.complex128)
+    nodes.real, nodes.imag = [-1.25, -0.0, 1.5], imag
+    path = tmp_path / "grid.txt"
+    path.write_text(f"-1 -1.25 {imag!r}\n0 -0.0 {imag!r}\n1 1.5 0\n", encoding="utf-8")
+    offsets = nodes - np.arange(-1, 2)
+    for grid, real in [(PerturbedGrid(indices=[-1, 0, 1], nodes=nodes), nodes.real),
+                       (grid_from_file(path), nodes.real),
+                       (uniform_offset_grid(offsets, (-1, 1)),
+                        uniform_offset_grid(offsets.real, (-1, 1)).nodes)]:
+        assert not grid.is_complex and grid.nodes.dtype == np.float64
+        assert grid.nodes.tobytes() == real.tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PerturbedGrid(indices=[0, 1], nodes=[0.5]), "aligned 1-d sequences"),
+    (lambda: PerturbedGrid(indices=[[0]], nodes=[[0.5]]), "aligned 1-d sequences"),
+    (lambda: PerturbedGrid(indices=[], nodes=[]), "at least one node"),
+    (lambda: PerturbedGrid(indices=[0, 1], nodes=[0.5, np.nan]), "must be finite"),
+    (lambda: PerturbedGrid(indices=[0], nodes=[complex(0.5, np.inf)]), "must be finite"),
+    (lambda: uniform_offset_grid([], (1, 0)), "empty index range (1, 0)"),
+    (lambda: ingham_grid(0), "N must be a positive integer, got 0"),
+])
+def test_grid_input_checks(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 def test_duplicate_index_rejected_in_constructor():
     with pytest.raises(ValueError):
         PerturbedGrid(indices=np.array([1, 1]), nodes=np.array([1.0, 1.5]))

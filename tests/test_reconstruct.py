@@ -132,6 +132,28 @@ def test_solver_misalignment_rejected():
         solve_coefficients([1.0, 2.0], grid)
 
 
+def test_zero_samples_solve_to_zero_without_iterating():
+    grid = power_law_grid(0.2, 1.0, 5)
+    result = solve_coefficients(np.zeros(5), grid)
+    assert np.array_equal(result.coefficients, np.zeros(5))
+    assert result.residual_norm == 0.0 and result.solver_iterations == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_coefficients([1.0] * 3, uniform_offset_grid([0.1j] * 3, (-1, 1))),
+     "reconstruction is implemented for real grids only"),
+    (lambda: evaluate_reconstruction(ReconstructionResult(np.ones(3), 0.0, 0),
+                                     integer_grid(1), [0.5, np.nan]),
+     "evaluation points must be finite"),
+    (lambda: evaluate_reconstruction(ReconstructionResult(np.ones(3), 0.0, 0),
+                                     integer_grid(1), [-np.inf]),
+     "evaluation points must be finite"),
+])
+def test_reconstruct_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_solver_nonconvergence_reports_diagnostics():
     grid = ingham_grid(32)
     samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)

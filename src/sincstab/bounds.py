@@ -37,7 +37,7 @@ __all__ = [
 
 KADEC_EDGE = 0.25
 SERIES_TOL = 1e-13  # alternating series stop: tail bounded by first omitted term
-CRITICAL_TOL = 1e-6  # A* bisection stop: bracket width relative to its upper end
+CRITICAL_TOL = 2.0 * sys.float_info.epsilon  # A* stop on |lambda - 1|: 2 ulps above 1, 4 below
 LOG_DBL_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
 
 # Largest amplitude of the split estimate.  Its series lambda2 alternates, so
@@ -276,12 +276,13 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
     The series sums to lambda(A) = 2 sum_{n>=1} (1 - sinc(A/n^alpha)), and
     sinc decreases on [0, 1.43], so lambda increases in A on [0, 0.61], from
     lambda(0) = 0 to lambda(0.61) >= lambda1(0.61) = 1.018 at every exponent.
-    A* is bisected on that bracket until it is narrower than CRITICAL_TOL
-    times its upper end, and is its midpoint.  Each 1 - sinc term grows no
-    faster than A^2 there, so the critical row has |lambda - 1| <= about
-    CRITICAL_TOL at any exponent, however close to 1/2.  The bisection takes
-    log2(0.61/(CRITICAL_TOL A*)) series evaluations, rounded up: 21 at
-    alpha = 1, 47 at the smallest exponent above 1/2.
+    A* is found on that bracket by a secant on h(A) = sqrt(lambda) - 1, close
+    to linear since lambda grows like A^2, from h(0) = -1 and a probe at 0.3.
+    A secant point outside the bracket, or a step not under half the last
+    one, is replaced by the midpoint (Dekker's and Brent's safeguard).  The
+    search stops at |lambda - 1| <= CRITICAL_TOL or a 4-ulp bracket, and its
+    last evaluation is the critical row: 3 series evaluations just above
+    alpha = 1/2, 6 at alpha = 1, 7 at 50 and at 1e308.
     """
     alpha = float(alpha_exponent)
     _check_exponent(alpha)
@@ -289,26 +290,33 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
     for A in amplitudes:
         _check_table_amplitude(A)
     series = _lambda_series(alpha)
+    rows = [(A, *series(A)) for A in amplitudes]
     if critical:
         lo, hi = 0.0, 0.61
-        while hi - lo >= CRITICAL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if sum(series(mid)) < 1.0:
-                lo = mid
+        a, ha, b = 0.0, -1.0, 0.3  # h(0) = -1: lambda(0) = 0
+        step = hi - lo
+        while True:
+            lambda1, lambda2 = series(b)
+            lam = lambda1 + lambda2
+            if lam < 1.0:
+                lo = b
             else:
-                hi = mid
-        amplitudes.append(0.5 * (lo + hi))
-    reports = []
-    for A in amplitudes:
-        lambda1, lambda2 = series(A)
-        reports.append(BoundReport(
-            bound_name="table_lambda",
-            inputs={"A": A, "alpha_exponent": alpha},
-            lambda_value=lambda1 + lambda2,
-            threshold=None,
-            components={"lambda1": lambda1, "lambda2": lambda2},
-        ))
-    return reports
+                hi = b
+            if abs(lam - 1.0) <= CRITICAL_TOL or hi - lo <= 4.0 * math.ulp(hi):
+                break
+            hb = math.sqrt(lam) - 1.0
+            x = b - hb * (b - a) / (hb - ha) if hb != ha else hi  # hi: bisect
+            if not (lo < x < hi and abs(x - b) < 0.5 * abs(step)):
+                x = 0.5 * (lo + hi)
+            a, ha, b, step = b, hb, x, x - b
+        rows.append((b, lambda1, lambda2))
+    return [BoundReport(
+        bound_name="table_lambda",
+        inputs={"A": A, "alpha_exponent": alpha},
+        lambda_value=lambda1 + lambda2,
+        threshold=None,
+        components={"lambda1": lambda1, "lambda2": lambda2},
+    ) for A, lambda1, lambda2 in rows]
 
 
 def series_majorant_margin(k: int) -> Fraction:

@@ -291,8 +291,8 @@ def _run_reconstruct(args):
         raise ValueError("evaluation interval must be finite")
     if max(abs(args.eval_lo), abs(args.eval_hi)) >= grids.MAX_NODE_REAL:
         raise ValueError("evaluation interval must lie inside (-2^52, 2^52), as grid nodes do")
-    # bounds the evaluation's work, one term per point and node (no matrix is made),
-    # and the signal's points x atoms and nodes x atoms matrices
+    # bounds the evaluation's work, one term per point and node, and the signal's
+    # points x atoms and nodes x atoms terms (no matrix is made for either)
     specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
     specfun.check_dense_size(max(args.eval_points, len(grid)), len(signal.shifts),
                              is_complex=False)

@@ -159,8 +159,8 @@ def grid_from_file(path) -> PerturbedGrid:
     One record per line: ``index<TAB>re<TAB>im`` with the imaginary part
     optional (default 0); a file whose imaginary parts are all zero gives a
     real grid.  ``#`` starts a comment; blank lines are skipped.
-    Indices must be distinct; nodes must be finite.  Parse errors report the
-    offending line number.
+    Indices must be distinct and below 2^52 in size; nodes must be finite.
+    Parse errors report the offending line number.
     """
     path = Path(path)
     indices: list[int] = []
@@ -182,6 +182,8 @@ def grid_from_file(path) -> PerturbedGrid:
                 im = float(parts[2]) if len(parts) == 3 else 0.0
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if abs(n) >= MAX_NODE_REAL:  # also keeps n inside int64
+                raise ValueError(f"{path}:{lineno}: index {n} is outside |n| < 2^52")
             if n in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate index {n}")
             if not (np.isfinite(re) and np.isfinite(im)):

@@ -84,8 +84,15 @@ class BandlimitedSignal:
         object.__setattr__(self, "weights", weights)
 
     def __call__(self, t) -> np.ndarray:
+        """f at each point of t, from SINC_BLOCK sinc terms at a time."""
         t = np.asarray(t, dtype=np.float64)
-        return sinc_array(t[..., None] - self.shifts) @ self.weights
+        flat = t.reshape(-1)
+        out = np.empty(flat.size)
+        step = max(1, SINC_BLOCK // self.shifts.size)
+        for i0 in range(0, flat.size, step):
+            block = flat[i0:i0 + step, None] - self.shifts
+            out[i0:i0 + step] = sinc_array(block) @ self.weights
+        return out.reshape(t.shape)
 
 
 @dataclass(frozen=True)

@@ -420,16 +420,33 @@ def test_critical_amplitude_computes_each_zeta_weight_once(monkeypatch):
     assert len(calls) <= 10  # one per series term, not one per term per evaluation
     assert len(set(calls)) == len(calls)
     monkeypatch.undo()
-    # the same bisection written over the public table_lambda
-    f = lambda A: table_lambda(A, 1.0).lambda_value - 1.0
-    lo, hi = 0.0, 0.61
-    while hi - lo >= 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    assert a_star == 0.5 * (lo + hi)
+    assert a_star == pytest.approx(_mp_critical_amplitude(1.0), rel=1e-12)
+
+
+def _mp_critical_amplitude(alpha):
+    """A* from the split series in 30-digit mpmath, zeta(s, 2) = zeta(s) - 1."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+
+        def excess(A):  # lambda(A) - 1
+            x = mp.pi * A
+            total, l = 1 - 2 * mp.sin(x) / x, 1
+            while True:
+                term = (2 * (-1) ** (l + 1) * x ** (2 * l) / mp.factorial(2 * l + 1)
+                        * mp.zeta(2 * l * a, 2))
+                total += term
+                if abs(term) < mp.mpf(10) ** -35:
+                    return total
+                l += 1
+
+        return float(mp.findroot(excess, (mp.mpf("0.01"), mp.mpf("0.61")),
+                                 solver="anderson"))
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0, 2.0, 50.0])
+def test_critical_amplitude_matches_mpmath(alpha):
+    assert critical_A(alpha) == pytest.approx(_mp_critical_amplitude(alpha), rel=1e-12)
 
 
 @pytest.mark.parametrize("alphas", [
@@ -437,15 +454,15 @@ def test_critical_amplitude_computes_each_zeta_weight_once(monkeypatch):
     [0.55], [1.0], [50.0], [1e308], [0.55 + 0.0025 * i for i in range(181)],
 ], ids=lambda alphas: f"{len(alphas)}-exponents" if len(alphas) > 1 else repr(alphas[0]))
 def test_critical_row_is_at_lambda_one(alphas):
-    # the bisection is relative, so the root holds at every exponent,
-    # however close to 1/2
+    # the search stops on |lambda - 1| itself, so the root holds at every
+    # exponent, however close to 1/2
     for alpha in alphas:
         row = table_rows(alpha, [], critical=True)[0]
-        assert abs(row.lambda_value - 1.0) <= 1e-6, alpha
+        assert abs(row.lambda_value - 1.0) <= 1e-12, alpha
         assert 0.0 < row.inputs["A"] < 0.61
 
 
-@pytest.mark.parametrize("alpha", [0.55, 1.0, 50.0])
+@pytest.mark.parametrize("alpha", [math.nextafter(0.5, 1.0), 0.55, 1.0, 50.0, 1e308])
 def test_critical_amplitude_series_evaluations(monkeypatch, alpha):
     evaluations = []
     make_series = bounds._lambda_series
@@ -461,7 +478,26 @@ def test_critical_amplitude_series_evaluations(monkeypatch, alpha):
 
     monkeypatch.setattr(bounds, "_lambda_series", counting_series)
     critical_A(alpha)
-    assert len(evaluations) <= 25
+    assert len(evaluations) <= 8
+
+
+def test_critical_search_falls_back_to_bisection(monkeypatch):
+    # a jump of lambda from 0 to 2 at A = 0.4 stalls the secant, so the
+    # midpoints pin the jump to a 4-ulp bracket in about bisection's
+    # log2(0.61 / (4 ulp(0.4))) = 52 evaluations
+    evaluations = []
+
+    def step_series(alpha):
+        def evaluate(A):
+            evaluations.append(A)
+            return (0.0 if A < 0.4 else 2.0), 0.0
+
+        return evaluate
+
+    monkeypatch.setattr(bounds, "_lambda_series", step_series)
+    a_star = critical_A(1.0)
+    assert 0.4 <= a_star <= 0.4 + 4 * math.ulp(0.4)
+    assert len(evaluations) <= 56
 
 
 @pytest.mark.parametrize("alpha", [0.55, 1.0, 7.5])

@@ -460,8 +460,9 @@ def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, shape):
     (("--ingham", "--N", "1", "--eval-points", "2"), (3, 4)),     # nodes x atoms
 ])
 def test_oversized_signal_fails_before_sampling(capsys, monkeypatch, flags, shape):
-    # the reference signal is evaluated densely at the points and at the
-    # nodes; a matrix over the lowered limit is refused before either
+    # the reference signal's terms at the points and at the nodes are bounded
+    # as a dense matrix would be; a request over the lowered limit is refused
+    # before either is evaluated
     from sincstab import reconstruct
 
     def unreachable(*args, **kwargs):
@@ -730,6 +731,17 @@ def test_missing_paths_fail_cleanly(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
     assert code == 1
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_grid_file_index_beyond_node_range_fails_cleanly(capsys, tmp_path):
+    # int64 holds it no more than a double resolves a node there
+    path = tmp_path / "grid.txt"
+    path.write_text("0 0.1\n100000000000000000000 1.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "gram", "--grid-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}:2: index 100000000000000000000 ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, signal", [("gram", ()),

@@ -142,6 +142,7 @@ def test_grid_from_file_real_when_imag_absent(tmp_path):
     ("1\t1.0\n2\tinf\n", "non-finite"),
     ("1\t1.0\nnot a row\n", "line"),
     ("1\n", "expected"),
+    ("1\t1.0\n-4503599627370496\t0.5\n", ":2: index -4503599627370496 is outside"),
     ("", "no grid records"),
 ])
 def test_grid_from_file_errors(tmp_path, content, fragment):

@@ -48,6 +48,30 @@ def test_signal_evaluation():
     assert combo(t) == pytest.approx(expected, abs=1e-15)
 
 
+def test_signal_evaluation_makes_no_points_by_atoms_matrix():
+    # the one-piece evaluation of 20001 points on 200 atoms peaked at 128 MB,
+    # four times its 32 MB matrix; in blocks it stays near the output's size
+    import tracemalloc
+
+    from sincstab.specfun import SINC_BLOCK, sinc_array
+
+    rng = np.random.default_rng(7)
+    sig = BandlimitedSignal(rng.uniform(-50.0, 50.0, 200), rng.standard_normal(200))
+    t = np.linspace(-60.0, 60.0, 20001)
+    tracemalloc.start()
+    try:
+        values = sig(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes + 8 * SINC_BLOCK * 8  # the output and 8 block temporaries
+    dense = sinc_array(t[:, None] - sig.shifts) @ sig.weights
+    # |f| <= sum |c_j|, so this is 1e-15 relative to the signal's scale
+    np.testing.assert_allclose(values, dense, rtol=0.0,
+                               atol=1e-15 * np.abs(sig.weights).sum())
+    assert sig(t.reshape(3, 6667)).shape == (3, 6667)
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         BandlimitedSignal(shifts=np.array([0.0]), weights=np.array([1.0, 2.0]))

@@ -4,8 +4,8 @@ Every estimator returns a :class:`BoundReport` whose ``lambda_value`` is an
 upper bound for the relative-deviation constant of the perturbed system; the
 system is certified as a Riesz basis when that constant is below 1, as every
 report's ``satisfies_pw`` says.  Reports never raise on a violated bound;
-exceptions are for domain errors.  Only lemma_sum_bound, which sums over a
-grid, uses numpy; the other estimators need the standard library alone.
+exceptions are for domain errors.  The module needs the standard library
+alone: lemma_sum_bound and the split table both sum specfun.column_energy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .specfun import lamb_oseen_alpha, riemann_zeta, sinc, sinc_array, zeta_minus_one
+from .specfun import column_energy, lamb_oseen_alpha, riemann_zeta, zeta_minus_one
 
 if TYPE_CHECKING:
     from .grids import PerturbedGrid
@@ -40,21 +40,7 @@ SERIES_TOL = 1e-13  # alternating series stop: tail bounded by first omitted ter
 CRITICAL_TOL = 2.0 * sys.float_info.epsilon  # A* stop on |lambda - 1|: 2 ulps above 1, 4 below
 LOG_DBL_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
 
-# Largest amplitude of the split estimate.  Its series lambda2 alternates, so
-# a float sum loses about log10(S/lambda2) digits, S the sum of its terms'
-# sizes.  Expanding zeta(2l alpha) - 1 = sum_{n>=2} n^(-2l alpha), with
-# x_n = pi A/n^alpha, gives S = 2 sum_{n>=2} (sinh(x_n)/x_n - 1) and
-# lambda2 = 2 sum_{n>=2} (1 - sin(x_n)/x_n).  The ratio of the n-th parts,
-# r(x) = (sinh x/x - 1)/(1 - sin x/x), grows with x, so S/lambda2 <= r(x_2),
-# and x_2 = pi A/2^alpha < pi A/sqrt(2) for every alpha > 1/2.  The relative
-# rounding error is thus about eps r(pi A/sqrt(2)): 2.2e-8 at A = 10 and
-# 1.8e-7 at A = 11, so 10 is the largest whole amplitude that keeps 7
-# digits at every exponent (against mpmath it is below 2e-12 at alpha =
-# 0.55, 1 and 2).  Past it the sum drifts (1.3e-3 off at A = 20, alpha =
-# 0.55), turns negative (A = 30, alpha = 1), and is nan where (pi A)^(2l)
-# overflows before the terms fall below SERIES_TOL (A = 30 at alpha = 0.55,
-# A = 100 at alpha = 1).
-MAX_TABLE_AMPLITUDE = 10.0
+MAX_TABLE_AMPLITUDE = 10.0  # largest split-table A; its head has N0 <= 246 terms
 
 
 @dataclass(frozen=True)
@@ -107,18 +93,14 @@ def lemma_sum_bound(grid: PerturbedGrid) -> BoundReport:
 
     Stated for real grids only; unperturbed indices contribute exactly 0.
     """
-    import numpy as np
-
     from .grids import max_deviation
 
     if grid.is_complex:
         raise ValueError("the sum bound applies to real grids only")
-    lam = 2.0 * float(np.sum(1.0 - sinc_array(grid.nodes - grid.indices)))
-    lam = max(lam, 0.0)
     return BoundReport(
         bound_name="lemma_sum",
         inputs={"nodes": len(grid), "max_deviation": max_deviation(grid)},
-        lambda_value=lam,
+        lambda_value=math.fsum(map(column_energy, grid.nodes - grid.indices)),
         threshold=None,
     )
 
@@ -201,31 +183,35 @@ def complex_master(L: float) -> BoundReport:
 def _lambda_series(alpha: float):
     """The split estimate at one exponent, as a function A -> (lambda1, lambda2).
 
-    The zeta weight zeta(2*l*alpha) - 1 of term l does not depend on A, so it
-    is computed once, on first use, and kept in a list that lives as long as
-    the returned function.  The alternating series is summed until the next
-    term falls below SERIES_TOL (at most 199 terms).
+    lambda1 = column_energy(A); lambda2 = sum_{2<=n<=N0} column_energy(A/n^alpha)
+    + 2 sum_l (-1)^(l+1) (pi*A)^(2l)/(2l+1)! * w_l, w_l = sum_{n>N0} n^(-2*l*alpha).
+    N0, the least n >= 1 with pi*A/(n+1)^alpha <= 2, caps the series' cancellation
+    at r(2) = (sinh 2/2 - 1)/(1 - sin 2/2) = 1.49; N0 = 1 at A <= 2/pi, where w_l =
+    zeta(2*l*alpha) - 1.  Each w_l is computed once per N0, on first use.
     """
-    weights: list[float] = []
+    weights: dict[int, list[float]] = {}
 
     def evaluate(A: float) -> tuple[float, float]:
-        lambda1 = 2.0 * (1.0 - sinc(A))
+        n0, lambda2 = 1, 0.0
+        if math.pi * A > 2.0:  # else N0 = 1 at every alpha
+            n0 = max(1, math.ceil((math.pi * A / 2.0) ** (1.0 / alpha)) - 1)
+            lambda2 = math.fsum(column_energy(A * n ** -alpha) for n in range(2, n0 + 1))
+        tail = weights.setdefault(n0, [])
         piA2 = (math.pi * A) ** 2
-        lambda2 = 0.0
         power = piA2  # (pi*A)^(2l)
         fact = 6.0   # (2l+1)!
         sign = 1.0
         for l in range(1, 200):
-            if l > len(weights):
-                weights.append(zeta_minus_one(2.0 * l * alpha))
-            term = 2.0 * sign * power / fact * weights[l - 1]
+            if l > len(tail):
+                tail.append(zeta_minus_one(2.0 * l * alpha, n0 + 1))
+            term = 2.0 * sign * power / fact * tail[l - 1]
             lambda2 += term
             if abs(term) < SERIES_TOL:
                 break
             power *= piA2
             fact *= (2.0 * l + 2.0) * (2.0 * l + 3.0)
             sign = -sign
-        return lambda1, lambda2
+        return column_energy(A), lambda2
 
     return evaluate
 
@@ -240,21 +226,14 @@ def _check_amplitude(A: float) -> None:
         raise ValueError(f"amplitude must satisfy A > 0, got {A!r}")
 
 
-def _check_table_amplitude(A: float) -> None:
-    _check_amplitude(A)
-    if A > MAX_TABLE_AMPLITUDE:
-        raise ValueError(f"the split estimate keeps its digits only for A <= "
-                         f"{MAX_TABLE_AMPLITUDE:g}, got {A!r}")
-
-
 def table_lambda(A: float, alpha_exponent: float) -> BoundReport:
     """Split estimate lambda = lambda1 + lambda2 for power-law grids.
 
-    lambda1 = 2*(1 - sinc(A)) collects the n = 1 contribution with zeta
-    replaced by 1; lambda2 = 2*sum_l (-1)^(l+1) (pi*A)^(2l)/(2l+1)! *
-    [zeta(2*l*alpha) - 1] carries the remaining zeta weight.  The alternating
-    series is summed until the next term falls below 1e-13.  A may not exceed
-    MAX_TABLE_AMPLITUDE, past which the float sum loses its digits.
+    lambda = 2 sum_{n>=1} (1 - sinc(A/n^alpha)) is ||S - I||_HS^2 over every
+    column n >= 1 of the power-law grid, lemma_sum_bound over listed columns;
+    the certificate 2*sqrt(2)*(pi*A)^2*zeta(2*alpha) is 6*sqrt(2) times its
+    quadratic bound (pi*A)^2*zeta(2*alpha)/3.  lambda1 is the n = 1 term and
+    lambda2 the rest.  A may not exceed MAX_TABLE_AMPLITUDE.
     """
     return table_rows(alpha_exponent, [A])[0]
 
@@ -270,12 +249,11 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
     """table_lambda(A, alpha) for each amplitude, followed, when critical is
     set, by the report at the critical amplitude A*, the root of lambda = 1.
 
-    Every row and the root are evaluated on one _lambda_series, so each zeta
-    weight of the exponent is computed once for the whole list.
+    All rows share one _lambda_series, so each weight is computed once.
 
-    The series sums to lambda(A) = 2 sum_{n>=1} (1 - sinc(A/n^alpha)), and
-    sinc decreases on [0, 1.43], so lambda increases in A on [0, 0.61], from
-    lambda(0) = 0 to lambda(0.61) >= lambda1(0.61) = 1.018 at every exponent.
+    Every term of lambda(A) = 2 sum_{n>=1} (1 - sinc(A/n^alpha)) grows with A
+    on [0, 0.61] (sinc decreases on [0, 1.43]), so lambda rises from 0 to
+    lambda(0.61) >= lambda1(0.61) = 1.018 at every exponent.
     A* is found on that bracket by a secant on h(A) = sqrt(lambda) - 1, close
     to linear since lambda grows like A^2, from h(0) = -1 and a probe at 0.3.
     A secant point outside the bracket, or a step not under half the last
@@ -288,7 +266,9 @@ def table_rows(alpha_exponent: float, amplitudes, critical: bool = False
     _check_exponent(alpha)
     amplitudes = [float(A) for A in amplitudes]
     for A in amplitudes:
-        _check_table_amplitude(A)
+        _check_amplitude(A)
+        if A > MAX_TABLE_AMPLITUDE:
+            raise ValueError(f"the split estimate takes A <= {MAX_TABLE_AMPLITUDE:g}, got {A!r}")
     series = _lambda_series(alpha)
     rows = [(A, *series(A)) for A in amplitudes]
     if critical:

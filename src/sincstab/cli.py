@@ -291,11 +291,13 @@ def _run_reconstruct(args):
         raise ValueError("evaluation interval must be finite")
     if max(abs(args.eval_lo), abs(args.eval_hi)) >= grids.MAX_NODE_REAL:
         raise ValueError("evaluation interval must lie inside (-2^52, 2^52), as grid nodes do")
-    # bounds the evaluation's work, one term per point and node, and the signal's
-    # points x atoms and nodes x atoms terms (no matrix is made for either)
-    specfun.check_dense_size(args.eval_points, len(grid), is_complex=False)
-    specfun.check_dense_size(max(args.eval_points, len(grid)), len(signal.shifts),
-                             is_complex=False)
+    # no matrix is made, but each count of terms is bounded as a real matrix's entries
+    p, n, a = args.eval_points, len(grid), len(signal.shifts)
+    limit = specfun.MAX_DENSE_BYTES // 8
+    for work, terms in ((f"{p} points x {n} nodes", p * n), (f"{p} points x {a} atoms", p * a),
+                        (f"{n} nodes x {a} atoms", n * a)):
+        if terms > limit:
+            raise ValueError(f"{work} = {terms} terms, over the limit of {limit} terms")
     samples = reconstruct.sample_signal(signal, grid)
     result = reconstruct.solve_coefficients(samples, grid, window)
     t = np.linspace(args.eval_lo, args.eval_hi, args.eval_points)

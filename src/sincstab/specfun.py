@@ -1,13 +1,12 @@
 """Scalar special functions used throughout the package.
 
-Normalized sinc (real and complex) and the dense matrix sinc(u_i - v_j), the
-two real branches of the Lambert W function on [-1/e, 0), the Lamb-Oseen
-constant, and the Riemann zeta function for real argument s > 1.  The scalar
-functions return plain floats; sinc_matrix fills rows at integer nodes with
-one term, and finds its near pairs by one search of the sorted nodes, which
-reconstruct's evaluation shares.  All are pure and thread-safe.  The scalar
-functions use only the standard library; the array functions import numpy
-when they run, so the closed-form thresholds need no numpy.
+Normalized sinc (real and complex), the column energy 2(1 - sinc x), the
+dense matrix sinc(u_i - v_j), the real branches of Lambert W on [-1/e, 0), the
+Lamb-Oseen constant, and Riemann zeta for real s > 1.  sinc_matrix fills rows
+at integer nodes with one term, and finds its near pairs by one search of the
+sorted nodes, which reconstruct's evaluation shares.  All are pure and
+thread-safe.  The scalar functions return floats and use only the standard
+library; the array functions import numpy when they run.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "sinc",
+    "column_energy",
     "sinc_array",
     "sinc_complex_array",
     "sinc_matrix",
@@ -59,6 +59,24 @@ def sinc(x: float) -> float:
         return 1.0 if x == 0.0 else 0.0
     px = math.pi * x
     return math.sin(px) / px
+
+
+# c_7..c_1 of 2(y - sin y)/y = sum_k c_k y^(2k); c_8 adds 1.1e-18 relative at |y| = 0.5
+_ENERGY_COEFFS = [(-1) ** (k + 1) * 2.0 / math.factorial(2 * k + 1) for k in range(7, 0, -1)]
+
+
+def column_energy(x: float) -> float:
+    """2*(1 - sinc(x)), the squared norm of a column of S - I whose node moved
+    by the real x.  Below |pi*x| = 0.5, where the difference cancels, it is the
+    Taylor series in y = pi*x, so it keeps its relative accuracy as x -> 0."""
+    y = math.pi * float(x)
+    if abs(y) < 0.5:
+        y2 = y * y
+        total = 0.0
+        for c in _ENERGY_COEFFS:
+            total = total * y2 + c
+        return total * y2
+    return 2.0 * (1.0 - sinc(x))
 
 
 def _sinc_kernel(x: np.ndarray) -> np.ndarray:
@@ -261,15 +279,15 @@ _B2K = [
 ]
 # B_{2k} / (2k)! as floats.
 _EM_COEFFS = [float(b / math.factorial(2 * (k + 1))) for k, b in enumerate(_B2K)]
-_EM_HEAD = 24  # head length; keeps the asymptotic-series remainder < 1e-14
+_EM_HEAD = 22  # explicit head terms; keep the asymptotic-series remainder < 1e-14
 
 
-def zeta_minus_one(s: float) -> float:
-    """zeta(s) - 1 for real s > 1 (0 at s = inf), computed without
-    cancellation near 1.
+def zeta_minus_one(s: float, start: int = 2) -> float:
+    """zeta(s) - 1 = sum_{n>=2} n^-s for real s > 1 (0 at s = inf), or the
+    tail sum_{n>=start} n^-s from any start >= 2, without cancellation near 1.
 
-    Euler-Maclaurin summation: an explicit head of length 24 plus the
-    integral term, the half-sample correction and Bernoulli corrections.
+    Euler-Maclaurin summation: an explicit head of 22 terms from start plus
+    the integral term, the half-sample correction and Bernoulli corrections.
     The series is alternating-asymptotic; summation stops at the smallest
     term, whose size bounds the remainder (well below 1e-14 here).
     """
@@ -278,9 +296,9 @@ def zeta_minus_one(s: float) -> float:
         return 0.0  # the limit, already reached at every finite s >= 1076
     if not math.isfinite(s) or s <= 1.0:
         raise ValueError(f"zeta is only evaluated for real s > 1, got {s!r}")
-    n = _EM_HEAD
+    n = start + _EM_HEAD
     head = 0.0
-    for k in range(2, n):
+    for k in range(start, n):
         head += k ** -s
     tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** -s
     power = n ** (-s - 1.0)  # n^{1-s-2k} at k = 1
@@ -293,7 +311,7 @@ def zeta_minus_one(s: float) -> float:
             break  # asymptotic series turned; stop at the smallest term
         corr += term
         prev = abs(term)
-        if abs(term) < 1e-18 * (abs(head + tail) + 1e-30):
+        if abs(term) <= 1e-18 * abs(head + tail):
             break
         power /= n * n
         poch *= (s + 2 * k - 1) * (s + 2 * k)

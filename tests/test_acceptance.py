@@ -103,6 +103,8 @@ def test_criterion_04_table_two_reproduction():
 
 
 def test_criterion_05_deviation_sum_dominance():
+    # ||S - I||^2 <= ||S - I||_HS^2, which lemma_sum_bound sums over the listed
+    # columns (tests/test_bounds.py::test_table_is_the_deviation_sum_plus_its_tail)
     with criterion(5, "deviation-sum dominance"):
         start = time.perf_counter()
         window = TruncationWindow.symmetric(1000)

@@ -22,7 +22,7 @@ from sincstab.bounds import (
 )
 from sincstab import bounds, cli
 from sincstab.grids import PerturbedGrid, power_law_grid, uniform_offset_grid
-from sincstab.specfun import sinc, zeta_minus_one
+from sincstab.specfun import column_energy, zeta_minus_one
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,8 @@ def test_lemma_sum_single_node():
 
 
 def test_lemma_sum_converges_to_table_split():
-    # the infinite deviation sum at alpha = 1 equals lambda1 + lambda2
+    # the infinite deviation sum at alpha = 1 equals lambda1 + lambda2; this
+    # rests on the identity test_table_is_the_deviation_sum_plus_its_tail checks
     table = table_lambda(0.25, 1.0).lambda_value
     partial = lemma_sum_bound(power_law_grid(0.25, 1.0, 200_000)).lambda_value
     assert partial < table  # partial sums increase towards the series value
@@ -314,20 +315,81 @@ def test_table_domain():
             table_rows(1.0, [0.25, A])
 
 
-def test_table_amplitude_limit_derivation():
-    # the float sum of lambda2 loses digits at most by the factor
-    # r(pi A/sqrt(2)) (derived at MAX_TABLE_AMPLITUDE); 10 is the largest
-    # whole amplitude where eps r stays below 1e-7
-    def r(x):
-        return (math.sinh(x) / x - 1.0) / (1.0 - math.sin(x) / x)
+def _mp_deviation_tail(A, alpha, N, mp):
+    """2 sum_{n>N} (1 - sinc(A/n^alpha)), exactly: the sine series of each
+    term summed over n first, as Hurwitz zeta values zeta(2*l*alpha, N + 1)."""
+    x, a = mp.pi * mp.mpf(A), mp.mpf(alpha)
+    total, l = mp.mpf(0), 1
+    while True:
+        term = (2 * (-1) ** (l + 1) * x ** (2 * l) / mp.factorial(2 * l + 1)
+                * mp.zeta(2 * l * a, N + 1))
+        total += term
+        if abs(term) < mp.mpf(10) ** -40 * abs(total):
+            return total
+        l += 1
 
-    xs = np.linspace(0.01, 40.0, 4000)
-    assert all(b > a for a, b in zip(map(r, xs), map(r, xs[1:])))
-    eps = sys.float_info.epsilon
-    limit = bounds.MAX_TABLE_AMPLITUDE
-    assert limit == 10.0
-    assert eps * r(math.pi * limit / math.sqrt(2.0)) < 1e-7
-    assert eps * r(math.pi * (limit + 1.0) / math.sqrt(2.0)) > 1e-7
+
+def _mp_table_lambda(A, alpha, mp, head=300):
+    """lambda(A, alpha) = 2 sum_{n>=1} (1 - sinc(A/n^alpha)) in 40 digits: the
+    first terms directly (each sine series converges for any A), the rest
+    by _mp_deviation_tail."""
+    x, a = mp.pi * mp.mpf(A), mp.mpf(alpha)
+    direct = mp.fsum(2 * (1 - mp.sin(x / n ** a) / (x / n ** a)) for n in range(1, head + 1))
+    return direct + _mp_deviation_tail(A, alpha, head, mp)
+
+
+AMPLITUDES = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.44366, 0.61,
+              1.0, 2.0, 3.0, 5.0, 7.5, 10.0]
+
+
+@pytest.mark.parametrize("alpha", [0.55, 1.0, 2.0])
+def test_table_lambda_matches_mpmath_at_every_amplitude(alpha):
+    # 2(1 - sinc A) loses all its digits as A -> 0 (0.21 off at A = 1e-8,
+    # alpha = 1) and the alternating series cancels as A grows (1.7e-12 off
+    # at A = 10, alpha = 0.55); column_energy and the head up to N0 keep the
+    # table within 1e-15.  Just above pi*A = 0.5, where column_energy is
+    # 2(1 - sinc A) itself, lambda can be 1.5e-15 off (A = 0.16, alpha = 2)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for A in AMPLITUDES:
+            ref = _mp_table_lambda(A, alpha, mp)
+            lam = table_lambda(A, alpha).lambda_value
+            assert abs(lam - ref) <= 1e-15 * ref, (A, lam, ref)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 1.0, 2.0])
+def test_table_is_the_deviation_sum_plus_its_tail(alpha):
+    # column n of the all-rows S - I has squared norm column_energy(delta_n), so
+    # lemma_sum_bound is ||S - I||_HS^2 over the listed columns and the table
+    # lambda is the same sum over every n >= 1.  test_lemma_sum_converges_to_
+    # table_split and test_norm_dominated_by_deviation_sum rest on this
+    # identity.  The grid stores n + delta_n, rounded to ulp(n), so a tiny
+    # delta_n is carried to about 1e-16/delta_n only: A starts at 0.01
+    mp = pytest.importorskip("mpmath")
+    N = 400
+    for A in (0.01, 0.1, 0.44366, 2.0, 10.0):
+        listed = lemma_sum_bound(power_law_grid(A, alpha, N)).lambda_value
+        with mp.workdps(40):
+            tail = float(_mp_deviation_tail(A, alpha, N, mp))
+        lam = table_lambda(A, alpha).lambda_value
+        assert lam == pytest.approx(listed + tail, rel=1e-12, abs=0.0), (A, alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.nextafter(0.5, 1.0), 0.55, 1.0])
+def test_table_head_at_the_amplitude_limit(monkeypatch, alpha):
+    # MAX_TABLE_AMPLITUDE bounds the head: at A = 10, N0 <= 246 terms of
+    # column_energy, the most as alpha -> 1/2 (N0 + 1 >= (5 pi)^(1/alpha))
+    energies = []
+
+    def counting(x):
+        energies.append(x)
+        return column_energy(x)
+
+    monkeypatch.setattr(bounds, "column_energy", counting)
+    table_lambda(bounds.MAX_TABLE_AMPLITUDE, alpha)
+    n0 = len(energies)
+    assert n0 <= 246
+    assert math.pi * 10.0 / (n0 + 1) ** alpha <= 2.0 < math.pi * 10.0 / n0 ** alpha
 
 
 @pytest.mark.parametrize("alpha", [0.55, 1.0, 2.0])
@@ -379,12 +441,16 @@ def test_critical_amplitude_large_exponent_limit():
 
 
 def _per_term_split(A, alpha):
-    """The split estimate with the zeta weight recomputed inside every term."""
-    lambda1 = 2.0 * (1.0 - sinc(A))
+    """The split estimate with the tail weight recomputed inside every term."""
+    n0 = 1
+    while math.pi * A / (n0 + 1) ** alpha > 2.0:
+        n0 += 1
+    lambda1 = column_energy(A)
+    lambda2 = math.fsum(column_energy(A * n ** -alpha) for n in range(2, n0 + 1))
     piA2 = (math.pi * A) ** 2
-    lambda2, power, fact, sign = 0.0, piA2, 6.0, 1.0
+    power, fact, sign = piA2, 6.0, 1.0
     for l in range(1, 200):
-        term = 2.0 * sign * power / fact * zeta_minus_one(2.0 * l * alpha)
+        term = 2.0 * sign * power / fact * zeta_minus_one(2.0 * l * alpha, n0 + 1)
         lambda2 += term
         if abs(term) < 1e-13:
             break
@@ -396,10 +462,12 @@ def _per_term_split(A, alpha):
 
 def test_table_lambda_bit_identical_to_per_term_loop():
     rng = np.random.default_rng(20160328)
-    # A in (0, 1] and alpha in (0.5, 50]; A = 2 runs the series further
+    # A in (0, 1] and alpha in (0.5, 50]; A = 2 and 10 run the series further
+    # and, at alpha = 0.55 and 1, add head terms (N0 = 8 and 3 at A = 2)
     pairs = [(1.0 - float(u), 50.0 - float(v)) for u, v in zip(rng.uniform(0.0, 1.0, 200),
                                                              rng.uniform(0.0, 49.5, 200))]
-    pairs += [(2.0, 0.55), (2.0, 1.0), (2.0, 7.5), (1.0, 0.5 + 1e-9)]
+    pairs += [(2.0, 0.55), (2.0, 1.0), (2.0, 7.5), (1.0, 0.5 + 1e-9), (10.0, 0.55),
+              (10.0, 1.0)]
     for A, alpha in pairs:
         rep = table_lambda(A, alpha)
         lambda1, lambda2 = _per_term_split(A, alpha)
@@ -411,9 +479,9 @@ def test_table_lambda_bit_identical_to_per_term_loop():
 def test_critical_amplitude_computes_each_zeta_weight_once(monkeypatch):
     calls = []
 
-    def counting(s):
+    def counting(s, start=2):
         calls.append(s)
-        return zeta_minus_one(s)
+        return zeta_minus_one(s, start)
 
     monkeypatch.setattr(bounds, "zeta_minus_one", counting)
     a_star = critical_A(1.0)
@@ -505,9 +573,9 @@ def test_table_rows_share_each_zeta_weight(monkeypatch, alpha):
     amplitudes = (0.05, 0.2, 0.3, 0.45)
     calls = []
 
-    def counting(s):
+    def counting(s, start=2):
         calls.append(s)
-        return zeta_minus_one(s)
+        return zeta_minus_one(s, start)
 
     monkeypatch.setattr(bounds, "zeta_minus_one", counting)
     reports = table_rows(alpha, amplitudes, critical=True)

@@ -168,13 +168,13 @@ def test_table_skips_empty_list_tokens(capsys):
 
 @pytest.mark.parametrize("A", ["20", "30", "100", "1e3", "1e308"])
 def test_table_refuses_amplitudes_past_the_float_series(capsys, A):
-    # past A = 10 the float series loses its digits, then its sign, then
-    # becomes nan; each is refused with one error line
+    # the split table takes A <= 10, where its head has at most 246 terms;
+    # a larger A is refused with one error line
     for fmt in ("human", "json", "csv"):
         code, out, err = run(capsys, "table", "--alpha", "1", "--A", A, "--format", fmt)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: the split estimate keeps its digits only for A <= 10")
+        assert err.startswith("error: the split estimate takes A <= 10, got ")
         assert len(err.splitlines()) == 1
     code, out, _ = run(capsys, "table", "--alpha", "0.55,1,2", "--A", "10", "--format", "json")
     assert code == 0
@@ -437,45 +437,55 @@ def test_gram_oversized_request_fails_before_allocating(capsys):
                    f"over the dense limit of {specfun.MAX_DENSE_BYTES} bytes\n")
 
 
-@pytest.mark.parametrize("argv, shape", [
-    (("gram", "--ingham", "--N", "3", "--window", str(10 ** 15)), (2 * 10 ** 15 + 1, 7)),
+def _matrix_refusal(rows, cols):
+    return (f"a {rows} x {cols} sinc matrix needs {rows * cols * 8} bytes, over the "
+            f"dense limit of {specfun.MAX_DENSE_BYTES} bytes")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gram", "--ingham", "--N", "3", "--window", str(10 ** 15)),
+     _matrix_refusal(2 * 10 ** 15 + 1, 7)),
     (("reconstruct", "--signal", "0.3", "--ingham", "--N", "3",
-      "--eval-points", str(10 ** 15)), (10 ** 15, 7)),
+      "--eval-points", str(10 ** 15)),
+     f"{10 ** 15} points x 7 nodes = {7 * 10 ** 15} terms, over the limit of "
+     f"{specfun.MAX_DENSE_BYTES // 8} terms"),
     (("reconstruct", "--signal", "0.3", "--uniform-offset", "0.1", "--N", str(10 ** 23)),
-     (2 * 10 ** 23 + 1, 2 * 10 ** 23 + 1)),
+     _matrix_refusal(2 * 10 ** 23 + 1, 2 * 10 ** 23 + 1)),
 ], ids=["window-rows", "eval-points", "grid-nodes"])
-def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, shape):
+def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, message):
     # the rows of S, the evaluation points and the grid nodes are counted,
-    # not listed, first
+    # not listed, first; the evaluation makes no matrix, so its refusal
+    # names its points x nodes terms
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == (f"error: a {shape[0]} x {shape[1]} sinc matrix needs "
-                   f"{shape[0] * shape[1] * 8} bytes, over the dense limit of "
-                   f"{specfun.MAX_DENSE_BYTES} bytes\n")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags, shape", [
-    (("--ingham", "--N", "1", "--eval-points", "10"), (10, 4)),   # points x atoms
-    (("--ingham", "--N", "1", "--eval-points", "2"), (3, 4)),     # nodes x atoms
+    (("--ingham", "--N", "1", "--eval-points", "10"), (10, "points", 4, "atoms")),
+    (("--ingham", "--N", "1", "--eval-points", "2"), (3, "nodes", 4, "atoms")),
+    (("--ingham", "--N", "1", "--eval-points", "5"), (5, "points", 3, "nodes")),
 ])
 def test_oversized_signal_fails_before_sampling(capsys, monkeypatch, flags, shape):
-    # the reference signal's terms at the points and at the nodes are bounded
-    # as a dense matrix would be; a request over the lowered limit is refused
-    # before either is evaluated
+    # the evaluation's points x nodes terms and the reference signal's terms
+    # at the points and at the nodes make no matrix; each count is bounded as
+    # a real matrix's entries would be (MAX_DENSE_BYTES / 8), and a request
+    # one term over the lowered limit is refused before anything is evaluated
     from sincstab import reconstruct
 
     def unreachable(*args, **kwargs):
         raise AssertionError("signal sampled for an oversized request")
 
-    limit = shape[0] * shape[1] * 8 - 1
+    rows, row_name, cols, col_name = shape
+    limit = rows * cols * 8 - 1
     monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", limit)
     monkeypatch.setattr(reconstruct, "sample_signal", unreachable)
     code, out, err = run(capsys, "reconstruct", "--signal", "0.5,1.5,2.5,3.5", *flags)
     assert code == 1
     assert out == ""
-    assert err == (f"error: a {shape[0]} x {shape[1]} sinc matrix needs {limit + 1} bytes, "
-                   f"over the dense limit of {limit} bytes\n")
+    assert err == (f"error: {rows} {row_name} x {cols} {col_name} = {rows * cols} terms, "
+                   f"over the limit of {rows * cols - 1} terms\n")
 
 
 @pytest.mark.parametrize("flags, message", [

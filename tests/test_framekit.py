@@ -279,6 +279,9 @@ def test_norm_window_growth_monotone():
 
 
 def test_norm_dominated_by_deviation_sum():
+    # ||S - I||^2 <= ||S - I||_HS^2, which lemma_sum_bound sums over the listed
+    # columns and table_lambda over all of them: this rests on the identity
+    # tests/test_bounds.py::test_table_is_the_deviation_sum_plus_its_tail checks
     from sincstab.bounds import lemma_sum_bound
     for A, alpha in [(0.2, 1.0), (0.25, 0.75)]:
         grid = power_law_grid(A, alpha, 300)

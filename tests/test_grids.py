@@ -140,7 +140,7 @@ def test_grid_from_file_real_when_imag_absent(tmp_path):
 @pytest.mark.parametrize("content,fragment", [
     ("1\t1.0\n1\t1.1\n", "duplicate"),
     ("1\t1.0\n2\tinf\n", "non-finite"),
-    ("1\t1.0\nnot a row\n", "line"),
+    ("1\t1.0\nnot a row\n", ":2: invalid literal"),
     ("1\n", "expected"),
     ("1\t1.0\n-4503599627370496\t0.5\n", ":2: index -4503599627370496 is outside"),
     ("", "no grid records"),
@@ -150,7 +150,7 @@ def test_grid_from_file_errors(tmp_path, content, fragment):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(ValueError) as err:
         grid_from_file(path)
-    assert fragment in str(err.value) or "2" in str(err.value)
+    assert fragment in str(err.value)
 
 
 @pytest.mark.parametrize("imag", [0.0, -0.0])

@@ -9,6 +9,7 @@ import pytest
 from sincstab import specfun
 from sincstab.specfun import (
     MAX_DENSE_BYTES,
+    column_energy,
     lamb_oseen_alpha,
     lambert_w0,
     lambert_wm1,
@@ -59,6 +60,36 @@ def test_sinc_even_and_bounded():
 def test_sinc_domain(bad):
     with pytest.raises(ValueError):
         sinc(bad)
+
+
+def test_column_energy_against_mpmath():
+    # 2(1 - sinc x) in 40 digits.  Below |pi x| = 0.5 the Taylor series keeps
+    # 2.3 ulps where the difference itself is all rounding at x = 1e-8; above
+    # it column_energy is that difference, 16 ulps off just past the cutoff
+    # and 3 from |pi x| = 1 on
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(np.float64).eps
+    xs = np.concatenate([np.logspace(-12.0, 1.0, 600), np.linspace(0.5, 1.0, 200) / math.pi])
+    with mp.workdps(40):
+        for x in map(float, xs):
+            y = mp.pi * x
+            ref = 2 * (1 - mp.sin(y) / y)
+            ulps = 16.0 if 0.5 <= math.pi * x < 1.0 else 4.0
+            for v in (x, -x):
+                assert abs(column_energy(v) - ref) <= ulps * eps * ref, v
+
+
+def test_column_energy_is_the_difference_from_the_cutoff_on():
+    # the split table's critical rows keep their bits because column_energy
+    # is 2(1 - sinc x) itself wherever |pi x| >= 0.5
+    rng = np.random.default_rng(11)
+    for x in np.concatenate([rng.uniform(0.5 / math.pi, 12.0, 500), [0.5 / math.pi, 0.3]]):
+        assert column_energy(x) == 2.0 * (1.0 - sinc(x)), x
+    assert column_energy(0.0) == 0.0
+    assert column_energy(3.0) == column_energy(-7.0) == 2.0
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            column_energy(bad)
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.5, 2.7])
@@ -458,7 +489,7 @@ def test_zeta_strictly_decreasing_and_limit():
     assert riemann_zeta(50.0) - 1.0 < 1e-15
     assert zeta_minus_one(50.0) == pytest.approx(2.0 ** -50.0, rel=1e-6)
     # the limit, which 2 alpha reaches when it overflows
-    assert zeta_minus_one(math.inf) == 0.0 == zeta_minus_one(1076.0)
+    assert zeta_minus_one(math.inf) == 0.0 == zeta_minus_one(1076.0) == zeta_minus_one(1e300)
 
 
 def test_zeta_against_mpmath_ladder():
@@ -467,6 +498,20 @@ def test_zeta_against_mpmath_ladder():
     for s in np.concatenate([np.linspace(1.01, 3.0, 40), np.linspace(3.5, 80.0, 40)]):
         expected = float(mp.zeta(mp.mpf(float(s))))
         assert riemann_zeta(float(s)) == pytest.approx(expected, abs=1e-13, rel=1e-13)
+
+
+@pytest.mark.parametrize("start", [2, 3, 10, 57, 150, 247])
+def test_zeta_tail_from_start_against_mpmath(start):
+    # sum_{n>=start} n^-s, the split table's weights past its head; the oracle
+    # sums 2000 terms directly, since mpmath's Hurwitz zeta(40, 150) is
+    # 4e-12 off, and adds zeta(s, start + 2000) for the rest
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for s in (1.0001, 1.1, 1.5, 2.0, 3.3, 5.0, 10.0, 40.0, 100.0):
+            ref = (mp.fsum(mp.mpf(n) ** -s for n in range(start, start + 2000))
+                   + mp.zeta(s, start + 2000))
+            assert zeta_minus_one(s, start) == pytest.approx(float(ref), rel=2e-15, abs=0.0), s
+    assert zeta_minus_one(3.0, 2) == zeta_minus_one(3.0)
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, math.nan, -math.inf])

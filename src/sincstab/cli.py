@@ -173,15 +173,11 @@ def _resolve_window(args, grid) -> framekit.TruncationWindow:
 
 
 def _grid_params(args) -> dict:
+    """The grid flags given; --imag only with --uniform-offset, the grid it applies to."""
     keys = ("power_law", "uniform_offset", "ingham", "grid_file", "A", "alpha",
-            "N", "extend_nonpositive", "imag")
-    out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None or value is False:
-            continue
-        out[key] = value
-    return out
+            "N", "extend_nonpositive") + (("imag",) if args.uniform_offset is not None else ())
+    return {key: value for key in keys
+            if (value := getattr(args, key)) is not None and value is not False}
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def _run_gram(args):
         "iterations_used": summary.iterations_used,
         "converged": summary.converged,
     }
-    if not summary.min_eigenvalue_resolved:  # the key appears only when it is false
+    if summary.min_eigenvalue is None:  # unresolved; the key appears only then
         results["min_eigenvalue_resolved"] = False
     return params, results, summary.converged
 

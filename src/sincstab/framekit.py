@@ -14,14 +14,16 @@ difference, one term on integer rows, so on every row of S; pairs closer
 than 1, found once per matrix by a search of the sorted nodes, evaluated
 directly); a matrix over specfun.MAX_DENSE_BYTES is refused with ValueError
 before anything of its size is allocated.  The norm holds S - I on the
-moved columns only.  The complex Gram matrix is the window's S^H S,
-assembled from that S - I and its (S - I)^H (S - I) instead of formed as a
+moved columns only.  The complex Gram matrix is the window's S^H S: one
+assembly, whichever columns moved, embeds that S - I's rows at the grid
+indices and its (S - I)^H (S - I) in an identity instead of forming a
 product, so a complex riesz_bounds_estimate builds S - I once for its norm
 and G; a real one builds S - I, releases it, then builds G.  Either hands G
 back with its summary.  Eigenvalues are exact for a complex Gram matrix and
 up to DENSE_EIG_CUTOFF columns otherwise, from one ARPACK run above ("LA"
-for the norm, "BE" for a real Gram matrix); a smallest Gram eigenvalue
-below the solve's resolution is reported as unresolved.
+for the norm, "BE" for a real Gram matrix).  A smallest Gram eigenvalue
+below the solve's resolution, or of a grid with two equal nodes, is
+reported as None.
 """
 
 from __future__ import annotations
@@ -74,11 +76,6 @@ class TruncationWindow:
             raise ValueError("max_iterations must lie between 1 and 2^31 - 1")
 
     @classmethod
-    def symmetric(cls, radius: int, **kwargs) -> "TruncationWindow":
-        radius = int(radius)
-        return cls(row_range=(-radius, radius), **kwargs)
-
-    @classmethod
     def for_grid(cls, grid: PerturbedGrid, **kwargs) -> "TruncationWindow":
         """Default window: grid range padded by DEFAULT_PAD_FACTOR times the
         grid radius on each side, capped at DEFAULT_ROW_CAP rows.  Sinc
@@ -94,12 +91,13 @@ class TruncationWindow:
 @dataclass(frozen=True)
 class GramSummary:
     """Diagnostics of a truncated system: perturbation norm, extremal Gram
-    eigenvalues, and the Riesz bounds they imply."""
+    eigenvalues, and the Riesz bounds they imply.  The Gram eigenvalues are
+    None in perturbation_norm's summary; in riesz_bounds_estimate's, a None
+    min_eigenvalue is one the solve did not resolve."""
 
     window: TruncationWindow
     perturbation_norm: float
     min_eigenvalue: Optional[float] = None
-    min_eigenvalue_resolved: bool = True
     max_eigenvalue: Optional[float] = None
     implied_riesz_lower: Optional[float] = None
     implied_riesz_upper: Optional[float] = None
@@ -129,16 +127,16 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
                        grid.nodes)
 
 
-def _extremes(n: int, dense, matvec, dtype, which: str,
+def _extremes(dense: Optional[np.ndarray], n: int, matvec, dtype, which: str,
               window: TruncationWindow, seed: int) -> tuple[list[float], int]:
     """Extremal eigenvalues of an n x n Hermitian matrix and the operator
     products spent.  which is ARPACK's: "LA" gives [largest], "BE"
-    [smallest, largest].  eigvalsh of dense() for n <= DENSE_EIG_CUTOFF or
-    when matvec is None, else ARPACK on matvec with the window's tolerance
-    and restart cap from a seeded start vector (nan if it fails).
+    [smallest, largest].  eigvalsh of dense when it is given, else ARPACK
+    on matvec with the window's tolerance and restart cap from a seeded
+    start vector (nan if it fails).
     """
-    if n <= DENSE_EIG_CUTOFF or matvec is None:
-        eigenvalues = np.linalg.eigvalsh(dense())
+    if dense is not None:
+        eigenvalues = np.linalg.eigvalsh(dense)
         return eigenvalues[[0, -1] if which == "BE" else [-1]].tolist(), 0
     import scipy.sparse.linalg  # here, not at the top: a CLI start need not load scipy
 
@@ -170,15 +168,16 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
     """perturbation_norm's summary (None unless norm) and, if gram, the
     complex Gram matrix S^H S assembled from the same E = S - I.
 
-    E holds the moved columns, of which a complex grid, the only kind G is
-    asked for, has at least one; M = E^H E is formed when the norm is exact
-    or G is wanted.  S = E + P, where P has a 1 at row n of each moved
-    column n, and an unmoved column of S is the unit vector at row n.  With
-    C the rows of E at the grid indices (R those at the moved ones), S^H S
-    is I on unmoved x unmoved, C on unmoved x moved, C^H on moved x
-    unmoved and M + R + R^H + I on moved x moved: O(n^2) beyond M.  E is
-    released once C is copied, and G is built in M's buffer when every
-    column moved.
+    E holds the m moved columns, of which a complex grid, the only kind G
+    is asked for, has at least one; M = E^H E is formed when the norm is
+    exact or G is wanted.  S = E + P, where P has a 1 at row n of each
+    moved column n, and an unmoved column of S is the unit vector at row n.
+    So with C the rows of E at the grid indices and R those at the moved
+    ones, S^H S is I plus C^H on the moved rows and C on the moved columns,
+    except on the moved block, M + R + R^H + I.  One assembly serves every
+    complex grid: E is released once C is copied, M takes R and R^H and
+    replaces R in C, and a zero-filled G takes C^H on the moved rows, C on
+    the moved columns and 1 on its diagonal, with no temporary over m x m.
     """
     rows = _window_rows(grid, window)
     moved = np.flatnonzero(grid.nodes != grid.indices)
@@ -186,31 +185,29 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
     if moved.size:
         E = sinc_matrix(rows, grid.nodes[moved])
         E[grid.indices[moved] - window.row_range[0], np.arange(moved.size)] -= 1.0
-        M = E.conj().T @ E if gram or moved.size <= DENSE_EIG_CUTOFF else None
+        exact = moved.size <= DENSE_EIG_CUTOFF
+        M = E.conj().T @ E if gram or exact else None
         if norm:
             # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
             (top,), products = _extremes(
-                moved.size, lambda: M, lambda v: ((E @ v).conj() @ E).conj(),
+                M if exact else None, moved.size, lambda v: ((E @ v).conj() @ E).conj(),
                 E.dtype, "LA", window, seed)
         if gram:
             C = E[grid.indices - window.row_range[0]]
             del E
-            R = C if moved.size == len(grid) else C[moved]
-            M += R
-            np.conjugate(R, out=R)
-            M += R.T
-            M[np.arange(moved.size), np.arange(moved.size)] += 1.0
-            del R
-            if moved.size == len(grid):
-                G = M
-            else:
-                unmoved = np.flatnonzero(grid.nodes == grid.indices)
-                G = np.zeros((len(grid), len(grid)), dtype=M.dtype)
-                G[:, moved] = C
-                np.conjugate(C, out=C)
-                G[moved] = C.T
-                G[np.ix_(moved, moved)] = M
-                G[unmoved, unmoved] = 1.0
+            # one run of moved positions (all, on generated grids) as a slice: views, not copies
+            at = slice(moved[0], moved[-1] + 1) if moved[-1] - moved[0] < moved.size else moved
+            M += C[at]
+            np.conjugate(C, out=C)
+            M += C.T[:, at]
+            np.conjugate(M, out=M)
+            C[at] = M  # conjugated back with the rest of C below
+            del M
+            G = np.zeros((len(grid), len(grid)), dtype=C.dtype)
+            G[at] = C.T
+            np.conjugate(C, out=C)
+            G[:, at] = C
+            G.ravel()[::len(grid) + 1] += 1.0
     if not norm:
         return None, G
     norm_value = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
@@ -264,15 +261,16 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     A real grid's S - I is released before G is built, so the two never
     share memory.  A complex grid builds S - I once, for both: its norm
     comes from E^H E exactly as perturbation_norm's does, and G is
-    assembled from E^H E and E's rows at the grid indices after E is
-    released (see _norm_and_gram).  G is returned so that a caller writing
+    assembled from E^H E and a copy of E's rows at the grid indices once E
+    is released (see _norm_and_gram).  G is returned so that a caller writing
     it out need not build it again.  iterations_used counts the operator
     products of both eigen-solves: the norm's, over the moved columns, and
     a real Gram matrix's, whose two ends come from one ARPACK run (a
     complex one is solved exactly).  A smallest eigenvalue below the
     solve's resolution, len(G) * eps * lambda_max for eigvalsh and
-    norm_tolerance * lambda_max for ARPACK, has no reliable digit: it is
-    reported as None with min_eigenvalue_resolved False.
+    norm_tolerance * lambda_max for ARPACK, has no reliable digit, and
+    two coinciding nodes make G singular, which ARPACK can miss: either
+    way min_eigenvalue is reported as None.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
@@ -282,15 +280,14 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
         summary, G = perturbation_norm(grid, window, seed=seed), gram_matrix(grid, window)
     # a complex G is solved exactly at any size: ARPACK's complex path needs
     # a run per end, is slower and stalls once |Im lambda| ~ 1
-    (emin, emax), products = _extremes(G.shape[0], lambda: G,
-                                       None if grid.is_complex else G.dot, G.dtype,
+    exact = grid.is_complex or len(G) <= DENSE_EIG_CUTOFF
+    (emin, emax), products = _extremes(G if exact else None, len(G), G.dot, G.dtype,
                                        "BE", window, seed)
-    # products is 0 exactly when eigvalsh gave the ends (ARPACK makes at least one)
-    resolution = (window.norm_tolerance if products else len(G) * np.finfo(float).eps) * emax
-    resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
+    resolution = (len(G) * np.finfo(float).eps if exact else window.norm_tolerance) * emax
+    # a nan from a failed ARPACK run stays as it is unless nodes coincide
+    resolved = not emin < resolution and np.unique(grid.nodes).size == len(grid)
     return replace(summary,
                    min_eigenvalue=emin if resolved else None,
-                   min_eigenvalue_resolved=resolved,
                    max_eigenvalue=emax,
                    iterations_used=summary.iterations_used + products,
                    converged=summary.converged and math.isfinite(emin + emax)), G

@@ -107,7 +107,7 @@ def test_criterion_05_deviation_sum_dominance():
     # columns (tests/test_bounds.py::test_table_is_the_deviation_sum_plus_its_tail)
     with criterion(5, "deviation-sum dominance"):
         start = time.perf_counter()
-        window = TruncationWindow.symmetric(1000)
+        window = TruncationWindow(row_range=(-1000, 1000))
         for A in (0.1, 0.2):
             for alpha in (0.75, 1.0, 2.0):
                 grid = ss.power_law_grid(A, alpha, 1000, extend_nonpositive=True)
@@ -128,7 +128,7 @@ def test_criterion_06_oracle_equivalence():
             offsets = rng.uniform(-0.15, 0.15, size=m)
             grid = ss.uniform_offset_grid(offsets, (-half, -half + m - 1))
             radius = int(rng.integers(max(half + 1, 25), 61))
-            window = TruncationWindow.symmetric(radius)
+            window = TruncationWindow(row_range=(-radius, radius))
             # spectral norm: exact eigenvalues of E^H E vs dense SVD
             estimate = ss.perturbation_norm(grid, window, seed=trial)
             assert estimate.converged
@@ -142,7 +142,7 @@ def test_criterion_06_oracle_equivalence():
             assert float(np.max(np.abs(result.coefficients - dense))) <= 1e-8
         # above DENSE_EIG_CUTOFF columns the norm comes from ARPACK
         grid = ss.uniform_offset_grid(rng.uniform(-0.15, 0.15, size=901), (-450, 450))
-        window = TruncationWindow.symmetric(450)
+        window = TruncationWindow(row_range=(-450, 450))
         estimate = ss.perturbation_norm(grid, window, seed=20)
         assert estimate.converged and estimate.iterations_used > 0
         E = perturbation(grid, window)

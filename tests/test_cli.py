@@ -520,6 +520,18 @@ def test_gram_accepts_nodes_at_the_bounds(capsys):
     assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
 
 
+def test_gram_coinciding_nodes_above_the_cutoff_are_unresolved(capsys):
+    # 821 nodes with lambda_1 = lambda_5 = 6: ARPACK reads the singular Gram
+    # matrix's smallest eigenvalue as 3.09e-4, so it is not reported; the
+    # run still converged
+    code, out, err = run(capsys, "gram", "--power-law", "--A", "5", "--alpha", "1",
+                         "--N", "410", "--extend-nonpositive", "--format", "json")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["iterations_used"] > 0 and results["converged"] is True
+    assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
+
+
 def test_gram_dump_labels_entries_by_grid_index(capsys, tmp_path):
     # indices 0, 2, 7 label the dumped Gram entries, not positions 0, 1, 2
     nodes = {0: 0.1, 2: 2.2, 7: 7.05}
@@ -711,6 +723,20 @@ def test_reconstruct_negative_shift_with_equals(capsys):
                        "--uniform-offset", "0", "--N", "10", "--format", "json")
     assert code == 0
     assert json.loads(out)["params"]["signal"] == "-3.2:0.5"
+
+
+@pytest.mark.parametrize("command", ["gram", "reconstruct"])
+def test_imag_is_echoed_for_uniform_offset_only(capsys, tmp_path, command):
+    path = tmp_path / "grid.txt"
+    path.write_text("0 0.25\n1 1.0\n", encoding="utf-8")
+    signal = ("--signal", "0.3", "--eval-points", "11") if command == "reconstruct" else ()
+    for flags, imag in ((("--uniform-offset", "0.1", "--N", "3"), 0.0),
+                        (("--power-law", "--A", "0.1", "--alpha", "1", "--N", "3"), None),
+                        (("--ingham", "--N", "3"), None),
+                        (("--grid-file", str(path)), None)):
+        code, out, _ = run(capsys, command, *flags, *signal, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"].get("imag") == imag
 
 
 def test_reconstruct_bad_signal(capsys):

@@ -73,7 +73,7 @@ def test_window_for_grid_padding_and_cap():
 
 def test_window_must_cover_grid():
     with pytest.raises(ValueError):
-        synthesis_matrix(ingham_grid(5), TruncationWindow.symmetric(3))
+        synthesis_matrix(ingham_grid(5), TruncationWindow(row_range=(-3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +82,13 @@ def test_window_must_cover_grid():
 @pytest.mark.parametrize("radius", [1, 7, 30])
 def test_unperturbed_synthesis_is_identity(radius):
     grid = integer_grid(radius)
-    S = synthesis_matrix(grid, TruncationWindow.symmetric(radius))
+    S = synthesis_matrix(grid, TruncationWindow(row_range=(-radius, radius)))
     assert np.array_equal(S, np.eye(2 * radius + 1))
 
 
 def test_unperturbed_identity_in_tall_window():
     grid = integer_grid(2)
-    E = perturbation(grid, TruncationWindow.symmetric(6))
+    E = perturbation(grid, TruncationWindow(row_range=(-6, 6)))
     assert np.all(E == 0.0)
 
 
@@ -103,7 +103,7 @@ def test_single_node_column():
 
 def test_ingham_column_direct_evaluation():
     grid = ingham_grid(1)
-    window = TruncationWindow.symmetric(4)
+    window = TruncationWindow(row_range=(-4, 4))
     S = synthesis_matrix(grid, window)
     k = np.arange(-4, 5)
     assert S[:, 2] == pytest.approx(np.sinc(1.25 - k), abs=1e-15)
@@ -119,7 +119,7 @@ def test_real_grid_gives_real_matrix():
 def test_integer_grid_in_tall_window_is_exact():
     # 101 columns over 801 rows fill several row blocks of the builder
     grid = integer_grid(50)
-    window = TruncationWindow.symmetric(400)
+    window = TruncationWindow(row_range=(-400, 400))
     assert np.array_equal(synthesis_matrix(grid, window), np.eye(801, 101, k=-350))
     assert np.all(perturbation(grid, window) == 0.0)
 
@@ -128,7 +128,7 @@ W1_GRID = power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True)
 
 
 @pytest.mark.parametrize("grid, window", [
-    (W1_GRID, TruncationWindow.symmetric(1000)),
+    (W1_GRID, TruncationWindow(row_range=(-1000, 1000))),
     (ingham_grid(200), None),
     (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None),
 ], ids=["w1-power-law", "ingham-200", "complex-offset"])
@@ -159,7 +159,7 @@ def test_matrices_agree_with_direct_kernel(grid, window):
 @pytest.mark.parametrize("radius", [50, 200, 800])
 def test_column_normalization(radius):
     grid = uniform_offset_grid([0.37, -0.2, 0.11], (-1, 1))
-    S = synthesis_matrix(grid, TruncationWindow.symmetric(radius))
+    S = synthesis_matrix(grid, TruncationWindow(row_range=(-radius, radius)))
     sums = np.sum(S ** 2, axis=0)
     assert np.all(sums <= 1.0 + 1e-9)
     # approaches 1 from below as the window grows: tail ~ 1/radius
@@ -185,7 +185,7 @@ def test_norm_uses_moved_columns_only():
     # 450 of the 901 columns are moved, under the dense cutoff: the norm is
     # exact and equals that of the whole S - I
     grid = power_law_grid(0.2, 1.0, 450, extend_nonpositive=True)
-    window = TruncationWindow.symmetric(450)
+    window = TruncationWindow(row_range=(-450, 450))
     summary = perturbation_norm(grid, window)
     assert summary.converged and summary.iterations_used == 0
     exact = scipy.linalg.svdvals(perturbation(grid, window))[0]
@@ -198,7 +198,7 @@ def test_norm_checks_the_whole_window_first(monkeypatch):
     grid = power_law_grid(0.2, 1.0, 10, extend_nonpositive=True)  # 10 of 21 moved
     monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", 201 * 21 * 8 - 1)
     with pytest.raises(ValueError, match="a 201 x 21 sinc matrix needs 33768 bytes"):
-        perturbation_norm(grid, TruncationWindow.symmetric(100))
+        perturbation_norm(grid, TruncationWindow(row_range=(-100, 100)))
 
 
 def test_norm_single_half_shift():
@@ -223,7 +223,7 @@ def test_norm_matches_dense_svd():
     for _ in range(10):
         grid = random_grid(rng)
         radius = int(rng.integers(25, 61))
-        window = TruncationWindow.symmetric(radius)
+        window = TruncationWindow(row_range=(-radius, radius))
         estimate = perturbation_norm(grid, window).perturbation_norm
         E = perturbation(grid, window)
         exact = np.linalg.svd(E, compute_uv=False)[0]
@@ -236,7 +236,7 @@ def test_norm_matches_dense_svd():
 ], ids=["real", "complex"])
 def test_arpack_norm_matches_svdvals(grid, radius):
     # more moved columns than DENSE_EIG_CUTOFF: the norm comes from ARPACK
-    window = TruncationWindow.symmetric(radius)
+    window = TruncationWindow(row_range=(-radius, radius))
     summary = perturbation_norm(grid, window)
     assert summary.converged and summary.iterations_used > 0
     exact = scipy.linalg.svdvals(perturbation(grid, window))[0]
@@ -245,7 +245,7 @@ def test_arpack_norm_matches_svdvals(grid, radius):
 
 def test_dense_eig_cutoff_boundary():
     assert DENSE_EIG_CUTOFF == 800
-    window = TruncationWindow.symmetric(400)
+    window = TruncationWindow(row_range=(-400, 400))
     dense = perturbation_norm(uniform_offset_grid([0.1] * 800, (-399, 400)), window)
     arpack = perturbation_norm(uniform_offset_grid([0.1] * 801, (-400, 400)), window)
     assert dense.iterations_used == 0 and dense.converged
@@ -256,7 +256,7 @@ def test_norm_holds_no_copy_of_s():
     # 401 columns over 8001 rows take the dense eigen path; S - I is made
     # from S in place, so the peak stays near one rows x n array
     grid = uniform_offset_grid([0.1] * 401, (-200, 200))
-    window = TruncationWindow.symmetric(4000)
+    window = TruncationWindow(row_range=(-4000, 4000))
     s_bytes = 8001 * 401 * 8
     tracemalloc.start()
     try:
@@ -297,7 +297,7 @@ def test_norm_seed_determinism():
     # 900 moved columns, above the dense cutoff, where the seed sets
     # ARPACK's start vector
     grid = power_law_grid(0.2, 1.0, 900, extend_nonpositive=True)
-    window = TruncationWindow.symmetric(900)
+    window = TruncationWindow(row_range=(-900, 900))
     a = perturbation_norm(grid, window, seed=3)
     b = perturbation_norm(grid, window, seed=3)
     assert a.iterations_used > 0
@@ -309,7 +309,7 @@ def test_nonconvergence_is_flagged():
     # one ARPACK restart cannot resolve the clustered top of a complex
     # offset's spectrum above the dense cutoff
     grid = uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400))
-    window = TruncationWindow.symmetric(400, max_iterations=1)
+    window = TruncationWindow(row_range=(-400, 400), max_iterations=1)
     summary = perturbation_norm(grid, window)
     assert not summary.converged
     assert summary.iterations_used > 0
@@ -365,7 +365,7 @@ def test_gram_matches_truncated_cross_products():
 
 def test_complex_gram_via_cross_products():
     grid = uniform_offset_grid([0.1j] * 11, (-5, 5))
-    G = gram_matrix(grid, TruncationWindow.symmetric(300))
+    G = gram_matrix(grid, TruncationWindow(row_range=(-300, 300)))
     assert G.shape == (11, 11)
     assert np.allclose(G, G.conj().T)
     assert np.all(G.diagonal().real > 1.0)  # complex atoms carry extra energy
@@ -385,9 +385,13 @@ def odd_moved_grid(radius):
 COMPLEX_GRIDS = [
     (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None),
     (uniform_offset_grid([0.3 + 0.2j] * 101, (-50, 50)), None),
-    (odd_moved_grid(50), TruncationWindow.symmetric(500)),
+    (odd_moved_grid(50), TruncationWindow(row_range=(-500, 500))),
+    # one run of moved columns between unmoved ones, and two runs one apart
+    (uniform_offset_grid([0.0] * 20 + [0.1 + 0.1j] * 30 + [0.0] * 51, (-50, 50)), None),
+    (uniform_offset_grid([0.0] * 20 + [0.1 + 0.1j] * 15 + [0.0] + [0.1 + 0.1j] * 14
+                         + [0.0] * 51, (-50, 50)), None),
 ]
-COMPLEX_IDS = ["complex-offset", "offset-0.3+0.2i", "odd-moved"]
+COMPLEX_IDS = ["complex-offset", "offset-0.3+0.2i", "odd-moved", "moved-run", "moved-runs"]
 
 
 @pytest.mark.parametrize("grid, window", COMPLEX_GRIDS, ids=COMPLEX_IDS)
@@ -417,7 +421,7 @@ def test_complex_norm_is_perturbation_norms_bitwise(moved):
     # side of the cutoff (eigvalsh of E^H E, ARPACK on E) the norm is the
     # one perturbation_norm gives
     grid = uniform_offset_grid([0.1 + 0.1j] * moved, (-400, moved - 401))
-    window = TruncationWindow.symmetric(400)
+    window = TruncationWindow(row_range=(-400, 400))
     summary, _ = riesz_bounds_estimate(grid, window, seed=5)
     alone = perturbation_norm(grid, window, seed=5)
     assert summary.perturbation_norm == alone.perturbation_norm > 0.0
@@ -444,21 +448,31 @@ def test_complex_typed_real_nodes_get_the_real_estimate():
 
 
 def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):
-    # below len(G) * eps * lambda_max (eigvalsh) or norm_tolerance *
-    # lambda_max (ARPACK, which spent products) the smallest eigenvalue
-    # has no reliable digit
-    grid = ingham_grid(4)  # 9 nodes
+    # below len(G) * eps * lambda_max (eigvalsh, up to the cutoff) or
+    # norm_tolerance * lambda_max (ARPACK, above it) the smallest
+    # eigenvalue has no reliable digit
+    small, large = ingham_grid(4), power_law_grid(0.2, 1.0, DENSE_EIG_CUTOFF + 1)
     eps = np.finfo(float).eps
-    cases = [(9 * eps * 1.01, 0, True), (9 * eps * 0.99, 0, False), (-1e-16, 0, False),
-             (1.01e-10, 7, True), (0.99e-10, 7, False)]
-    for emin, products, resolved in cases:
+    cases = [(small, 9 * eps * 1.01, True), (small, 9 * eps * 0.99, False),
+             (small, -1e-16, False), (large, 1.01e-10, True), (large, 0.99e-10, False)]
+    for grid, emin, resolved in cases:
         monkeypatch.setattr(framekit, "_extremes",
-                            lambda n, dense, matvec, dtype, which, window, seed:
-                            ([emin, 1.0], products) if which == "BE" else ([0.25], 0))
-        summary, _ = riesz_bounds_estimate(grid)
-        assert summary.min_eigenvalue_resolved is resolved
+                            lambda dense, n, matvec, dtype, which, window, seed:
+                            ([emin, 1.0], 0) if which == "BE" else ([0.25], 0))
+        window = TruncationWindow(row_range=(int(grid.indices[0]), int(grid.indices[-1])))
+        summary, _ = riesz_bounds_estimate(grid, window)
         assert summary.min_eigenvalue == (emin if resolved else None)
         assert summary.converged
+
+
+def test_coinciding_nodes_leave_the_minimum_unresolved_above_the_cutoff(eigsh_calls):
+    # lambda_1 = lambda_5 = 6 make the 821-node G singular (eigvalsh: -1.2e-15),
+    # but ARPACK's smallest eigenvalue reads 3.09e-4, above its resolution
+    grid = power_law_grid(5.0, 1.0, 410, extend_nonpositive=True)
+    summary, G = riesz_bounds_estimate(grid)
+    assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == ["BE"]
+    assert summary.min_eigenvalue is None and summary.converged
+    assert summary.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-10)
 
 
 def test_riesz_bounds_returns_its_gram_matrix():
@@ -492,10 +506,16 @@ def test_riesz_bounds_never_hold_s_and_g_together():
 @pytest.mark.parametrize("grid, window, e_factor, g_factor", [
     # E is 1001 x 201 and G 201^2: E's build peaks the parent and the change
     (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None, 2.25, 1.0),
-    # E is 1001 x 500 and G 1001^2: the parent, holding S and G together,
-    # peaked at E + 2.5 G; the assembly holds E's rows, E^H E and G, E + 1.3 G
-    (odd_moved_grid(500), TruncationWindow.symmetric(500), 1.0, 2.75),
-], ids=["complex-offset", "half-moved"])
+    # E is 1001 x 500 and G 1001^2: E^H E is copied into E's rows before G
+    # is allocated, so the peak is those rows and G, E + 1.0 G; holding
+    # E^H E beside them as well would read E + 1.25 G
+    (odd_moved_grid(500), TruncationWindow(row_range=(-500, 500)), 1.0, 1.2),
+    # E and G are both 801^2: E, its conjugate and E^H E peak the norm at
+    # 3.0 E, and the assembly holds two of C, E^H E and G (R is a view of
+    # C); an assembly holding two more n^2 arrays would read 4.0
+    (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)),
+     TruncationWindow(row_range=(-400, 400)), 2.0, 1.25),
+], ids=["complex-offset", "half-moved", "all-moved-square"])
 def test_complex_riesz_bounds_peak_memory(grid, window, e_factor, g_factor):
     window = window or TruncationWindow.for_grid(grid)
     rows = window.row_range[1] - window.row_range[0] + 1
@@ -560,7 +580,7 @@ def test_complex_gram_is_solved_exactly_above_the_cutoff(eigsh_calls):
     indices = np.arange(-500, 501)
     nodes = indices + np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0)
     grid = PerturbedGrid(indices=indices, nodes=nodes)
-    window = TruncationWindow.symmetric(500)
+    window = TruncationWindow(row_range=(-500, 500))
     summary, _ = riesz_bounds_estimate(grid, window)
     eigenvalues = np.linalg.eigvalsh(gram_matrix(grid, window))
     assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == []
@@ -621,7 +641,7 @@ def test_dump_matrix_matches_per_entry_writer(tmp_path, monkeypatch):
     # lambda_n = 1.1 n: Toeplitz in exact arithmetic, 206 distinct of 1681 entries
     toeplitz = gram_matrix(uniform_offset_grid(0.1 * np.arange(-20, 21), (-20, 20)))
     hermitian = gram_matrix(uniform_offset_grid(np.full(9, 0.1 + 0.1j), (-4, 4)),
-                            TruncationWindow.symmetric(30))
+                            TruncationWindow(row_range=(-30, 30)))
     cases = [(gram_matrix(ingham_grid(6)), (np.arange(-6, 7),) * 2),
              (complex_matrix, (np.arange(2, 7), np.array([-1, 3, 40]))),
              (signed_zero, (np.arange(4), np.arange(6))),

@@ -416,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_window_flags(p)
     p.add_argument("--seed", type=int, default=0,
-                   help="ARPACK's start seed, for more moved norm columns or real Gram "
-                        "nodes than framekit.DENSE_EIG_CUTOFF (a complex Gram matrix "
-                        "is exact)")
+                   help="ARPACK's start seed, for a real grid with more moved norm "
+                        "columns or Gram nodes than framekit.DENSE_EIG_CUTOFF (a "
+                        "complex grid is solved exactly)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
                    help="dump the Gram matrix as text, one 'k n re im' record per "
                         "entry, k and n its grid indices")

@@ -19,11 +19,12 @@ assembly, whichever columns moved, embeds that S - I's rows at the grid
 indices and its (S - I)^H (S - I) in an identity instead of forming a
 product, so a complex riesz_bounds_estimate builds S - I once for its norm
 and G; a real one builds S - I, releases it, then builds G.  Either hands G
-back with its summary.  Eigenvalues are exact for a complex Gram matrix and
-up to DENSE_EIG_CUTOFF columns otherwise, from one ARPACK run above ("LA"
-for the norm, "BE" for a real Gram matrix).  A smallest Gram eigenvalue
-below the solve's resolution, or of a grid with two equal nodes, is
-reported as None.
+back with its summary.  Eigenvalues are exact (eigvalsh) for every complex
+matrix and up to DENSE_EIG_CUTOFF columns otherwise, from one real ARPACK
+run above ("LA" for the norm, "BE" for a Gram matrix): ARPACK's complex
+path needs a run per end, is slower and stalls once |Im lambda| ~ 1.  A
+smallest Gram eigenvalue below the solve's resolution, or above what G's
+2 x 2 principal minors allow, is reported as None.
 """
 
 from __future__ import annotations
@@ -127,13 +128,13 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
                        grid.nodes)
 
 
-def _extremes(dense: Optional[np.ndarray], n: int, matvec, dtype, which: str,
+def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
               window: TruncationWindow, seed: int) -> tuple[list[float], int]:
     """Extremal eigenvalues of an n x n Hermitian matrix and the operator
     products spent.  which is ARPACK's: "LA" gives [largest], "BE"
     [smallest, largest].  eigvalsh of dense when it is given, else ARPACK
-    on matvec with the window's tolerance and restart cap from a seeded
-    start vector (nan if it fails).
+    on the real symmetric matvec with the window's tolerance and restart
+    cap from a seeded start vector (nan if it fails).
     """
     if dense is not None:
         eigenvalues = np.linalg.eigvalsh(dense)
@@ -147,16 +148,13 @@ def _extremes(dense: Optional[np.ndarray], n: int, matvec, dtype, which: str,
         products += 1
         return matvec(v)
 
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if np.issubdtype(dtype, np.complexfloating):
-        v0 = v0 + 1j * rng.standard_normal(n)
-    operator = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=dtype)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    operator = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=np.float64)
     k = 2 if which == "BE" else 1
     try:
-        found = np.sort(np.real(scipy.sparse.linalg.eigsh(
+        found = np.sort(scipy.sparse.linalg.eigsh(
             operator, k=k, which=which, tol=window.norm_tolerance,
-            maxiter=window.max_iterations, v0=v0, return_eigenvectors=False)))
+            maxiter=window.max_iterations, v0=v0, return_eigenvectors=False))
     except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
         found = np.full(k, math.nan)
     return found.tolist(), products
@@ -170,7 +168,7 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
 
     E holds the m moved columns, of which a complex grid, the only kind G
     is asked for, has at least one; M = E^H E is formed when the norm is
-    exact or G is wanted.  S = E + P, where P has a 1 at row n of each
+    exact, as a complex one is.  S = E + P, where P has a 1 at row n of each
     moved column n, and an unmoved column of S is the unit vector at row n.
     So with C the rows of E at the grid indices and R those at the moved
     ones, S^H S is I plus C^H on the moved rows and C on the moved columns,
@@ -185,13 +183,10 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
     if moved.size:
         E = sinc_matrix(rows, grid.nodes[moved])
         E[grid.indices[moved] - window.row_range[0], np.arange(moved.size)] -= 1.0
-        exact = moved.size <= DENSE_EIG_CUTOFF
-        M = E.conj().T @ E if gram or exact else None
+        exact = grid.is_complex or moved.size <= DENSE_EIG_CUTOFF
+        M = E.conj().T @ E if exact else None
         if norm:
-            # E^H u computed as conj(conj(u) E): no conjugate copy of E is made
-            (top,), products = _extremes(
-                M if exact else None, moved.size, lambda v: ((E @ v).conj() @ E).conj(),
-                E.dtype, "LA", window, seed)
+            (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", window, seed)
         if gram:
             C = E[grid.indices - window.row_range[0]]
             del E
@@ -225,10 +220,10 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     S - I is built on the moved columns (lambda_n != n) only: sinc_matrix is
     exact at the integers, so an unmoved column of S - I is exactly 0.  The
     norm is the square root of the top eigenvalue of (S - I)^H (S - I),
-    found by the module's eigenvalue rule: exact for up to DENSE_EIG_CUTOFF
-    moved columns, ARPACK on v -> (S - I)^H ((S - I) v) above.
-    iterations_used counts those products (0 when exact or when no column
-    moved).  When ARPACK stops without an eigenvalue the norm is nan and
+    found by the module's eigenvalue rule: exact for a complex grid or up to
+    DENSE_EIG_CUTOFF moved columns, ARPACK on v -> (S - I)^T ((S - I) v)
+    above.  iterations_used counts those products (0 when exact or when no
+    column moved).  When ARPACK stops without an eigenvalue the norm is nan and
     converged is False.  S is turned into S - I in place (I: entry 1 at row
     k = n of column n), after the window's rows x len(grid) is checked.
     """
@@ -263,14 +258,14 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     comes from E^H E exactly as perturbation_norm's does, and G is
     assembled from E^H E and a copy of E's rows at the grid indices once E
     is released (see _norm_and_gram).  G is returned so that a caller writing
-    it out need not build it again.  iterations_used counts the operator
-    products of both eigen-solves: the norm's, over the moved columns, and
-    a real Gram matrix's, whose two ends come from one ARPACK run (a
-    complex one is solved exactly).  A smallest eigenvalue below the
-    solve's resolution, len(G) * eps * lambda_max for eigvalsh and
-    norm_tolerance * lambda_max for ARPACK, has no reliable digit, and
-    two coinciding nodes make G singular, which ARPACK can miss: either
-    way min_eigenvalue is reported as None.
+    it out need not build it again.  Both solves follow the module's eigen
+    rule, and iterations_used counts their ARPACK products.  A smallest
+    eigenvalue below the solve's resolution, len(G) * eps * lambda_max for
+    eigvalsh and norm_tolerance * lambda_max for ARPACK, has no reliable
+    digit.  By Cauchy interlacing on the 2 x 2 principal minors of a real,
+    unit-diagonal G, lambda_min <= 1 - |G_ij|; an ARPACK reading above that
+    for two neighbouring nodes, as when nodes (nearly) coincide, is wrong.
+    Either way min_eigenvalue is reported as None.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
@@ -278,14 +273,13 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
         summary, G = _norm_and_gram(grid, window, seed, gram=True)
     else:
         summary, G = perturbation_norm(grid, window, seed=seed), gram_matrix(grid, window)
-    # a complex G is solved exactly at any size: ARPACK's complex path needs
-    # a run per end, is slower and stalls once |Im lambda| ~ 1
     exact = grid.is_complex or len(G) <= DENSE_EIG_CUTOFF
-    (emin, emax), products = _extremes(G if exact else None, len(G), G.dot, G.dtype,
-                                       "BE", window, seed)
+    (emin, emax), products = _extremes(G if exact else None, len(G), G.dot, "BE", window, seed)
     resolution = (len(G) * np.finfo(float).eps if exact else window.norm_tolerance) * emax
-    # a nan from a failed ARPACK run stays as it is unless nodes coincide
-    resolved = not emin < resolution and np.unique(grid.nodes).size == len(grid)
+    resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
+    if not exact:
+        order = np.argsort(grid.nodes)
+        resolved &= not emin > 1.0 - np.abs(G[order[:-1], order[1:]]).max() + resolution
     return replace(summary,
                    min_eigenvalue=emin if resolved else None,
                    max_eigenvalue=emax,

@@ -520,16 +520,25 @@ def test_gram_accepts_nodes_at_the_bounds(capsys):
     assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
 
 
-def test_gram_coinciding_nodes_above_the_cutoff_are_unresolved(capsys):
-    # 821 nodes with lambda_1 = lambda_5 = 6: ARPACK reads the singular Gram
-    # matrix's smallest eigenvalue as 3.09e-4, so it is not reported; the
-    # run still converged
-    code, out, err = run(capsys, "gram", "--power-law", "--A", "5", "--alpha", "1",
-                         "--N", "410", "--extend-nonpositive", "--format", "json")
-    assert code == 0 and err == ""
-    results = json.loads(out)["results"]
-    assert results["iterations_used"] > 0 and results["converged"] is True
-    assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
+def test_gram_coinciding_nodes_above_the_cutoff_are_unresolved(capsys, tmp_path):
+    # 821 nodes with lambda_1 = 6 and lambda_5 = 6 + gap: ARPACK reads the
+    # Gram matrix's smallest eigenvalue, 0 to rounding, as 3.09e-4, so it is
+    # not reported; the run still converged.  gap = 0 is the generated grid,
+    # the others are read from a file
+    flags = [("--power-law", "--A", "5", "--alpha", "1", "--N", "410", "--extend-nonpositive")]
+    grid = grids.power_law_grid(5.0, 1.0, 410, extend_nonpositive=True)
+    for gap in (1e-9, 1e-6):
+        path = tmp_path / f"grid-{gap}.txt"
+        path.write_text("".join(f"{n}\t{6.0 + gap if n == 5 else x!r}\n"
+                                for n, x in zip(grid.indices.tolist(), grid.nodes.tolist())),
+                        encoding="utf-8")
+        flags.append(("--grid-file", str(path)))
+    for grid_flags in flags:
+        code, out, err = run(capsys, "gram", *grid_flags, "--format", "json")
+        assert code == 0 and err == ""
+        results = json.loads(out)["results"]
+        assert results["iterations_used"] > 0 and results["converged"] is True
+        assert results["min_eigenvalue"] is None and results["min_eigenvalue_resolved"] is False
 
 
 def test_gram_dump_labels_entries_by_grid_index(capsys, tmp_path):
@@ -564,14 +573,26 @@ def test_gram_close_nodes_from_grid_file(capsys, tmp_path):
 
 
 def test_gram_nonconverged_exits_nonzero(capsys):
-    # 801 columns take ARPACK, which one restart leaves short of the tolerance
-    code, out, _ = run(capsys, "gram", "--uniform-offset", "0.1", "--imag", "0.1",
+    # 801 real columns take ARPACK, which one restart leaves short of the
+    # tolerance
+    code, out, _ = run(capsys, "gram", "--uniform-offset", "0.1",
                        "--N", "400", "--window", "400", "--max-iter", "1",
                        "--format", "json")
     assert code == 1
     results = json.loads(out)["results"]
     assert results["converged"] is False
     assert results["perturbation_norm"] is None
+
+
+def test_gram_complex_grid_above_the_cutoff_is_exact(capsys):
+    # 801 complex columns are solved by eigvalsh, so the restart cap that
+    # stops the real grid above does not apply
+    code, out, _ = run(capsys, "gram", "--uniform-offset", "0.1", "--imag", "0.1",
+                       "--N", "400", "--window", "400", "--max-iter", "1",
+                       "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["converged"] is True and results["iterations_used"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -235,10 +235,11 @@ def test_norm_matches_dense_svd():
     (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)), 400),
 ], ids=["real", "complex"])
 def test_arpack_norm_matches_svdvals(grid, radius):
-    # more moved columns than DENSE_EIG_CUTOFF: the norm comes from ARPACK
+    # more moved columns than DENSE_EIG_CUTOFF: a real grid's norm comes
+    # from ARPACK, a complex grid's from eigvalsh at any size
     window = TruncationWindow(row_range=(-radius, radius))
     summary = perturbation_norm(grid, window)
-    assert summary.converged and summary.iterations_used > 0
+    assert summary.converged and (summary.iterations_used == 0) == grid.is_complex
     exact = scipy.linalg.svdvals(perturbation(grid, window))[0]
     assert abs(summary.perturbation_norm - exact) <= 1e-8
 
@@ -266,6 +267,23 @@ def test_norm_holds_no_copy_of_s():
         tracemalloc.stop()
     assert summary.converged and summary.perturbation_norm > 0.0
     assert peak < 1.5 * s_bytes
+
+
+def test_complex_norm_peak_memory():
+    # a complex norm is exact at any size, so 801 moved columns form
+    # M = E^H E: E, the conjugate copy it is multiplied from and M are held
+    # at once, and nothing else over 1 MiB beside them
+    grid = uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400))
+    window = TruncationWindow(row_range=(-400, 400))
+    e_bytes, m_bytes = 801 * 801 * 16, 801 ** 2 * 16
+    tracemalloc.start()
+    try:
+        summary = perturbation_norm(grid, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.converged and summary.iterations_used == 0
+    assert peak < 2 * e_bytes + m_bytes + 2 ** 20
 
 
 def test_norm_window_growth_monotone():
@@ -306,9 +324,9 @@ def test_norm_seed_determinism():
 
 
 def test_nonconvergence_is_flagged():
-    # one ARPACK restart cannot resolve the clustered top of a complex
+    # one ARPACK restart cannot resolve the clustered top of a real
     # offset's spectrum above the dense cutoff
-    grid = uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400))
+    grid = uniform_offset_grid([0.1] * 801, (-400, 400))
     window = TruncationWindow(row_range=(-400, 400), max_iterations=1)
     summary = perturbation_norm(grid, window)
     assert not summary.converged
@@ -418,14 +436,14 @@ def test_riesz_bounds_returns_the_complex_gram_bitwise(grid, window):
 @pytest.mark.parametrize("moved", [800, 801])
 def test_complex_norm_is_perturbation_norms_bitwise(moved):
     # riesz_bounds_estimate builds S - I once for the norm and G: on either
-    # side of the cutoff (eigvalsh of E^H E, ARPACK on E) the norm is the
-    # one perturbation_norm gives
+    # side of the cutoff (eigvalsh of E^H E for a complex grid at any size)
+    # the norm is the one perturbation_norm gives
     grid = uniform_offset_grid([0.1 + 0.1j] * moved, (-400, moved - 401))
     window = TruncationWindow(row_range=(-400, 400))
     summary, _ = riesz_bounds_estimate(grid, window, seed=5)
     alone = perturbation_norm(grid, window, seed=5)
     assert summary.perturbation_norm == alone.perturbation_norm > 0.0
-    assert (alone.iterations_used > 0) == (moved > DENSE_EIG_CUTOFF)
+    assert alone.iterations_used == 0
 
 
 def test_complex_typed_unmoved_grid_is_real():
@@ -457,7 +475,7 @@ def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):
              (small, -1e-16, False), (large, 1.01e-10, True), (large, 0.99e-10, False)]
     for grid, emin, resolved in cases:
         monkeypatch.setattr(framekit, "_extremes",
-                            lambda dense, n, matvec, dtype, which, window, seed:
+                            lambda dense, n, matvec, which, window, seed:
                             ([emin, 1.0], 0) if which == "BE" else ([0.25], 0))
         window = TruncationWindow(row_range=(int(grid.indices[0]), int(grid.indices[-1])))
         summary, _ = riesz_bounds_estimate(grid, window)
@@ -466,13 +484,19 @@ def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):
 
 
 def test_coinciding_nodes_leave_the_minimum_unresolved_above_the_cutoff(eigsh_calls):
-    # lambda_1 = lambda_5 = 6 make the 821-node G singular (eigvalsh: -1.2e-15),
-    # but ARPACK's smallest eigenvalue reads 3.09e-4, above its resolution
-    grid = power_law_grid(5.0, 1.0, 410, extend_nonpositive=True)
-    summary, G = riesz_bounds_estimate(grid)
-    assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == ["BE"]
-    assert summary.min_eigenvalue is None and summary.converged
-    assert summary.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-10)
+    # lambda_1 = 6 and lambda_5 = 6 + gap make the 821-node G singular to
+    # rounding (eigvalsh: -1.2e-15 to 2.4e-16), but ARPACK's smallest
+    # eigenvalue reads 3.09e-4, above its resolution and above the ceiling
+    # 1 - |G_15| that the 2 x 2 principal minor of the two nodes sets
+    base = power_law_grid(5.0, 1.0, 410, extend_nonpositive=True)
+    for gap in (0.0, 1e-9, 1e-6):
+        eigsh_calls.clear()
+        grid = PerturbedGrid(indices=base.indices,
+                             nodes=np.where(base.indices == 5, 6.0 + gap, base.nodes))
+        summary, G = riesz_bounds_estimate(grid)
+        assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == ["BE"]
+        assert summary.min_eigenvalue is None and summary.converged
+        assert summary.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-10)
 
 
 def test_riesz_bounds_returns_its_gram_matrix():
@@ -574,19 +598,19 @@ def eigsh_calls(monkeypatch):
 
 
 def test_complex_gram_is_solved_exactly_above_the_cutoff(eigsh_calls):
-    # 1001 nodes, of which the 500 odd ones move: the norm's columns are
-    # under the cutoff and the complex Gram matrix is exact at any size, so
-    # ARPACK is never called
-    indices = np.arange(-500, 501)
-    nodes = indices + np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0)
-    grid = PerturbedGrid(indices=indices, nodes=nodes)
-    window = TruncationWindow(row_range=(-500, 500))
-    summary, _ = riesz_bounds_estimate(grid, window)
-    eigenvalues = np.linalg.eigvalsh(gram_matrix(grid, window))
-    assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == []
-    assert summary.iterations_used == 0 and summary.converged
-    assert summary.min_eigenvalue == eigenvalues[0] > 0.0
-    assert summary.max_eigenvalue == eigenvalues[-1]
+    # 1001 nodes of which the 500 odd ones move, and 801 nodes that all
+    # move: a complex norm and Gram matrix are exact at any size, so ARPACK
+    # is never called
+    for grid, radius in ((odd_moved_grid(500), 500),
+                         (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)), 400)):
+        window = TruncationWindow(row_range=(-radius, radius))
+        alone = perturbation_norm(grid, window)
+        summary, _ = riesz_bounds_estimate(grid, window)
+        eigenvalues = np.linalg.eigvalsh(gram_matrix(grid, window))
+        assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == []
+        assert alone.iterations_used == summary.iterations_used == 0 and summary.converged
+        assert summary.min_eigenvalue == eigenvalues[0] > 0.0
+        assert summary.max_eigenvalue == eigenvalues[-1]
 
 
 def test_lanczos_path_matches_dense(eigsh_calls):

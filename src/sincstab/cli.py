@@ -131,9 +131,12 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_grid(args) -> grids.PerturbedGrid:
-    """The requested grid.  gram and reconstruct build at least one real
-    n x n matrix on an n-node grid, so a generated grid is refused before any
-    of its arrays is made when that matrix would be over the dense limit."""
+    """The requested grid.  gram can form the dense n x n Gram matrix of an
+    n-node grid (for eigvalsh up to framekit.DENSE_EIG_CUTOFF nodes, for
+    --dump-matrix, and always on a complex grid), and reconstruct's m x n
+    moved rows are no larger, so a generated grid is refused before any of
+    its arrays is made when a real n x n matrix would be over the dense
+    limit."""
     from . import grids
 
     if args.grid_file is not None:
@@ -253,7 +256,7 @@ def _run_gram(args):
     window = _resolve_window(args, grid)
     summary, G = framekit.riesz_bounds_estimate(grid, window, seed=args.seed)
     if args.dump_matrix:
-        framekit.dump_matrix(G, args.dump_matrix, grid.indices, grid.indices)
+        framekit.dump_matrix(G.dense(), args.dump_matrix, grid.indices, grid.indices)
     params = _grid_params(args)
     params["window_rows"] = [int(window.row_range[0]), int(window.row_range[1])]
     results = {

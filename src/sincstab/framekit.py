@@ -7,24 +7,29 @@ the grid's deviation constant, so this module gives no verdict: only bounds,
 which it does not import, certifies lambda < 1.  Gram matrices and their
 extremal eigenvalues estimate the Riesz bounds.  A grid takes the complex
 paths below exactly when grids.PerturbedGrid has made it complex.
-S and the real Gram matrix are dense arrays (synthesis_matrix returns S
-itself), built in one pass of row blocks by specfun.sinc_matrix from
-per-node sines and cosines (a rank-2 numerator over pi times the node
-difference, one term on integer rows, so on every row of S; pairs closer
-than 1, found once per matrix by a search of the sorted nodes, evaluated
-directly); a matrix over specfun.MAX_DENSE_BYTES is refused with ValueError
-before anything of its size is allocated.  The norm holds S - I on the
-moved columns only.  The complex Gram matrix is the window's S^H S: one
-assembly, whichever columns moved, embeds that S - I's rows at the grid
-indices and its (S - I)^H (S - I) in an identity instead of forming a
-product, so a complex riesz_bounds_estimate builds S - I once for its norm
-and G; a real one builds S - I, releases it, then builds G.  Either hands G
-back with its summary.  Eigenvalues are exact (eigvalsh) for every complex
-matrix and up to DENSE_EIG_CUTOFF columns otherwise, from one real ARPACK
-run above ("LA" for the norm, "BE" for a Gram matrix): ARPACK's complex
-path needs a run per end, is slower and stalls once |Im lambda| ~ 1.  A
-smallest Gram eigenvalue below the solve's resolution, or above what G's
-2 x 2 principal minors allow, is reported as None.
+S is a dense array (synthesis_matrix returns S itself), built in one pass
+of row blocks by specfun.sinc_matrix from per-node sines and cosines (a
+rank-2 numerator over pi times the node difference, one term on integer
+rows, so on every row of S; pairs closer than 1, found once per matrix by
+a search of the sorted nodes, evaluated directly); a matrix over
+specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
+size is allocated.  The norm holds S - I on the moved columns only.
+A Gram matrix is held as its moved rows (GramRows): an unmoved atom is
+an integer translate, so its row is a unit vector and its column mirrors
+the moved rows.  A real grid's moved rows are sinc_matrix(moved nodes,
+nodes); a complex grid's are the window's S^H S, assembled from the
+norm's S - I (see _norm_and_gram), so a complex riesz_bounds_estimate
+builds S - I once for its norm and G, and a real one builds S - I,
+releases it, then builds G's moved rows.  Either hands G back with its
+summary.  Eigenvalues are exact (eigvalsh) for every complex matrix and
+up to DENSE_EIG_CUTOFF columns otherwise, from one real ARPACK run above
+("LA" for the norm, "BE" for a Gram matrix, whose products stream the
+moved rows and form no n x n array): ARPACK's complex path needs a run
+per end, is slower and stalls once |Im lambda| ~ 1.  The dense Gram
+matrix is formed only for eigvalsh, a dump and gram_matrix; ARPACK and
+reconstruct's CG apply G @ p to the moved rows.  A smallest
+Gram eigenvalue below the solve's resolution, or above what G's 2 x 2
+principal minors allow, is reported as None.
 """
 
 from __future__ import annotations
@@ -37,13 +42,15 @@ from typing import Optional
 import numpy as np
 
 from .grids import PerturbedGrid
-from .specfun import SINC_BLOCK, check_dense_size, sinc_matrix
+from .specfun import SINC_BLOCK, check_dense_size, sinc_array, sinc_matrix
 
 __all__ = [
     "TruncationWindow",
     "GramSummary",
+    "GramRows",
     "synthesis_matrix",
     "perturbation_norm",
+    "gram_rows",
     "gram_matrix",
     "riesz_bounds_estimate",
     "dump_matrix",
@@ -106,6 +113,69 @@ class GramSummary:
     converged: bool = True
 
 
+def _run(positions: np.ndarray):
+    """Sorted distinct positions as a slice when they form one run (or
+    none), so that indexing with them gives views, else as they are."""
+    if positions.size == 0:
+        return slice(0, 0)
+    if positions[-1] - positions[0] < positions.size:
+        return slice(int(positions[0]), int(positions[-1]) + 1)
+    return positions
+
+
+class GramRows:
+    """An n x n Hermitian Gram matrix G held as its moved rows.
+
+    rows is R = G[moved], m x n for the m nodes with lambda_n != n.  Every
+    unmoved row of G is the unit vector at its own position (an unmoved
+    atom is the integer translate sinc(t - n)), so every unmoved column is
+    the conjugate mirror of R.  moved and unmoved are slices when they form
+    one run, as on every generated grid, so that sub-blocks of R are views.
+    g @ p is G p: R p on the moved entries and p + R[:, unmoved]^H p[moved]
+    on the unmoved ones, streaming R once and its unmoved columns once, with
+    no copy of R.  dense() forms the n x n matrix on its first call.
+    """
+
+    def __init__(self, rows: np.ndarray, moved: np.ndarray):
+        self.rows = rows
+        self.dtype = rows.dtype
+        self.moved = _run(moved)
+        self.unmoved = _run(np.setdiff1d(np.arange(rows.shape[1]), moved))
+        self._dense: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.rows.shape[1]
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        R, moved, unmoved = self.rows, self.moved, self.unmoved
+        out = np.array(p, dtype=np.result_type(R, p))
+        out[moved] = R @ p
+        if isinstance(unmoved, slice):
+            out[unmoved] += (p[moved].conj() @ R[:, unmoved]).conj()
+        else:  # R[:, unmoved] would be a copy: take every column's sum and index it
+            out[unmoved] += (p[moved].conj() @ R).conj()[unmoved]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """G as an n x n array, formed once: R on the moved rows, its
+        conjugate mirror on the unmoved rows (copied SINC_BLOCK entries at
+        a time) and I on the unmoved block.  With every node moved it is R."""
+        if self._dense is None:
+            R, n = self.rows, len(self)
+            G = R
+            if len(R) < n:
+                G = np.zeros((n, n), dtype=R.dtype)
+                G[self.moved] = R
+                moved, unmoved = np.arange(n)[self.moved], np.arange(n)[self.unmoved]
+                step = max(1, SINC_BLOCK // max(moved.size, 1))
+                for i0 in range(0, unmoved.size, step):
+                    block = unmoved[i0:i0 + step]
+                    G[np.ix_(block, moved)] = R[:, block].T.conj()
+                G[unmoved, unmoved] = 1.0
+            self._dense = G
+        return self._dense
+
+
 def _window_rows(grid: PerturbedGrid, window: TruncationWindow) -> np.ndarray:
     """The window's rows, checked to cover the grid and to fit rows x len(grid)."""
     lo, hi = window.row_range
@@ -162,20 +232,20 @@ def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
 
 def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
                    norm: bool = True, gram: bool = False
-                   ) -> tuple[Optional[GramSummary], Optional[np.ndarray]]:
+                   ) -> tuple[Optional[GramSummary], Optional[GramRows]]:
     """perturbation_norm's summary (None unless norm) and, if gram, the
-    complex Gram matrix S^H S assembled from the same E = S - I.
+    complex Gram matrix S^H S as its moved rows, from the same E = S - I.
 
     E holds the m moved columns, of which a complex grid, the only kind G
     is asked for, has at least one; M = E^H E is formed when the norm is
     exact, as a complex one is.  S = E + P, where P has a 1 at row n of each
     moved column n, and an unmoved column of S is the unit vector at row n.
-    So with C the rows of E at the grid indices and R those at the moved
-    ones, S^H S is I plus C^H on the moved rows and C on the moved columns,
-    except on the moved block, M + R + R^H + I.  One assembly serves every
-    complex grid: E is released once C is copied, M takes R and R^H and
-    replaces R in C, and a zero-filled G takes C^H on the moved rows, C on
-    the moved columns and 1 on its diagonal, with no temporary over m x m.
+    So with C the rows of E at the grid indices and B those at the moved
+    ones, the moved rows of S^H S are C^H, except on the moved block,
+    M + B + B^H + I.  One assembly serves every complex grid: R = C^T is
+    copied from E, M takes B and then B^H (R conjugated in place between
+    the two, which leaves C^H), and R's moved block takes M and 1 on its
+    diagonal, with no temporary over m x m.
     """
     rows = _window_rows(grid, window)
     moved = np.flatnonzero(grid.nodes != grid.indices)
@@ -188,21 +258,14 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
         if norm:
             (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", window, seed)
         if gram:
-            C = E[grid.indices - window.row_range[0]]
-            del E
-            # one run of moved positions (all, on generated grids) as a slice: views, not copies
-            at = slice(moved[0], moved[-1] + 1) if moved[-1] - moved[0] < moved.size else moved
-            M += C[at]
-            np.conjugate(C, out=C)
-            M += C.T[:, at]
-            np.conjugate(M, out=M)
-            C[at] = M  # conjugated back with the rest of C below
-            del M
-            G = np.zeros((len(grid), len(grid)), dtype=C.dtype)
-            G[at] = C.T
-            np.conjugate(C, out=C)
-            G[:, at] = C
-            G.ravel()[::len(grid) + 1] += 1.0
+            G = GramRows(np.ascontiguousarray(E[_run(grid.indices - window.row_range[0])].T),
+                         moved)
+            R, at = G.rows, G.moved  # R[:, at] is B^T
+            M += R[:, at].T
+            np.conjugate(R, out=R)
+            M += R[:, at]
+            R[:, at] = M
+            R[np.arange(moved.size), moved] += 1.0
     if not norm:
         return None, G
     norm_value = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
@@ -232,54 +295,69 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     return _norm_and_gram(grid, window, seed)[0]
 
 
-def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
-                ) -> np.ndarray:
-    """Gram matrix of the grid's atoms.
+def gram_rows(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
+              ) -> GramRows:
+    """Gram matrix of the grid's atoms, as its moved rows (see GramRows).
 
     Real grids use the closed form G(m, n) = sinc(lambda_m - lambda_n)
-    (symmetric, unit diagonal).  A complex grid's is the window-truncated
-    S^H S, which converges to the Gram as the window grows; it is assembled
-    from S - I on the moved columns in O(rows m^2 + n^2) for m moved of n
-    columns, as riesz_bounds_estimate assembles it (see _norm_and_gram).
+    (symmetric, unit diagonal): R = sinc_matrix(moved nodes, nodes), and
+    the window is not read.  A complex grid's is the window-truncated
+    S^H S, which converges to the Gram as the window grows; its moved rows
+    are assembled from S - I on the moved columns in O(rows m^2 + m n) for
+    m moved of n columns, as riesz_bounds_estimate assembles them (see
+    _norm_and_gram).
     """
     if grid.is_complex:
         return _norm_and_gram(grid, window or TruncationWindow.for_grid(grid), 0,
                               norm=False, gram=True)[1]
-    return sinc_matrix(grid.nodes, grid.nodes)
+    moved = np.flatnonzero(grid.nodes != grid.indices)
+    return GramRows(sinc_matrix(grid.nodes[moved], grid.nodes), moved)
+
+
+def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
+                ) -> np.ndarray:
+    """Gram matrix of the grid's atoms as a dense n x n array: gram_rows'
+    dense().  On a real grid it equals sinc_matrix(nodes, nodes) value for
+    value; the unmoved block off the diagonal is +0.0."""
+    return gram_rows(grid, window).dense()
 
 
 def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
-                          seed: int = 0) -> tuple[GramSummary, np.ndarray]:
+                          seed: int = 0) -> tuple[GramSummary, GramRows]:
     """Extremal eigenvalues of the truncated Gram matrix plus the bounds
-    implied by the perturbation norm, and the Gram matrix itself.
+    implied by the perturbation norm, and the Gram matrix itself as its
+    moved rows.
 
-    A real grid's S - I is released before G is built, so the two never
-    share memory.  A complex grid builds S - I once, for both: its norm
-    comes from E^H E exactly as perturbation_norm's does, and G is
-    assembled from E^H E and a copy of E's rows at the grid indices once E
-    is released (see _norm_and_gram).  G is returned so that a caller writing
+    A real grid's S - I is released before G's moved rows are built, so the
+    two never share memory.  A complex grid builds S - I once, for both: its
+    norm comes from E^H E exactly as perturbation_norm's does, and G's moved
+    rows are assembled from E^H E and a copy of E's rows at the grid
+    indices (see _norm_and_gram).  G is returned so that a caller writing
     it out need not build it again.  Both solves follow the module's eigen
-    rule, and iterations_used counts their ARPACK products.  A smallest
-    eigenvalue below the solve's resolution, len(G) * eps * lambda_max for
-    eigvalsh and norm_tolerance * lambda_max for ARPACK, has no reliable
-    digit.  By Cauchy interlacing on the 2 x 2 principal minors of a real,
-    unit-diagonal G, lambda_min <= 1 - |G_ij|; an ARPACK reading above that
-    for two neighbouring nodes, as when nodes (nearly) coincide, is wrong.
-    Either way min_eigenvalue is reported as None.
+    rule: eigvalsh of G.dense(), the only n x n array formed, and ARPACK on
+    G @ p above the cutoff, where no n x n array is made; iterations_used
+    counts the ARPACK products.  A smallest eigenvalue below the solve's
+    resolution, len(G) * eps * lambda_max for eigvalsh and norm_tolerance *
+    lambda_max for ARPACK, has no reliable digit.  By Cauchy interlacing on
+    the 2 x 2 principal minors of a real, unit-diagonal G, lambda_min <=
+    1 - |sinc(lambda_i - lambda_j)|; an ARPACK reading above that for two
+    neighbouring nodes, as when nodes (nearly) coincide, is wrong.  Either
+    way min_eigenvalue is reported as None.
     """
     if window is None:
         window = TruncationWindow.for_grid(grid)
     if grid.is_complex:
         summary, G = _norm_and_gram(grid, window, seed, gram=True)
     else:
-        summary, G = perturbation_norm(grid, window, seed=seed), gram_matrix(grid, window)
+        summary, G = perturbation_norm(grid, window, seed=seed), gram_rows(grid)
     exact = grid.is_complex or len(G) <= DENSE_EIG_CUTOFF
-    (emin, emax), products = _extremes(G if exact else None, len(G), G.dot, "BE", window, seed)
+    (emin, emax), products = _extremes(G.dense() if exact else None, len(G),
+                                       lambda v: G @ v, "BE", window, seed)
     resolution = (len(G) * np.finfo(float).eps if exact else window.norm_tolerance) * emax
     resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
     if not exact:
-        order = np.argsort(grid.nodes)
-        resolved &= not emin > 1.0 - np.abs(G[order[:-1], order[1:]]).max() + resolution
+        neighbours = np.abs(sinc_array(np.diff(np.sort(grid.nodes)))).max()
+        resolved &= not emin > 1.0 - neighbours + resolution
     return replace(summary,
                    min_eigenvalue=emin if resolved else None,
                    max_eigenvalue=emax,

@@ -5,8 +5,10 @@ bandlimited, so error measurements carry no model error.  Expansion
 coefficients over a perturbed grid come from solving the Gram system
 G c = samples by conjugate gradients; in the certified Riesz regime G is
 symmetric positive definite with a known eigenvalue sandwich, so CG
-convergence is guaranteed.  The expansion is evaluated from two weighted
-sums per point, streamed in row blocks, without an evaluation matrix.
+convergence is guaranteed.  G is held as its moved rows
+(framekit.GramRows), so no n x n matrix is made for the solve.  The
+expansion is evaluated from two weighted sums per point, streamed in row
+blocks, without an evaluation matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .framekit import TruncationWindow, gram_matrix
+from .framekit import GramRows, TruncationWindow, gram_rows
 from .grids import MAX_NODE_REAL, PerturbedGrid
 from .specfun import SINC_BLOCK, _near_pairs, _sin_cos_pi, sinc_array, sinc_complex_array
 
@@ -111,10 +113,11 @@ def sample_signal(signal: BandlimitedSignal, grid: PerturbedGrid) -> np.ndarray:
     return signal(grid.nodes)
 
 
-def _conjugate_gradient(G: np.ndarray, b: np.ndarray, rtol: float,
+def _conjugate_gradient(G: GramRows | np.ndarray, b: np.ndarray, rtol: float,
                         max_iterations: int
                         ) -> tuple[np.ndarray, float, int, Optional[float]]:
-    """Plain CG for symmetric positive definite G.
+    """Plain CG for symmetric positive definite G, an array or GramRows:
+    only G @ p is taken.
 
     Returns (x, relative_residual, iterations, smallest Ritz value).  The
     Ritz value comes from the Lanczos tridiagonal implied by the CG
@@ -168,7 +171,9 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
                        ) -> ReconstructionResult:
     """Solve G c = samples for the expansion coefficients over the grid.
 
-    G is the (real) Gram matrix of the grid's atoms.  CG runs to the
+    G is the (real) Gram matrix of the grid's atoms, held as its moved
+    rows (framekit.gram_rows): each CG product streams the m x n moved rows
+    and their unmoved columns, and no n x n array is formed.  CG runs to the
     window's relative residual tolerance, capped at min(window cap, 5 * n)
     iterations; failure to converge raises ConvergenceError with the
     iteration count and final residual.
@@ -180,7 +185,7 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
         raise ValueError(f"{b.size} samples do not align with {len(grid)} grid nodes")
     if window is None:
         window = TruncationWindow.for_grid(grid)
-    G = gram_matrix(grid, window)
+    G = gram_rows(grid)
     n = len(grid)
     max_iterations = min(window.max_iterations, 5 * n)
     x, rel, iterations, ritz_min = _conjugate_gradient(

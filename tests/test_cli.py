@@ -330,21 +330,43 @@ def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
 
 
 def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
-    # the dump writes the Gram matrix that the eigenvalues were taken of
+    # the dump writes the Gram matrix that the eigenvalues were taken of:
+    # its moved rows are built once and formed into the one array that
+    # eigvalsh solves and dump_matrix writes
+    import numpy as np
+
     from sincstab import framekit
 
-    calls = []
-    original = framekit.gram_matrix
+    builds, solved, dumped = [], [], []
+    sinc_matrix, eigvalsh, dump_matrix = (framekit.sinc_matrix, np.linalg.eigvalsh,
+                                          framekit.dump_matrix)
 
-    def counted(grid, window=None):
-        calls.append(len(grid))
-        return original(grid, window)
+    def built(u, v):
+        builds.append((len(u), len(v)))
+        return sinc_matrix(u, v)
 
-    monkeypatch.setattr(framekit, "gram_matrix", counted)
-    code, _, _ = run(capsys, "gram", "--ingham", "--N", "10",
-                     "--dump-matrix", str(tmp_path / "gram.txt"))
+    def solve(matrix):
+        solved.append(matrix)
+        return eigvalsh(matrix)
+
+    def dump(matrix, *args):
+        dumped.append(matrix)
+        return dump_matrix(matrix, *args)
+
+    monkeypatch.setattr(framekit, "sinc_matrix", built)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    monkeypatch.setattr(framekit, "dump_matrix", dump)
+    code, out, _ = run(capsys, "gram", "--ingham", "--N", "10", "--format", "json",
+                       "--dump-matrix", str(tmp_path / "gram.txt"))
     assert code == 0
-    assert calls == [21]
+    # the norm's S - I (101 window rows, 20 moved columns), then the 20
+    # moved rows of the 21-node Gram matrix
+    assert builds == [(101, 20), (20, 21)]
+    assert [matrix.shape for matrix in solved] == [(20, 20), (21, 21)]
+    assert len(dumped) == 1 and dumped[0] is solved[1]
+    results = json.loads(out)["results"]
+    assert [results["min_eigenvalue"], results["max_eigenvalue"]] == \
+        eigvalsh(dumped[0])[[0, -1]].tolist()
 
 
 @pytest.mark.parametrize("flags, message", [

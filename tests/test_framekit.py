@@ -15,18 +15,20 @@ from sincstab.framekit import (
     TruncationWindow,
     dump_matrix,
     gram_matrix,
+    gram_rows,
     perturbation_norm,
     riesz_bounds_estimate,
     synthesis_matrix,
 )
 from sincstab.grids import (
     PerturbedGrid,
+    grid_from_file,
     ingham_grid,
     power_law_grid,
     uniform_offset_grid,
 )
 from sincstab.reconstruct import ReconstructionResult, evaluate_reconstruction
-from sincstab.specfun import sinc_array, sinc_complex_array
+from sincstab.specfun import sinc_array, sinc_complex_array, sinc_matrix
 
 
 def integer_grid(radius):
@@ -429,6 +431,7 @@ def test_riesz_bounds_returns_the_complex_gram_bitwise(grid, window):
     # riesz_bounds_estimate assembles G from the S - I it takes the norm of,
     # gram_matrix from an S - I of its own: the bits agree
     summary, G = riesz_bounds_estimate(grid, window)
+    G = G.dense()
     assert np.array_equal(G.view(np.uint8), gram_matrix(grid, window).view(np.uint8))
     assert summary.min_eigenvalue == np.linalg.eigvalsh(G)[0]
 
@@ -451,7 +454,7 @@ def test_complex_typed_unmoved_grid_is_real():
     # whose Gram matrix sinc(m - n) is exactly the identity
     grid = PerturbedGrid(indices=np.arange(-2, 3), nodes=np.arange(-2, 3) + 0j)
     summary, G = riesz_bounds_estimate(grid)
-    assert not grid.is_complex and G.dtype == np.float64 and np.array_equal(G, np.eye(5))
+    assert not grid.is_complex and G.dtype == np.float64 and np.array_equal(G.dense(), np.eye(5))
     assert summary.perturbation_norm == 0.0 and summary.min_eigenvalue == 1.0
 
 
@@ -461,7 +464,7 @@ def test_complex_typed_real_nodes_get_the_real_estimate():
     indices = np.arange(-50, 51)
     typed = riesz_bounds_estimate(PerturbedGrid(indices=indices, nodes=indices + 0.2 + 0j))
     real = riesz_bounds_estimate(PerturbedGrid(indices=indices, nodes=indices + 0.2))
-    assert typed[0] == real[0] and np.array_equal(typed[1], real[1])
+    assert typed[0] == real[0] and np.array_equal(typed[1].dense(), real[1].dense())
     assert typed[0].min_eigenvalue == pytest.approx(1.0, abs=1e-13)
 
 
@@ -496,13 +499,15 @@ def test_coinciding_nodes_leave_the_minimum_unresolved_above_the_cutoff(eigsh_ca
         summary, G = riesz_bounds_estimate(grid)
         assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == ["BE"]
         assert summary.min_eigenvalue is None and summary.converged
-        assert summary.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-10)
+        assert summary.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(G.dense())[-1],
+                                                       rel=1e-10)
 
 
 def test_riesz_bounds_returns_its_gram_matrix():
     grid = ingham_grid(20)
     window = TruncationWindow.for_grid(grid)
     summary, G = riesz_bounds_estimate(grid, window)
+    G = G.dense()
     assert np.array_equal(G.view(np.uint8), gram_matrix(grid, window).view(np.uint8))
     eigenvalues = np.linalg.eigvalsh(G)
     assert summary.min_eigenvalue == eigenvalues[0]
@@ -522,7 +527,7 @@ def test_riesz_bounds_never_hold_s_and_g_together():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(grid) > DENSE_EIG_CUTOFF and G.nbytes == s_bytes
+    assert len(grid) > DENSE_EIG_CUTOFF and G.dense().nbytes == s_bytes
     assert summary.converged
     assert peak < 1.5 * s_bytes
 
@@ -551,8 +556,95 @@ def test_complex_riesz_bounds_peak_memory(grid, window, e_factor, g_factor):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert summary.converged and G.nbytes == g_bytes
+    assert summary.converged and G.dense().nbytes == g_bytes
     assert peak < e_factor * e_bytes + g_factor * g_bytes
+
+
+# ---------------------------------------------------------------------------
+# a Gram matrix held as its moved rows
+
+def real_layouts(tmp_path):
+    """Real grids whose moved nodes lie in every arrangement GramRows handles."""
+    scattered = tmp_path / "scattered.txt"  # index gaps, moved and unmoved interleaved
+    scattered.write_text("-7 -7\n-5 -4.8\n-4 -4\n0 0.3\n1 1\n2 2\n6 6.25\n9 9\n10 10.1\n")
+    # lambda_2 = 5 lands on the unmoved lambda_5: G is 1 at (2, 5) and (5, 2)
+    landing = PerturbedGrid(indices=np.arange(-3, 6),
+                            nodes=np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 5.0, 3.0, 4.0, 5.0]))
+    return {"none-moved": (integer_grid(6), slice(0, 0)),
+            "one-run": (power_law_grid(0.2, 1.0, 30, extend_nonpositive=True), slice(31, 61)),
+            "scattered": (grid_from_file(scattered), np.array([1, 3, 6, 8])),
+            "all-moved": (power_law_grid(0.2, 1.0, 30), slice(0, 30)),
+            "landing": (landing, slice(5, 6))}
+
+
+def test_real_gram_rows_match_the_dense_gram(tmp_path):
+    rng = np.random.default_rng(11)
+    for name, (grid, moved) in real_layouts(tmp_path).items():
+        G = gram_rows(grid)
+        dense = G.dense()
+        assert len(G) == len(grid) and G.dtype == np.float64, name
+        assert np.array_equal(np.arange(len(grid))[G.moved], np.arange(len(grid))[moved]), name
+        assert type(G.moved) is type(moved), name  # a slice where the moved nodes form a run
+        assert np.array_equal(dense, sinc_matrix(grid.nodes, grid.nodes)), name
+        assert G.dense() is dense, name
+        p = rng.standard_normal(len(grid))
+        assert np.max(np.abs(G @ p - dense @ p)) <= 1e-15 * np.linalg.norm(p), name
+    assert dense[5, 8] == dense[8, 5] == 1.0  # the landing grid, last in the loop
+
+
+def _embedded_complex_gram(grid, window):
+    """The complex S^H S as a zero-filled n x n embedding of the rows of
+    E = S - I at the grid indices, C^H on the moved rows and C on the moved
+    columns: the assembly that GramRows.dense() reproduces bit for bit."""
+    moved = np.flatnonzero(grid.nodes != grid.indices)
+    E = perturbation(grid, window)[:, moved]
+    M = E.conj().T @ E
+    C = E[grid.indices - window.row_range[0]]
+    M += C[moved]
+    np.conjugate(C, out=C)
+    M += C.T[:, moved]
+    np.conjugate(M, out=M)
+    C[moved] = M
+    G = np.zeros((len(grid), len(grid)), dtype=C.dtype)
+    G[moved] = C.T
+    np.conjugate(C, out=C)
+    G[:, moved] = C
+    G.ravel()[::len(grid) + 1] += 1.0
+    return G
+
+
+@pytest.mark.parametrize("grid, window", COMPLEX_GRIDS, ids=COMPLEX_IDS)
+def test_complex_gram_rows_match_the_embedded_gram(grid, window):
+    window = window or TruncationWindow.for_grid(grid)
+    G = gram_rows(grid, window)
+    dense = G.dense()
+    assert G.dtype == np.complex128 and dense.flags.c_contiguous
+    assert np.array_equal(dense.view(np.uint8),
+                          _embedded_complex_gram(grid, window).view(np.uint8))
+    rng = np.random.default_rng(12)
+    for p in (rng.standard_normal(len(grid)),
+              rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))):
+        assert np.max(np.abs(G @ p - dense @ p)) <= 1e-15 * np.linalg.norm(p)
+
+
+def test_half_unmoved_riesz_bounds_make_no_n_squared_array():
+    # 1001 nodes, the 501 at n <= 0 unmoved, over 1001 window rows.  The
+    # norm holds E = S - I (1001 x 500) and E^T E (500^2) and releases
+    # them; ARPACK then runs on the 500 x 1001 moved rows R.  A 1001^2 G
+    # (8 MB, as much as E and R together) would read E + M or G plus the
+    # builder's blocks, over the bound
+    grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
+    window = TruncationWindow(row_range=(-500, 500))
+    e_bytes, m_bytes, r_bytes = 1001 * 500 * 8, 500 ** 2 * 8, 500 * 1001 * 8
+    tracemalloc.start()
+    try:
+        summary, G = riesz_bounds_estimate(grid, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) > DENSE_EIG_CUTOFF and summary.converged
+    assert G.rows.nbytes == r_bytes and G.moved == slice(501, 1001)
+    assert peak < max(e_bytes + m_bytes, r_bytes) + (1 << 20)
 
 
 def test_riesz_bounds_unperturbed():

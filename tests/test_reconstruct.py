@@ -271,6 +271,27 @@ def test_evaluation_makes_no_evaluation_matrix():
     assert peak < t.size * len(grid) * 8 / 16
 
 
+def test_half_unmoved_solve_makes_no_n_squared_array():
+    # 1001 nodes, the 501 at n <= 0 unmoved: CG runs on the Gram matrix's
+    # 500 x 1001 moved rows R (4 MB), so the peak stays near R where a
+    # 1001^2 G would take 8 MB
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  (imported here: the traced peak leaves out its import)
+
+    grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
+    samples = np.sin(0.37 * np.arange(len(grid)))
+    r_bytes = 500 * 1001 * 8
+    tracemalloc.start()
+    try:
+        result = solve_coefficients(samples, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.residual_norm <= 1e-10
+    assert peak < r_bytes + (1 << 20)
+
+
 def test_self_expansion_error_is_solver_limited():
     # a signal living exactly on the grid atoms reconstructs to solver accuracy
     grid = power_law_grid(0.2, 1.0, 30, extend_nonpositive=True)

@@ -133,10 +133,10 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_grid(args) -> grids.PerturbedGrid:
     """The requested grid.  gram can form the dense n x n Gram matrix of an
     n-node grid (for eigvalsh up to framekit.DENSE_EIG_CUTOFF nodes, for
-    --dump-matrix, and always on a complex grid), and reconstruct's m x n
-    moved rows are no larger, so a generated grid is refused before any of
-    its arrays is made when a real n x n matrix would be over the dense
-    limit."""
+    --dump-matrix, and always on a complex grid), and reconstruct's m x m
+    moved block and u x m rows at the unmoved integers (m + u = n) are no
+    larger, so a generated grid is refused before any of its arrays is made
+    when a real n x n matrix would be over the dense limit."""
     from . import grids
 
     if args.grid_file is not None:

@@ -14,20 +14,21 @@ rows, so on every row of S; pairs closer than 1, found once per matrix by
 a search of the sorted nodes, evaluated directly); a matrix over
 specfun.MAX_DENSE_BYTES is refused with ValueError before anything of its
 size is allocated.  The norm holds S - I on the moved columns only.
-A Gram matrix is held as its moved rows (GramRows): an unmoved atom is
-an integer translate, so its row is a unit vector and its column mirrors
-the moved rows.  A real grid's moved rows are sinc_matrix(moved nodes,
-nodes); a complex grid's are the window's S^H S, assembled from the
-norm's S - I (see _norm_and_gram), so a complex riesz_bounds_estimate
-builds S - I once for its norm and G, and a real one builds S - I,
-releases it, then builds G's moved rows.  Either hands G back with its
-summary.  Eigenvalues are exact (eigvalsh) for every complex matrix and
-up to DENSE_EIG_CUTOFF columns otherwise, from one real ARPACK run above
-("LA" for the norm, "BE" for a Gram matrix, whose products stream the
-moved rows and form no n x n array): ARPACK's complex path needs a run
-per end, is slower and stalls once |Im lambda| ~ 1.  The dense Gram
-matrix is formed only for eigvalsh, a dump and gram_matrix; ARPACK and
-reconstruct's CG apply G @ p to the moved rows.  A smallest
+A Gram matrix is held as two blocks (GramRows): the m x m block of the
+moved atoms, the only part that depends on the kind of grid, and the
+rows of S at the unmoved integers on the moved columns, since an
+unmoved atom is the integer translate itself.  A real grid's block is
+sinc_matrix on the moved nodes; a complex grid's is the window's S^H S,
+assembled from the norm's S - I (see _norm_and_gram), so a complex
+riesz_bounds_estimate builds S - I once for its norm and G, and a real
+one builds S - I, releases it, then builds G's blocks.  Either hands G
+back with its summary.  Eigenvalues are exact (eigvalsh) for every
+complex matrix and up to DENSE_EIG_CUTOFF columns otherwise, from one
+real ARPACK run above ("LA" for the norm, "BE" for a Gram matrix, whose
+products stream the two blocks and form no n x n array): ARPACK's complex
+path needs a run per end, is slower and stalls once |Im lambda| ~ 1.  The
+dense Gram matrix is formed only for eigvalsh, a dump and gram_matrix;
+ARPACK and reconstruct's CG apply G @ p to the blocks.  A smallest
 Gram eigenvalue below the solve's resolution, or above what G's 2 x 2
 principal minors allow, is reported as None.
 """
@@ -113,67 +114,59 @@ class GramSummary:
     converged: bool = True
 
 
-def _run(positions: np.ndarray):
-    """Sorted distinct positions as a slice when they form one run (or
-    none), so that indexing with them gives views, else as they are."""
-    if positions.size == 0:
-        return slice(0, 0)
-    if positions[-1] - positions[0] < positions.size:
-        return slice(int(positions[0]), int(positions[-1]) + 1)
-    return positions
-
-
 class GramRows:
-    """An n x n Hermitian Gram matrix G held as its moved rows.
+    """An n x n Hermitian Gram matrix G held as the two blocks that define it.
 
-    rows is R = G[moved], m x n for the m nodes with lambda_n != n.  Every
-    unmoved row of G is the unit vector at its own position (an unmoved
-    atom is the integer translate sinc(t - n)), so every unmoved column is
-    the conjugate mirror of R.  moved and unmoved are slices when they form
-    one run, as on every generated grid, so that sub-blocks of R are views.
-    g @ p is G p: R p on the moved entries and p + R[:, unmoved]^H p[moved]
-    on the unmoved ones, streaming R once and its unmoved columns once, with
-    no copy of R.  dense() forms the n x n matrix on its first call.
+    block is G[moved, moved], m x m for the m nodes with lambda_n != n, and
+    cross is G[unmoved, moved], u x m.  An unmoved atom is the integer
+    translate sinc(t - n), so its Gram row is the unit vector at its own
+    position and, on the moved columns, the row of the synthesis matrix S
+    at k = n: cross is S's rows at the unmoved integers, on real and complex
+    grids alike.  moved and unmoved are position arrays, so in (moved,
+    unmoved) order G = [[block, cross^H], [cross, I]].  g @ p is G p,
+    streaming block once and cross twice; dense() forms the n x n matrix on
+    its first call.
     """
 
-    def __init__(self, rows: np.ndarray, moved: np.ndarray):
-        self.rows = rows
-        self.dtype = rows.dtype
-        self.moved = _run(moved)
-        self.unmoved = _run(np.setdiff1d(np.arange(rows.shape[1]), moved))
+    def __init__(self, block: np.ndarray, cross: np.ndarray, moved: np.ndarray,
+                 unmoved: np.ndarray):
+        self.block, self.cross = block, cross
+        self.moved, self.unmoved = moved, unmoved
+        self.dtype = block.dtype
         self._dense: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return self.rows.shape[1]
+        return self.moved.size + self.unmoved.size
 
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
-        R, moved, unmoved = self.rows, self.moved, self.unmoved
-        out = np.array(p, dtype=np.result_type(R, p))
-        out[moved] = R @ p
-        if isinstance(unmoved, slice):
-            out[unmoved] += (p[moved].conj() @ R[:, unmoved]).conj()
-        else:  # R[:, unmoved] would be a copy: take every column's sum and index it
-            out[unmoved] += (p[moved].conj() @ R).conj()[unmoved]
+        block, cross, moved, unmoved = self.block, self.cross, self.moved, self.unmoved
+        out = np.empty(len(self), dtype=np.result_type(block, p))
+        out[moved] = block @ p[moved] + (p[unmoved].conj() @ cross).conj()
+        out[unmoved] = p[unmoved] + cross @ p[moved]
         return out
 
     def dense(self) -> np.ndarray:
-        """G as an n x n array, formed once: R on the moved rows, its
-        conjugate mirror on the unmoved rows (copied SINC_BLOCK entries at
-        a time) and I on the unmoved block.  With every node moved it is R."""
+        """G as an n x n array, formed once: block itself when every node
+        moved, else zero-filled with block, cross, cross's conjugate mirror
+        (copied SINC_BLOCK entries at a time) and I on the unmoved diagonal."""
         if self._dense is None:
-            R, n = self.rows, len(self)
-            G = R
-            if len(R) < n:
-                G = np.zeros((n, n), dtype=R.dtype)
-                G[self.moved] = R
-                moved, unmoved = np.arange(n)[self.moved], np.arange(n)[self.unmoved]
+            G, moved, unmoved = self.block, self.moved, self.unmoved
+            if unmoved.size:
+                G = np.zeros((len(self), len(self)), dtype=self.dtype)
+                G[np.ix_(moved, moved)] = self.block
+                G[np.ix_(unmoved, moved)] = self.cross
                 step = max(1, SINC_BLOCK // max(moved.size, 1))
                 for i0 in range(0, unmoved.size, step):
-                    block = unmoved[i0:i0 + step]
-                    G[np.ix_(block, moved)] = R[:, block].T.conj()
+                    G[np.ix_(moved, unmoved[i0:i0 + step])] = self.cross[i0:i0 + step].T.conj()
                 G[unmoved, unmoved] = 1.0
             self._dense = G
         return self._dense
+
+
+def _moved(grid: PerturbedGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the grid's moved nodes (lambda_n != n) and of the rest."""
+    at = grid.nodes != grid.indices
+    return np.flatnonzero(at), np.flatnonzero(~at)
 
 
 def _window_rows(grid: PerturbedGrid, window: TruncationWindow) -> np.ndarray:
@@ -234,38 +227,35 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
                    norm: bool = True, gram: bool = False
                    ) -> tuple[Optional[GramSummary], Optional[GramRows]]:
     """perturbation_norm's summary (None unless norm) and, if gram, the
-    complex Gram matrix S^H S as its moved rows, from the same E = S - I.
+    complex Gram matrix S^H S as GramRows, from the same E = S - I.
 
     E holds the m moved columns, of which a complex grid, the only kind G
     is asked for, has at least one; M = E^H E is formed when the norm is
     exact, as a complex one is.  S = E + P, where P has a 1 at row n of each
     moved column n, and an unmoved column of S is the unit vector at row n.
-    So with C the rows of E at the grid indices and B those at the moved
-    ones, the moved rows of S^H S are C^H, except on the moved block,
-    M + B + B^H + I.  One assembly serves every complex grid: R = C^T is
-    copied from E, M takes B and then B^H (R conjugated in place between
-    the two, which leaves C^H), and R's moved block takes M and 1 on its
-    diagonal, with no temporary over m x m.
+    So with B the rows of E at the moved indices, G's moved block is
+    M + B + B^H + I, formed in M: M takes the copy B, then, with B
+    conjugated in place, B^T, then 1 on its diagonal.  cross is E's rows at
+    the unmoved indices, which are S's.
     """
-    rows = _window_rows(grid, window)
-    moved = np.flatnonzero(grid.nodes != grid.indices)
+    rows, lo = _window_rows(grid, window), window.row_range[0]
+    moved, unmoved = _moved(grid)
     top, products, G = 0.0, 0, None  # for E = 0, on which ARPACK cannot start
     if moved.size:
+        at = grid.indices[moved] - lo
         E = sinc_matrix(rows, grid.nodes[moved])
-        E[grid.indices[moved] - window.row_range[0], np.arange(moved.size)] -= 1.0
+        E[at, np.arange(moved.size)] -= 1.0
         exact = grid.is_complex or moved.size <= DENSE_EIG_CUTOFF
         M = E.conj().T @ E if exact else None
         if norm:
             (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", window, seed)
         if gram:
-            G = GramRows(np.ascontiguousarray(E[_run(grid.indices - window.row_range[0])].T),
-                         moved)
-            R, at = G.rows, G.moved  # R[:, at] is B^T
-            M += R[:, at].T
-            np.conjugate(R, out=R)
-            M += R[:, at]
-            R[:, at] = M
-            R[np.arange(moved.size), moved] += 1.0
+            B = E[at]
+            M += B
+            np.conjugate(B, out=B)
+            M += B.T
+            M.ravel()[::moved.size + 1] += 1.0
+            G = GramRows(M, E[grid.indices[unmoved] - lo], moved, unmoved)
     if not norm:
         return None, G
     norm_value = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
@@ -297,21 +287,23 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
 
 def gram_rows(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
               ) -> GramRows:
-    """Gram matrix of the grid's atoms, as its moved rows (see GramRows).
+    """Gram matrix of the grid's atoms, as its moved block and its rows at
+    the unmoved integers (see GramRows).
 
     Real grids use the closed form G(m, n) = sinc(lambda_m - lambda_n)
-    (symmetric, unit diagonal): R = sinc_matrix(moved nodes, nodes), and
-    the window is not read.  A complex grid's is the window-truncated
-    S^H S, which converges to the Gram as the window grows; its moved rows
-    are assembled from S - I on the moved columns in O(rows m^2 + m n) for
-    m moved of n columns, as riesz_bounds_estimate assembles them (see
-    _norm_and_gram).
+    (symmetric, unit diagonal): block = sinc_matrix(x, x) on the moved
+    nodes x and cross = sinc_matrix(unmoved indices, x), and the window is
+    not read.  A complex grid's is the window-truncated S^H S, which
+    converges to the Gram as the window grows; it is assembled from S - I
+    on the moved columns in O(rows m^2 + m n) for m moved of n columns, as
+    riesz_bounds_estimate assembles it (see _norm_and_gram).
     """
     if grid.is_complex:
         return _norm_and_gram(grid, window or TruncationWindow.for_grid(grid), 0,
                               norm=False, gram=True)[1]
-    moved = np.flatnonzero(grid.nodes != grid.indices)
-    return GramRows(sinc_matrix(grid.nodes[moved], grid.nodes), moved)
+    moved, unmoved = _moved(grid)
+    x = grid.nodes[moved]
+    return GramRows(sinc_matrix(x, x), sinc_matrix(grid.indices[unmoved], x), moved, unmoved)
 
 
 def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
@@ -325,13 +317,13 @@ def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
 def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
                           seed: int = 0) -> tuple[GramSummary, GramRows]:
     """Extremal eigenvalues of the truncated Gram matrix plus the bounds
-    implied by the perturbation norm, and the Gram matrix itself as its
-    moved rows.
+    implied by the perturbation norm, and the Gram matrix itself as
+    GramRows.
 
-    A real grid's S - I is released before G's moved rows are built, so the
+    A real grid's S - I is released before G's blocks are built, so the
     two never share memory.  A complex grid builds S - I once, for both: its
-    norm comes from E^H E exactly as perturbation_norm's does, and G's moved
-    rows are assembled from E^H E and a copy of E's rows at the grid
+    norm comes from E^H E exactly as perturbation_norm's does, and G's
+    blocks are assembled from E^H E and copies of E's rows at the grid
     indices (see _norm_and_gram).  G is returned so that a caller writing
     it out need not build it again.  Both solves follow the module's eigen
     rule: eigvalsh of G.dense(), the only n x n array formed, and ARPACK on

@@ -5,10 +5,11 @@ bandlimited, so error measurements carry no model error.  Expansion
 coefficients over a perturbed grid come from solving the Gram system
 G c = samples by conjugate gradients; in the certified Riesz regime G is
 symmetric positive definite with a known eigenvalue sandwich, so CG
-convergence is guaranteed.  G is held as its moved rows
-(framekit.GramRows), so no n x n matrix is made for the solve.  The
-expansion is evaluated from two weighted sums per point, streamed in row
-blocks, without an evaluation matrix.
+convergence is guaranteed.  G is held as its moved block and its rows at
+the unmoved integers (framekit.GramRows), so no n x n matrix is made for
+the solve.  The expansion is evaluated by specfun.sinc_sum, from two
+weighted sums per point streamed in row blocks, without an evaluation
+matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .framekit import GramRows, TruncationWindow, gram_rows
 from .grids import MAX_NODE_REAL, PerturbedGrid
-from .specfun import SINC_BLOCK, _near_pairs, _sin_cos_pi, sinc_array, sinc_complex_array
+from .specfun import SINC_BLOCK, sinc_array, sinc_sum
 
 __all__ = [
     "BandlimitedSignal",
@@ -171,9 +172,10 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
                        ) -> ReconstructionResult:
     """Solve G c = samples for the expansion coefficients over the grid.
 
-    G is the (real) Gram matrix of the grid's atoms, held as its moved
-    rows (framekit.gram_rows): each CG product streams the m x n moved rows
-    and their unmoved columns, and no n x n array is formed.  CG runs to the
+    G is the (real) Gram matrix of the grid's atoms, held as its m x m
+    moved block and its u x m rows at the unmoved integers
+    (framekit.gram_rows): each CG product streams the block once and the
+    rows twice, and no n x n array is formed.  CG runs to the
     window's relative residual tolerance, capped at min(window cap, 5 * n)
     iterations; failure to converge raises ConvergenceError with the
     iteration count and final residual.
@@ -205,39 +207,13 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
 
 def evaluate_reconstruction(result: ReconstructionResult, grid: PerturbedGrid,
                             t_values: Sequence[float]) -> np.ndarray:
-    """Evaluate f_hat(t) = sum_n c_n * sinc(t - lambda_n) at the requested t.
-
-    With W_in = 1/(pi (t_i - lambda_n)), f_hat(t_i) is sin(pi t_i) sum_n
-    W_in c_n cos(pi lambda_n) - cos(pi t_i) sum_n W_in c_n sin(pi lambda_n).
-    W is formed SINC_BLOCK entries at a time in one scratch array, so no
-    evaluation matrix is made.  Its near pairs, |Re(t_i - lambda_n)| < 1,
-    are zeroed and taken from the direct kernel instead.
-    """
+    """Evaluate f_hat(t) = sum_n c_n * sinc(t - lambda_n) at the requested t,
+    which must be finite, as specfun.sinc_sum(t, nodes, c): streamed in row
+    blocks, so no evaluation matrix is made."""
     t = np.asarray(t_values, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation points must be finite")
-    nodes, c = grid.nodes, result.coefficients
-    kernel = sinc_complex_array if grid.is_complex else sinc_array
-    sin_l, cos_l = _sin_cos_pi(nodes)
-    weights = np.stack([c * cos_l, c * sin_l], axis=1)
-    sums = np.empty((t.size, 2), dtype=weights.dtype)
-    f = np.zeros(t.size, dtype=weights.dtype)
-    step = max(1, SINC_BLOCK // max(nodes.size, 1))
-    scratch = np.empty((min(step, t.size), nodes.size), dtype=nodes.dtype)
-    with np.errstate(divide="ignore"):  # t_i = lambda_n: zeroed, a near pair
-        for r0, r1, rows, cols, d in _near_pairs(t, nodes):
-            np.add.at(f, rows, c[cols] * kernel(d))
-            starts = range(r0, r1, step)
-            cuts = np.searchsorted(rows, [*starts, r1]).tolist()
-            for i0, a, b in zip(starts, cuts, cuts[1:]):
-                i1 = min(i0 + step, r1)
-                W = scratch[:i1 - i0]
-                np.subtract(t[i0:i1, None], nodes, out=W)
-                np.divide(1.0 / np.pi, W, out=W)
-                W[rows[a:b] - i0, cols[a:b]] = 0.0
-                np.matmul(W, weights, out=sums[i0:i1])
-    sin_t, cos_t = _sin_cos_pi(t)
-    return f + sin_t * sums[:, 0] - cos_t * sums[:, 1]
+    return sinc_sum(t, grid.nodes, result.coefficients)
 
 
 def reconstruction_error(t: np.ndarray, f_ref: np.ndarray, f_hat: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 """Scalar special functions used throughout the package.
 
 Normalized sinc (real and complex), the column energy 2(1 - sinc x), the
-dense matrix sinc(u_i - v_j), the real branches of Lambert W on [-1/e, 0), the
+dense matrix sinc(u_i - v_j) and its product with a vector (sinc_sum, which
+forms no matrix), the real branches of Lambert W on [-1/e, 0), the
 Lamb-Oseen constant, and Riemann zeta for real s > 1.  sinc_matrix fills rows
-at integer nodes with one term, and finds its near pairs by one search of the
-sorted nodes, which reconstruct's evaluation shares.  All are pure and
+at integer nodes with one term; both find their near pairs by one search of
+the sorted nodes.  All are pure and
 thread-safe.  The scalar functions return floats and use only the standard
 library; the array functions import numpy when they run.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "sinc_array",
     "sinc_complex_array",
     "sinc_matrix",
+    "sinc_sum",
     "check_dense_size",
     "lambert_w0",
     "lambert_wm1",
@@ -138,6 +140,22 @@ def _near_pairs(u, v):
         r0 = r1
 
 
+def _sinc_nodes(u, v):
+    """Whether the pair is complex, then u and v as sinc_matrix and sinc_sum
+    take them (1-d node arrays, at most one complex, as floating point),
+    each with its sin(pi x) and cos(pi x)."""
+    import numpy as np
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim != 1 or v.ndim != 1:
+        raise ValueError("sinc nodes must be two 1-d arrays")
+    if np.iscomplexobj(u) and np.iscomplexobj(v):
+        raise ValueError("sinc nodes may have at most one complex array")
+    u = u.astype(np.result_type(u, np.float64), copy=False)
+    v = v.astype(np.result_type(v, np.float64), copy=False)
+    is_complex = np.iscomplexobj(u) or np.iscomplexobj(v)
+    return is_complex, (u, *_sin_cos_pi(u)), (v, *_sin_cos_pi(v))
+
+
 def sinc_matrix(u, v) -> np.ndarray:
     """M[i, j] = sinc(u_i - v_j) for 1-d node arrays u and v, at most one complex.
 
@@ -158,19 +176,10 @@ def sinc_matrix(u, v) -> np.ndarray:
     MAX_DENSE_BYTES.
     """
     import numpy as np
-    u, v = np.asarray(u), np.asarray(v)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("sinc_matrix takes two 1-d node arrays")
-    if np.iscomplexobj(u) and np.iscomplexobj(v):
-        raise ValueError("sinc_matrix takes at most one complex node array")
-    is_complex = np.iscomplexobj(u) or np.iscomplexobj(v)
-    dtype = np.dtype(np.complex128 if is_complex else np.float64)
+    is_complex, (u, su, cu), (v, sv, cv) = _sinc_nodes(u, v)
     check_dense_size(u.size, v.size, is_complex)
-    u = u.astype(np.result_type(u, np.float64), copy=False)
-    v = v.astype(np.result_type(v, np.float64), copy=False)
+    dtype = np.dtype(np.complex128 if is_complex else np.float64)
     kernel = sinc_complex_array if is_complex else sinc_array
-    su, cu = _sin_cos_pi(u)
-    sv, cv = _sin_cos_pi(v)
     out = np.empty((u.size, v.size), dtype=dtype)
     step = max(1, SINC_BLOCK // max(v.size, 1))
     scratch = np.empty((min(step, u.size), v.size), dtype=dtype)
@@ -193,6 +202,41 @@ def sinc_matrix(u, v) -> np.ndarray:
     for _, _, rows, cols, d in _near_pairs(u, v):
         out[rows, cols] = kernel(d)
     return out
+
+
+def sinc_sum(u, v, w) -> np.ndarray:
+    """sinc_matrix(u, v) @ w for node arrays u and v, as sinc_matrix takes
+    them, and weights w aligned with v, without forming the matrix.
+
+    With W_ij = 1/(pi (u_i - v_j)), the sum is sin(pi u_i) sum_j W_ij w_j
+    cos(pi v_j) - cos(pi u_i) sum_j W_ij w_j sin(pi v_j).  W is formed
+    SINC_BLOCK entries at a time in one scratch array.  Its near pairs,
+    |Re(u_i - v_j)| < 1, found by the sorted search sinc_matrix uses, are
+    zeroed and taken from the direct kernel instead.
+    """
+    import numpy as np
+    is_complex, (u, su, cu), (v, sv, cv) = _sinc_nodes(u, v)
+    kernel = sinc_complex_array if is_complex else sinc_array
+    w = np.asarray(w)
+    weights = np.stack([w * cv, w * sv], axis=1)
+    sums = np.empty((u.size, 2), dtype=weights.dtype)
+    f = np.zeros(u.size, dtype=weights.dtype)
+    step = max(1, SINC_BLOCK // max(v.size, 1))
+    scratch = np.empty((min(step, u.size), v.size),
+                       dtype=np.complex128 if is_complex else np.float64)
+    with np.errstate(divide="ignore"):  # u_i = v_j: zeroed, a near pair
+        for r0, r1, rows, cols, d in _near_pairs(u, v):
+            np.add.at(f, rows, w[cols] * kernel(d))
+            starts = range(r0, r1, step)
+            cuts = np.searchsorted(rows, [*starts, r1]).tolist()
+            for i0, a, b in zip(starts, cuts, cuts[1:]):
+                i1 = min(i0 + step, r1)
+                W = scratch[:i1 - i0]
+                np.subtract(u[i0:i1, None], v, out=W)
+                np.divide(1.0 / np.pi, W, out=W)
+                W[rows[a:b] - i0, cols[a:b]] = 0.0
+                np.matmul(W, weights, out=sums[i0:i1])
+    return f + su * sums[:, 0] - cu * sums[:, 1]
 
 
 def check_dense_size(rows: int, cols: int, is_complex: bool) -> None:

@@ -331,8 +331,9 @@ def test_gram_json_writes_nonfinite_as_null(capsys, monkeypatch):
 
 def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
     # the dump writes the Gram matrix that the eigenvalues were taken of:
-    # its moved rows are built once and formed into the one array that
-    # eigvalsh solves and dump_matrix writes
+    # its moved block and its rows at the unmoved integers are built once
+    # and formed into the one array that eigvalsh solves and dump_matrix
+    # writes
     import numpy as np
 
     from sincstab import framekit
@@ -359,9 +360,9 @@ def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "gram", "--ingham", "--N", "10", "--format", "json",
                        "--dump-matrix", str(tmp_path / "gram.txt"))
     assert code == 0
-    # the norm's S - I (101 window rows, 20 moved columns), then the 20
-    # moved rows of the 21-node Gram matrix
-    assert builds == [(101, 20), (20, 21)]
+    # the norm's S - I (101 window rows, 20 moved columns), then the 21-node
+    # Gram matrix's 20 x 20 moved block and its row at the unmoved n = 0
+    assert builds == [(101, 20), (20, 20), (1, 20)]
     assert [matrix.shape for matrix in solved] == [(20, 20), (21, 21)]
     assert len(dumped) == 1 and dumped[0] is solved[1]
     results = json.loads(out)["results"]

@@ -535,13 +535,15 @@ def test_riesz_bounds_never_hold_s_and_g_together():
 @pytest.mark.parametrize("grid, window, e_factor, g_factor", [
     # E is 1001 x 201 and G 201^2: E's build peaks the parent and the change
     (uniform_offset_grid([0.1 + 0.1j] * 201, (-100, 100)), None, 2.25, 1.0),
-    # E is 1001 x 500 and G 1001^2: E^H E is copied into E's rows before G
-    # is allocated, so the peak is those rows and G, E + 1.0 G; holding
-    # E^H E beside them as well would read E + 1.25 G
+    # E is 1001 x 500 and G 1001^2: G's two blocks, E^H E assembled in
+    # place and E's rows at the unmoved integers, take E's size, so the
+    # peak is those blocks and G, E + 1.0 G; holding another copy of
+    # E^H E beside them would read E + 1.25 G
     (odd_moved_grid(500), TruncationWindow(row_range=(-500, 500)), 1.0, 1.2),
     # E and G are both 801^2: E, its conjugate and E^H E peak the norm at
-    # 3.0 E, and the assembly holds two of C, E^H E and G (R is a view of
-    # C); an assembly holding two more n^2 arrays would read 4.0
+    # 3.0 E, and the assembly holds E, E^H E and E's rows at the grid
+    # indices, and G is E^H E itself; an assembly holding two more n^2
+    # arrays would read 4.0
     (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)),
      TruncationWindow(row_range=(-400, 400)), 2.0, 1.25),
 ], ids=["complex-offset", "half-moved", "all-moved-square"])
@@ -561,7 +563,8 @@ def test_complex_riesz_bounds_peak_memory(grid, window, e_factor, g_factor):
 
 
 # ---------------------------------------------------------------------------
-# a Gram matrix held as its moved rows
+# a Gram matrix held as its moved block and the synthesis rows at the
+# unmoved integers
 
 def real_layouts(tmp_path):
     """Real grids whose moved nodes lie in every arrangement GramRows handles."""
@@ -583,8 +586,7 @@ def test_real_gram_rows_match_the_dense_gram(tmp_path):
         G = gram_rows(grid)
         dense = G.dense()
         assert len(G) == len(grid) and G.dtype == np.float64, name
-        assert np.array_equal(np.arange(len(grid))[G.moved], np.arange(len(grid))[moved]), name
-        assert type(G.moved) is type(moved), name  # a slice where the moved nodes form a run
+        assert np.array_equal(G.moved, np.arange(len(grid))[moved]), name
         assert np.array_equal(dense, sinc_matrix(grid.nodes, grid.nodes)), name
         assert G.dense() is dense, name
         p = rng.standard_normal(len(grid))
@@ -627,11 +629,30 @@ def test_complex_gram_rows_match_the_embedded_gram(grid, window):
         assert np.max(np.abs(G @ p - dense @ p)) <= 1e-15 * np.linalg.norm(p)
 
 
+def test_gram_cross_is_the_synthesis_rows_at_the_unmoved_integers(tmp_path):
+    # an unmoved atom is the integer translate: its Gram row on the moved
+    # columns is S's row at k = n, bit for bit on the nonzeros (an exact
+    # zero may carry another sign where a moved node lands on an integer)
+    layouts = [(grid, None) for grid, _ in real_layouts(tmp_path).values()]
+    for grid, window in layouts + COMPLEX_GRIDS:
+        window = window or TruncationWindow.for_grid(grid)
+        G = gram_rows(grid, window)
+        S = synthesis_matrix(grid, window)
+        cross = S[np.ix_(grid.indices[G.unmoved] - window.row_range[0], G.moved)]
+        assert np.array_equal(G.cross, cross) and G.cross.dtype == cross.dtype
+        nonzero = cross != 0
+        assert np.array_equal(G.cross[nonzero].view(np.uint8), cross[nonzero].view(np.uint8))
+        if not grid.is_complex:
+            x = grid.nodes[G.moved]
+            assert np.array_equal(G.block.view(np.uint8), sinc_matrix(x, x).view(np.uint8))
+
+
 def test_half_unmoved_riesz_bounds_make_no_n_squared_array():
     # 1001 nodes, the 501 at n <= 0 unmoved, over 1001 window rows.  The
     # norm holds E = S - I (1001 x 500) and E^T E (500^2) and releases
-    # them; ARPACK then runs on the 500 x 1001 moved rows R.  A 1001^2 G
-    # (8 MB, as much as E and R together) would read E + M or G plus the
+    # them; ARPACK then runs on G's 500^2 moved block and 501 x 500 rows at
+    # the unmoved integers, 500 x 1001 together.  A 1001^2 G (8 MB, as much
+    # as E and those blocks together) would read E + M or G plus the
     # builder's blocks, over the bound
     grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
     window = TruncationWindow(row_range=(-500, 500))
@@ -643,7 +664,8 @@ def test_half_unmoved_riesz_bounds_make_no_n_squared_array():
     finally:
         tracemalloc.stop()
     assert len(grid) > DENSE_EIG_CUTOFF and summary.converged
-    assert G.rows.nbytes == r_bytes and G.moved == slice(501, 1001)
+    assert G.block.nbytes + G.cross.nbytes == r_bytes
+    assert np.array_equal(G.moved, np.arange(501, 1001))
     assert peak < max(e_bytes + m_bytes, r_bytes) + (1 << 20)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from sincstab import reconstruct
 from sincstab.framekit import TruncationWindow, gram_matrix
-from sincstab.grids import ingham_grid, power_law_grid, uniform_offset_grid
+from sincstab.grids import grid_from_file, ingham_grid, power_law_grid, uniform_offset_grid
 from sincstab.reconstruct import (
     BandlimitedSignal,
     ConvergenceError,
@@ -141,6 +141,21 @@ def test_cg_matches_dense_solve():
         assert np.max(np.abs(result.coefficients - dense)) <= 1e-8
 
 
+def test_cg_matches_dense_solve_on_every_unmoved_layout(tmp_path):
+    # CG's products G @ p take the moved block and the rows at the unmoved
+    # integers by position: no node moved, one run unmoved, unmoved nodes
+    # scattered between index gaps, and every node moved
+    scattered = tmp_path / "scattered.txt"
+    scattered.write_text("-7 -7\n-5 -4.8\n-4 -4\n0 0.3\n1 1\n2 2\n6 6.25\n9 9\n10 10.1\n")
+    rng = np.random.default_rng(19)
+    for grid in (integer_grid(6), power_law_grid(0.2, 1.0, 30, extend_nonpositive=True),
+                 grid_from_file(scattered), power_law_grid(0.2, 1.0, 30)):
+        samples = rng.standard_normal(len(grid))
+        result = solve_coefficients(samples, grid)
+        dense = np.linalg.solve(gram_matrix(grid), samples)
+        assert np.max(np.abs(result.coefficients - dense)) <= 1e-8 * np.linalg.norm(dense)
+
+
 def test_interpolation_consistency():
     grid = power_law_grid(0.2, 1.0, 60, extend_nonpositive=True)
     samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
@@ -233,7 +248,6 @@ def test_evaluation_against_mpmath(monkeypatch, grid, block_rows):
 
     if block_rows:
         monkeypatch.setattr(specfun, "SINC_BLOCK", block_rows * len(grid))
-        monkeypatch.setattr(reconstruct, "SINC_BLOCK", block_rows * len(grid))
     t = _evaluation_points(grid.nodes)
     c = np.random.default_rng(5).standard_normal(len(grid))
     result = ReconstructionResult(coefficients=c, residual_norm=0.0, solver_iterations=0)

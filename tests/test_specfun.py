@@ -11,8 +11,6 @@ from sincstab.specfun import (
     MAX_DENSE_BYTES,
     column_energy,
     lamb_oseen_alpha,
-    lambert_w0,
-    lambert_wm1,
     riemann_zeta,
     sinc,
     sinc_array,
@@ -20,23 +18,6 @@ from sincstab.specfun import (
     sinc_matrix,
     zeta_minus_one,
 )
-
-NEG_INV_E = -math.exp(-1.0)
-X_HALF = -0.5 * math.exp(-0.5)
-
-
-def bisect_w(target, lo, hi, iters=200):
-    """Independent Lambert oracle: bisection on xi*exp(xi) = target."""
-    f = lambda xi: xi * math.exp(xi) - target
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -367,81 +348,6 @@ def test_sinc_matrix_input_checks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Lambert W branches
-
-def test_w0_reference_values():
-    assert lambert_w0(NEG_INV_E) == pytest.approx(-1.0, abs=1e-12)
-    assert lambert_w0(X_HALF) == pytest.approx(-0.5, abs=1e-13)
-    # frozen from the bisection oracle on [-1, 0)
-    assert lambert_w0(-0.1) == pytest.approx(-0.11183255915896296, abs=1e-13)
-    assert lambert_w0(-0.1) == pytest.approx(bisect_w(-0.1, -1.0, 0.0), abs=1e-13)
-
-
-def test_wm1_reference_values():
-    assert lambert_wm1(NEG_INV_E) == pytest.approx(-1.0, abs=1e-12)
-    # frozen from the bisection oracle on (-inf, -1]
-    assert lambert_wm1(X_HALF) == pytest.approx(-1.7564312086261697, abs=1e-13)
-    assert lambert_wm1(-0.05) == pytest.approx(-4.499755288523487, abs=1e-13)
-    assert lambert_wm1(-0.05) == pytest.approx(bisect_w(-0.05, -50.0, -1.0), abs=1e-13)
-
-
-def test_branch_ranges_and_metadata():
-    for x in np.linspace(NEG_INV_E, -1e-6, 64):
-        w0 = lambert_w0(float(x))
-        wm1 = lambert_wm1(float(x))
-        assert -1.0 <= w0 < 0.0
-        assert wm1 <= -1.0
-        assert type(w0) is float and type(wm1) is float
-
-
-def test_defining_identity_roundtrip():
-    # w*exp(w) = x to 1e-13 relative on 1000 points per branch
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(NEG_INV_E, -1e-12, size=1000)
-    for x in xs:
-        for fn in (lambert_w0, lambert_wm1):
-            w = fn(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-13 * abs(x)
-
-
-def test_inverse_roundtrip():
-    # dW/dx ~ 1/(1+xi) near the branch point, so recovering xi to 1e-12 in
-    # doubles needs |1 + xi| >= ~1e-4; the near-branch regime is tested
-    # separately with a conditioning-scaled tolerance.
-    rng = np.random.default_rng(5)
-    for xi in rng.uniform(-1.0 + 1e-4, -1e-9, size=1000):
-        assert lambert_w0(xi * math.exp(xi)) == pytest.approx(xi, abs=1e-12)
-    for xi in rng.uniform(-30.0, -1.0 - 1e-4, size=1000):
-        assert lambert_wm1(xi * math.exp(xi)) == pytest.approx(
-            xi, abs=1e-12 * max(1.0, abs(xi)))
-
-
-def test_inverse_roundtrip_near_branch_point():
-    rng = np.random.default_rng(9)
-    for xi in rng.uniform(-1.0, -1.0 + 1e-4, size=200):
-        allowed = 1e-12 + 5e-16 / abs(1.0 + xi + 1e-16)
-        assert abs(lambert_w0(xi * math.exp(xi)) - xi) <= allowed
-    for xi in rng.uniform(-1.0 - 1e-4, -1.0, size=200):
-        allowed = 1e-12 + 5e-16 / abs(1.0 + xi - 1e-16)
-        assert abs(lambert_wm1(xi * math.exp(xi)) - xi) <= allowed
-
-
-@pytest.mark.parametrize("bad", [0.0, 0.5, NEG_INV_E - 1e-10, -1.0, math.nan])
-def test_w_domain_errors(bad):
-    with pytest.raises(ValueError):
-        lambert_w0(bad)
-    with pytest.raises(ValueError):
-        lambert_wm1(bad)
-
-
-def test_branch_point_clamp():
-    # arguments a hair below -1/e are treated as the branch point
-    x = NEG_INV_E - 5e-15
-    assert lambert_w0(x) == pytest.approx(-1.0, abs=1e-7)
-    assert lambert_wm1(x) == pytest.approx(-1.0, abs=1e-7)
-
-
-# ---------------------------------------------------------------------------
 # Lamb-Oseen constant
 
 def test_oseen_value():
@@ -454,7 +360,14 @@ def test_oseen_value():
 def test_oseen_identities():
     alpha = lamb_oseen_alpha()
     assert abs(math.exp(alpha) - 2.0 * alpha - 1.0) <= 1e-12
-    assert abs(alpha - (-0.5 - lambert_wm1(X_HALF))) <= 1e-12
+
+
+def test_oseen_is_the_correctly_rounded_root():
+    # the 50-digit root of e^a = 2a + 1 rounds to the double returned
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        root = mp.findroot(lambda t: mp.exp(t) - 2 * t - 1, 1.25)
+    assert lamb_oseen_alpha() == float(root)
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,6 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
                    help="gram: symmetric row radius of S (default: grid-derived); "
                         "reconstruct accepts it but does not use it, since its Gram "
                         "matrix sinc(lambda_m - lambda_n) is exact")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative tolerance of ARPACK and CG, in (0, 1)")
-    p.add_argument("--max-iter", type=int, default=10_000,
-                   help="ARPACK restart cap and CG step cap")
 
 
 def _resolve_grid(args) -> grids.PerturbedGrid:
@@ -161,18 +157,13 @@ def _resolve_grid(args) -> grids.PerturbedGrid:
 def _resolve_window(args, grid) -> framekit.TruncationWindow:
     from . import framekit
 
-    if not (0.0 < args.tol < 1.0):  # also rejects nan
-        raise ValueError("--tol must lie strictly between 0 and 1")
-    if not 1 <= args.max_iter <= 2**31 - 1:
-        raise ValueError("--max-iter must lie between 1 and 2^31 - 1")
-    if args.window is not None and args.window < 0:
+    if args.window is None:
+        return framekit.TruncationWindow.for_grid(grid)
+    if args.window < 0:
         raise ValueError("--window must be at least 0")
-    kwargs = {"norm_tolerance": args.tol, "max_iterations": args.max_iter}
-    if args.window is not None:
-        lo = min(-args.window, int(grid.indices[0]))
-        hi = max(args.window, int(grid.indices[-1]))
-        return framekit.TruncationWindow(row_range=(lo, hi), **kwargs)
-    return framekit.TruncationWindow.for_grid(grid, **kwargs)
+    lo = min(-args.window, int(grid.indices[0]))
+    hi = max(args.window, int(grid.indices[-1]))
+    return framekit.TruncationWindow(row_range=(lo, hi))
 
 
 def _grid_params(args) -> dict:
@@ -277,7 +268,7 @@ def _run_reconstruct(args):
     from . import grids, reconstruct
 
     grid = _resolve_grid(args)
-    window = _resolve_window(args, grid)
+    _resolve_window(args, grid)  # checks --window, which the exact Gram matrix does not read
     signal = _parse_signal(args.signal)
     if args.eval_points < 2:
         raise ValueError("--eval-points must be at least 2")
@@ -295,7 +286,7 @@ def _run_reconstruct(args):
         if terms > limit:
             raise ValueError(f"{work} = {terms} terms, over the limit of {limit} terms")
     samples = reconstruct.sample_signal(signal, grid)
-    result = reconstruct.solve_coefficients(samples, grid, window)
+    result = reconstruct.solve_coefficients(samples, grid)
     t = np.linspace(args.eval_lo, args.eval_hi, args.eval_points)
     f_ref = signal(t)
     f_hat = reconstruct.evaluate_reconstruction(result, grid, t)
@@ -447,14 +438,6 @@ _HANDLERS = {
 }
 
 
-def _reported_errors() -> tuple:
-    """The exceptions main reports as one error line.  ConvergenceError is
-    looked up only once reconstruct, whose solver alone raises it, is
-    loaded, so that catching an error never loads numpy."""
-    reconstruct = sys.modules.get(f"{__package__}.reconstruct")
-    return (OSError, ValueError) + ((reconstruct.ConvergenceError,) if reconstruct else ())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -462,7 +445,7 @@ def main(argv=None) -> int:
         params, results, converged = _HANDLERS[args.command](args)
         runtime_ms = (time.perf_counter() - start) * 1e3
         _emit(args, args.command, params, results, runtime_ms)
-    except _reported_errors() as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     return OK if converged else FAILURE

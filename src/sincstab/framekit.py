@@ -60,32 +60,26 @@ __all__ = [
 DEFAULT_PAD_FACTOR = 4
 DEFAULT_ROW_CAP = 4001
 DENSE_EIG_CUTOFF = 800
+TOLERANCE = 1e-10  # ARPACK's tolerance and CG's relative residual
+MAX_ITERATIONS = 10_000  # ARPACK's restart cap and CG's step cap
 
 
 @dataclass(frozen=True)
 class TruncationWindow:
-    """Row range and tolerances governing all matrix truncations.
+    """Row range of the synthesis matrix S and its truncations.
 
     row_range is an inclusive (lo, hi) pair of integer translates k; it must
-    cover the grid indices n, which label the columns.  norm_tolerance and
-    max_iterations drive the iterative estimators: ARPACK's tolerance and
-    restart cap, and CG's relative residual and step cap.
+    cover the grid indices n, which label the columns.
     """
 
     row_range: tuple[int, int]
-    norm_tolerance: float = 1e-10
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if self.row_range[1] < self.row_range[0]:
             raise ValueError("window row range must be nonempty")
-        if not (0.0 < self.norm_tolerance < 1.0):  # x = 0 meets a relative residual of 1
-            raise ValueError("norm_tolerance must lie strictly between 0 and 1")
-        if not 1 <= self.max_iterations <= 2**31 - 1:  # ARPACK's Fortran integer is 32-bit
-            raise ValueError("max_iterations must lie between 1 and 2^31 - 1")
 
     @classmethod
-    def for_grid(cls, grid: PerturbedGrid, **kwargs) -> "TruncationWindow":
+    def for_grid(cls, grid: PerturbedGrid) -> "TruncationWindow":
         """Default window: grid range padded by DEFAULT_PAD_FACTOR times the
         grid radius on each side, capped at DEFAULT_ROW_CAP rows.  Sinc
         columns decay like 1/|k|, so the padding controls the truncation
@@ -94,7 +88,7 @@ class TruncationWindow:
         hi = int(grid.indices[-1])
         radius = max(abs(lo), abs(hi), 1)
         pad = max(min(DEFAULT_PAD_FACTOR * radius, (DEFAULT_ROW_CAP - (hi - lo + 1)) // 2), 0)
-        return cls(row_range=(lo - pad, hi + pad), **kwargs)
+        return cls(row_range=(lo - pad, hi + pad))
 
 
 @dataclass(frozen=True)
@@ -192,12 +186,12 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
 
 
 def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
-              window: TruncationWindow, seed: int) -> tuple[list[float], int]:
+              seed: int) -> tuple[list[float], int]:
     """Extremal eigenvalues of an n x n Hermitian matrix and the operator
     products spent.  which is ARPACK's: "LA" gives [largest], "BE"
     [smallest, largest].  eigvalsh of dense when it is given, else ARPACK
-    on the real symmetric matvec with the window's tolerance and restart
-    cap from a seeded start vector (nan if it fails).
+    on the real symmetric matvec at TOLERANCE, with at most MAX_ITERATIONS
+    restarts, from a seeded start vector (nan if it fails).
     """
     if dense is not None:
         eigenvalues = np.linalg.eigvalsh(dense)
@@ -216,8 +210,8 @@ def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
     k = 2 if which == "BE" else 1
     try:
         found = np.sort(scipy.sparse.linalg.eigsh(
-            operator, k=k, which=which, tol=window.norm_tolerance,
-            maxiter=window.max_iterations, v0=v0, return_eigenvectors=False))
+            operator, k=k, which=which, tol=TOLERANCE, maxiter=MAX_ITERATIONS, v0=v0,
+            return_eigenvectors=False))
     except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
         found = np.full(k, math.nan)
     return found.tolist(), products
@@ -248,7 +242,7 @@ def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
         exact = grid.is_complex or moved.size <= DENSE_EIG_CUTOFF
         M = E.conj().T @ E if exact else None
         if norm:
-            (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", window, seed)
+            (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", seed)
         if gram:
             B = E[at]
             M += B
@@ -329,7 +323,7 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     rule: eigvalsh of G.dense(), the only n x n array formed, and ARPACK on
     G @ p above the cutoff, where no n x n array is made; iterations_used
     counts the ARPACK products.  A smallest eigenvalue below the solve's
-    resolution, len(G) * eps * lambda_max for eigvalsh and norm_tolerance *
+    resolution, len(G) * eps * lambda_max for eigvalsh and TOLERANCE *
     lambda_max for ARPACK, has no reliable digit.  By Cauchy interlacing on
     the 2 x 2 principal minors of a real, unit-diagonal G, lambda_min <=
     1 - |sinc(lambda_i - lambda_j)|; an ARPACK reading above that for two
@@ -344,8 +338,8 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
         summary, G = perturbation_norm(grid, window, seed=seed), gram_rows(grid)
     exact = grid.is_complex or len(G) <= DENSE_EIG_CUTOFF
     (emin, emax), products = _extremes(G.dense() if exact else None, len(G),
-                                       lambda v: G @ v, "BE", window, seed)
-    resolution = (len(G) * np.finfo(float).eps if exact else window.norm_tolerance) * emax
+                                       lambda v: G @ v, "BE", seed)
+    resolution = (len(G) * np.finfo(float).eps if exact else TOLERANCE) * emax
     resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
     if not exact:
         neighbours = np.abs(sinc_array(np.diff(np.sort(grid.nodes)))).max()

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .framekit import GramRows, TruncationWindow, gram_rows
+from .framekit import MAX_ITERATIONS, TOLERANCE, GramRows, gram_rows
 from .grids import MAX_NODE_REAL, PerturbedGrid
 from .specfun import SINC_BLOCK, sinc_array, sinc_sum
 
@@ -43,8 +43,9 @@ logger = logging.getLogger(__name__)
 RITZ_WARNING_FLOOR = 0.5  # smallest Ritz value below this flags a degrading basis
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when the Gram solve fails to reach the residual tolerance."""
+class ConvergenceError(ValueError):
+    """Raised when the Gram solve fails to reach the residual tolerance; a
+    ValueError, as numpy's LinAlgError is."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)
@@ -167,17 +168,16 @@ def _smallest_ritz(alphas: Sequence[float], betas: Sequence[float]
                                       select="i", select_range=(0, 0))[0])
 
 
-def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
-                       window: Optional[TruncationWindow] = None
+def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid
                        ) -> ReconstructionResult:
     """Solve G c = samples for the expansion coefficients over the grid.
 
     G is the (real) Gram matrix of the grid's atoms, held as its m x m
     moved block and its u x m rows at the unmoved integers
     (framekit.gram_rows): each CG product streams the block once and the
-    rows twice, and no n x n array is formed.  CG runs to the
-    window's relative residual tolerance, capped at min(window cap, 5 * n)
-    iterations; failure to converge raises ConvergenceError with the
+    rows twice, and no n x n array is formed.  CG runs to the relative
+    residual framekit.TOLERANCE, capped at min(framekit.MAX_ITERATIONS,
+    5 * n) iterations; failure to converge raises ConvergenceError with the
     iteration count and final residual.
     """
     if grid.is_complex:
@@ -185,17 +185,12 @@ def solve_coefficients(samples: Sequence[float], grid: PerturbedGrid,
     b = np.asarray(samples, dtype=np.float64)
     if b.shape != grid.indices.shape:
         raise ValueError(f"{b.size} samples do not align with {len(grid)} grid nodes")
-    if window is None:
-        window = TruncationWindow.for_grid(grid)
-    G = gram_rows(grid)
-    n = len(grid)
-    max_iterations = min(window.max_iterations, 5 * n)
     x, rel, iterations, ritz_min = _conjugate_gradient(
-        G, b, window.norm_tolerance, max_iterations)
-    if rel > window.norm_tolerance:
+        gram_rows(grid), b, TOLERANCE, min(MAX_ITERATIONS, 5 * len(grid)))
+    if rel > TOLERANCE:
         raise ConvergenceError(
             f"Gram solve stalled at relative residual {rel:.3e} "
-            f"after {iterations} iterations (tolerance {window.norm_tolerance:.1e})",
+            f"after {iterations} iterations (tolerance {TOLERANCE:.1e})",
             iterations=iterations, residual=rel)
     if ritz_min is not None and ritz_min < RITZ_WARNING_FLOOR:
         logger.warning(

@@ -137,7 +137,7 @@ def test_criterion_06_oracle_equivalence():
             assert abs(estimate.perturbation_norm - exact) <= 1e-8
             # Gram solve: CG vs dense direct solve
             samples = rng.standard_normal(m)
-            result = ss.solve_coefficients(samples, grid, window)
+            result = ss.solve_coefficients(samples, grid)
             dense = np.linalg.solve(ss.gram_matrix(grid), samples)
             assert float(np.max(np.abs(result.coefficients - dense))) <= 1e-8
         # above DENSE_EIG_CUTOFF columns the norm comes from ARPACK
@@ -181,9 +181,8 @@ def test_criterion_09_reconstruction():
         errors = []
         for N in (25, 50, 100, 200):
             grid = ss.power_law_grid(0.2, 1.0, N, extend_nonpositive=True)
-            window = TruncationWindow(row_range=(-1200, 1200))
             samples = ss.sample_signal(signal, grid)
-            result = ss.solve_coefficients(samples, grid, window)
+            result = ss.solve_coefficients(samples, grid)
             t = np.linspace(-20.0, 20.0, 2001)
             errors.append(ss.reconstruction_error(
                 t, signal(t), ss.evaluate_reconstruction(result, grid, t)))

@@ -2,10 +2,11 @@
 
 Subcommands: oseen | bounds | table | gram | reconstruct.  Output is
 human-readable (6 significant digits), JSON, or CSV; JSON and CSV carry full
-double precision.  Exit status is 0 only when every requested computation
-converged and no domain error occurred.  oseen, bounds and table run on the
-standard library alone; gram and reconstruct load numpy and the numerics
-modules when they start.
+double precision.  A JSON report is one line with sorted keys, and a
+non-finite float in it is written as null.  Exit status is 0 only when every
+requested computation converged and no domain error occurred.  oseen, bounds
+and table run on the standard library alone; gram and reconstruct load numpy
+and the numerics modules when they start.
 """
 
 from __future__ import annotations
@@ -346,7 +347,8 @@ def _render_csv(command: str, results: dict) -> str:
 
 def _json_safe(value):
     """value with every non-finite float replaced by None, so that the
-    report stays valid JSON (which has no NaN or Infinity)."""
+    report stays valid JSON (which has no NaN or Infinity).  _emit calls it
+    only after encoding the report as it is has failed on such a float."""
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -355,6 +357,13 @@ def _json_safe(value):
 
 
 def _emit(args, command: str, params: dict, results: dict, runtime_ms: float) -> None:
+    """Write the report in args.format to args.out, or to stdout.
+
+    A JSON report is one line with sorted keys and each float's repr:
+    json.dumps without indent encodes it in C, and any indent falls back to
+    the slower pure-Python encoder.  The report is encoded as it is first,
+    since its floats are nearly always finite, and scrubbed by _json_safe
+    only when the encoder rejects one."""
     if args.format == "json":
         payload = {
             "command": command,
@@ -364,8 +373,11 @@ def _emit(args, command: str, params: dict, results: dict, runtime_ms: float) ->
         }
         if command == "gram":
             payload["meta"]["seed"] = args.seed
-        text = json.dumps(_json_safe(payload), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError:  # a NaN or infinity, which JSON cannot hold
+            text = json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False)
+        text += "\n"
     elif args.format == "csv":
         text = _render_csv(command, results)
     else:

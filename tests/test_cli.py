@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -225,6 +226,42 @@ def test_json_deterministic_modulo_runtime(capsys):
     _, second, _ = run(capsys, "gram", "--ingham", "--N", "8", "--seed", "5",
                        "--format", "json")
     assert scrub(first) == scrub(second)
+
+
+@pytest.mark.parametrize("argv", [
+    ("oseen",),
+    ("bounds", "--kadec", "--L", "0.1"),
+    ("bounds", "--complex", "--L", "0.2"),
+    ("bounds", "--complex", "--L", "6"),  # lambda = inf, written as null
+    ("bounds", "--power-law", "--A", "0.1", "--alpha", "1"),
+    ("table", "--alpha", "0.7,1", "--A", "0.25", "--critical"),
+    ("gram", "--ingham", "--N", "4"),
+    ("gram", "--uniform-offset", "0.1", "--imag", "0.1", "--N", "5"),
+    ("reconstruct", "--signal", "0.3", "--ingham", "--N", "8"),
+])
+def test_json_report_is_one_line_with_sorted_keys(capsys, argv):
+    # json.dumps without indent takes the C encoder; the report's layout is
+    # exactly what sort_keys alone gives
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 and out.endswith("\n")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_emit_writes_nested_nonfinite_floats_as_null(capsys):
+    # the encoder rejects a non-finite float anywhere in the report, and
+    # _emit then writes each one as null
+    args = argparse.Namespace(format="json", out=None)
+    rows = [{"lambda": math.inf}, {"lambda": 0.5}, {"lambda": [math.nan, -math.inf]}]
+    cli._emit(args, "table", {"alpha": [1.0]}, {"rows": rows}, 2.5)
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    payload = json.loads(out, parse_constant=reject_constant)
+    json.dumps(payload, allow_nan=False)
+    assert payload["results"]["rows"] == [{"lambda": None}, {"lambda": 0.5},
+                                          {"lambda": [None, None]}]
+    assert payload["params"] == {"alpha": [1.0]}
+    assert payload["meta"]["runtime_ms"] == 2.5
 
 
 # ---------------------------------------------------------------------------

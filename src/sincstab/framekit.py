@@ -18,13 +18,15 @@ A Gram matrix is held as two blocks (GramRows): the m x m block of the
 moved atoms, the only part that depends on the kind of grid, and the
 rows of S at the unmoved integers on the moved columns, since an
 unmoved atom is the integer translate itself.  A real grid's block is
-sinc_matrix on the moved nodes; a complex grid's is the window's S^H S,
-assembled from the norm's S - I (see _norm_and_gram), so a complex
-riesz_bounds_estimate builds S - I once for its norm and G, and a real
-one builds S - I, releases it, then builds G's blocks.  Either hands G
-back with its summary.  Eigenvalues are exact (eigvalsh) for every
-complex matrix and up to DENSE_EIG_CUTOFF columns otherwise, from one
-real ARPACK run above ("LA" for the norm, "BE" for a Gram matrix, whose
+sinc_matrix on the moved nodes; a complex grid's is the window's S^H S.
+One builder, _norm_and_gram, makes S - I once and returns the norm, its
+ARPACK products and, on a complex grid, G assembled from that S - I; each
+public function builds its GramSummary once from those numbers.  So a
+complex riesz_bounds_estimate builds S - I once for its norm and G, and
+a real one takes perturbation_norm's summary, whose S - I is released,
+then builds G's blocks.  Either hands G back with its summary.
+Eigenvalues are exact (eigvalsh) for every complex matrix and up to
+DENSE_EIG_CUTOFF columns otherwise, from one real ARPACK run above ("LA" for the norm, "BE" for a Gram matrix, whose
 products stream the two blocks and form no n x n array): ARPACK's complex
 path needs a run per end, is slower and stalls once |Im lambda| ~ 1.  The
 dense Gram matrix is formed only for eigvalsh, a dump and gram_matrix;
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -217,46 +219,48 @@ def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
     return found.tolist(), products
 
 
-def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int,
-                   norm: bool = True, gram: bool = False
-                   ) -> tuple[Optional[GramSummary], Optional[GramRows]]:
-    """perturbation_norm's summary (None unless norm) and, if gram, the
-    complex Gram matrix S^H S as GramRows, from the same E = S - I.
+def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int
+                   ) -> tuple[float, int, Optional[GramRows]]:
+    """(norm, products, G) from one E = S - I on the window: the spectral
+    norm of E, the ARPACK products spent on it, and for a complex grid its
+    Gram matrix S^H S as GramRows (None for a real grid).  With no moved
+    node, which only a real grid can have, E is 0, on which ARPACK cannot
+    start, and the result is (0.0, 0, None).
 
-    E holds the m moved columns, of which a complex grid, the only kind G
-    is asked for, has at least one; M = E^H E is formed when the norm is
+    E holds the m moved columns; M = E^H E is formed when the norm is
     exact, as a complex one is.  S = E + P, where P has a 1 at row n of each
     moved column n, and an unmoved column of S is the unit vector at row n.
     So with B the rows of E at the moved indices, G's moved block is
-    M + B + B^H + I, formed in M: M takes the copy B, then, with B
-    conjugated in place, B^T, then 1 on its diagonal.  cross is E's rows at
-    the unmoved indices, which are S's.
+    M + B + B^H + I, formed in M once the norm is read: M takes the copy B,
+    then, with B conjugated in place, B^T, then 1 on its diagonal.  cross
+    is E's rows at the unmoved indices, which are S's.
     """
     rows, lo = _window_rows(grid, window), window.row_range[0]
     moved, unmoved = _moved(grid)
-    top, products, G = 0.0, 0, None  # for E = 0, on which ARPACK cannot start
-    if moved.size:
-        at = grid.indices[moved] - lo
-        E = sinc_matrix(rows, grid.nodes[moved])
-        E[at, np.arange(moved.size)] -= 1.0
-        exact = grid.is_complex or moved.size <= DENSE_EIG_CUTOFF
-        M = E.conj().T @ E if exact else None
-        if norm:
-            (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", seed)
-        if gram:
-            B = E[at]
-            M += B
-            np.conjugate(B, out=B)
-            M += B.T
-            M.ravel()[::moved.size + 1] += 1.0
-            G = GramRows(M, E[grid.indices[unmoved] - lo], moved, unmoved)
-    if not norm:
-        return None, G
-    norm_value = float(np.sqrt(np.maximum(top, 0.0)))  # rounding can leave top just below 0
-    return GramSummary(window=window, perturbation_norm=norm_value,
-                       implied_riesz_lower=(1.0 - norm_value) ** 2 if norm_value < 1.0 else None,
-                       implied_riesz_upper=(1.0 + norm_value) ** 2,
-                       iterations_used=products, converged=math.isfinite(norm_value)), G
+    if not moved.size:
+        return 0.0, 0, None
+    at = grid.indices[moved] - lo
+    E = sinc_matrix(rows, grid.nodes[moved])
+    E[at, np.arange(moved.size)] -= 1.0
+    exact = grid.is_complex or moved.size <= DENSE_EIG_CUTOFF
+    M = E.conj().T @ E if exact else None
+    (top,), products = _extremes(M, moved.size, lambda v: (E @ v) @ E, "LA", seed)
+    G = None
+    if grid.is_complex:
+        B = E[at]
+        M += B
+        np.conjugate(B, out=B)
+        M += B.T
+        M.ravel()[::moved.size + 1] += 1.0
+        G = GramRows(M, E[grid.indices[unmoved] - lo], moved, unmoved)
+    return float(np.sqrt(np.maximum(top, 0.0))), products, G  # rounding can leave top below 0
+
+
+def _implied_bounds(norm: float) -> dict:
+    """GramSummary's Riesz bounds implied by a perturbation norm:
+    (1 - norm)^2, only when norm < 1, and (1 + norm)^2."""
+    return {"implied_riesz_lower": (1.0 - norm) ** 2 if norm < 1.0 else None,
+            "implied_riesz_upper": (1.0 + norm) ** 2}
 
 
 def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = None,
@@ -272,11 +276,14 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     above.  iterations_used counts those products (0 when exact or when no
     column moved).  When ARPACK stops without an eigenvalue the norm is nan and
     converged is False.  S is turned into S - I in place (I: entry 1 at row
-    k = n of column n), after the window's rows x len(grid) is checked.
+    k = n of column n), after the window's rows x len(grid) is checked.  On
+    a complex grid the Gram matrix that _norm_and_gram assembles from the
+    same S - I is discarded.
     """
-    if window is None:
-        window = TruncationWindow.for_grid(grid)
-    return _norm_and_gram(grid, window, seed)[0]
+    window = window or TruncationWindow.for_grid(grid)
+    norm, products, _ = _norm_and_gram(grid, window, seed)
+    return GramSummary(window=window, perturbation_norm=norm, **_implied_bounds(norm),
+                       iterations_used=products, converged=math.isfinite(norm))
 
 
 def gram_rows(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
@@ -289,12 +296,12 @@ def gram_rows(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
     nodes x and cross = sinc_matrix(unmoved indices, x), and the window is
     not read.  A complex grid's is the window-truncated S^H S, which
     converges to the Gram as the window grows; it is assembled from S - I
-    on the moved columns in O(rows m^2 + m n) for m moved of n columns, as
-    riesz_bounds_estimate assembles it (see _norm_and_gram).
+    on the moved columns in O(rows m^2 + m n) for m moved of n columns, by
+    the _norm_and_gram call riesz_bounds_estimate makes, whose norm (one
+    m x m eigvalsh) is discarded here.
     """
     if grid.is_complex:
-        return _norm_and_gram(grid, window or TruncationWindow.for_grid(grid), 0,
-                              norm=False, gram=True)[1]
+        return _norm_and_gram(grid, window or TruncationWindow.for_grid(grid), 0)[2]
     moved, unmoved = _moved(grid)
     x = grid.nodes[moved]
     return GramRows(sinc_matrix(x, x), sinc_matrix(grid.indices[unmoved], x), moved, unmoved)
@@ -314,11 +321,12 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     implied by the perturbation norm, and the Gram matrix itself as
     GramRows.
 
-    A real grid's S - I is released before G's blocks are built, so the
-    two never share memory.  A complex grid builds S - I once, for both: its
-    norm comes from E^H E exactly as perturbation_norm's does, and G's
-    blocks are assembled from E^H E and copies of E's rows at the grid
-    indices (see _norm_and_gram).  G is returned so that a caller writing
+    A real grid's norm is perturbation_norm's, whose S - I is released
+    before G's blocks are built, so the two never share memory.  A complex
+    grid takes its norm and G from one _norm_and_gram call, which builds
+    S - I once: the norm from E^H E, G's blocks from E^H E and copies of
+    E's rows at the grid indices.  The summary is built once, from the
+    norm and the Gram eigenvalues.  G is returned so that a caller writing
     it out need not build it again.  Both solves follow the module's eigen
     rule: eigvalsh of G.dense(), the only n x n array formed, and ARPACK on
     G @ p above the cutoff, where no n x n array is made; iterations_used
@@ -330,25 +338,24 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     neighbouring nodes, as when nodes (nearly) coincide, is wrong.  Either
     way min_eigenvalue is reported as None.
     """
-    if window is None:
-        window = TruncationWindow.for_grid(grid)
+    window = window or TruncationWindow.for_grid(grid)
     if grid.is_complex:
-        summary, G = _norm_and_gram(grid, window, seed, gram=True)
+        norm, products, G = _norm_and_gram(grid, window, seed)
     else:
         summary, G = perturbation_norm(grid, window, seed=seed), gram_rows(grid)
+        norm, products = summary.perturbation_norm, summary.iterations_used
     exact = grid.is_complex or len(G) <= DENSE_EIG_CUTOFF
-    (emin, emax), products = _extremes(G.dense() if exact else None, len(G),
-                                       lambda v: G @ v, "BE", seed)
+    (emin, emax), gram_products = _extremes(G.dense() if exact else None, len(G),
+                                            lambda v: G @ v, "BE", seed)
     resolution = (len(G) * np.finfo(float).eps if exact else TOLERANCE) * emax
     resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
     if not exact:
         neighbours = np.abs(sinc_array(np.diff(np.sort(grid.nodes)))).max()
         resolved &= not emin > 1.0 - neighbours + resolution
-    return replace(summary,
-                   min_eigenvalue=emin if resolved else None,
-                   max_eigenvalue=emax,
-                   iterations_used=summary.iterations_used + products,
-                   converged=summary.converged and math.isfinite(emin + emax)), G
+    return GramSummary(window=window, perturbation_norm=norm,
+                       min_eigenvalue=emin if resolved else None, max_eigenvalue=emax,
+                       **_implied_bounds(norm), iterations_used=products + gram_products,
+                       converged=math.isfinite(norm) and math.isfinite(emin + emax)), G
 
 
 def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:

@@ -217,12 +217,18 @@ def reconstruction_error(t: np.ndarray, f_ref: np.ndarray, f_hat: np.ndarray) ->
 
     Composite trapezoidal quadrature over t (uniform points in the CLI); the
     integrands are entire and slowly varying, so the scheme is adequate at
-    this scale.
+    this scale.  Both integrals run over u = (t - t[0]) / (t[-1] - t[0]),
+    which leaves their ratio as it is and keeps a squared error times a
+    spacing of a short window (t in [0, 1e-300], say) from underflowing to
+    0.  t must increase from t[0] to t[-1].
     """
-    ref_norm = math.sqrt(float(np.trapezoid(f_ref ** 2, t)))
+    if not t[-1] > t[0]:
+        raise ValueError("evaluation points must run from t[0] up to a larger t[-1]")
+    u = (t - t[0]) / (t[-1] - t[0])
+    ref_norm = math.sqrt(float(np.trapezoid(f_ref ** 2, u)))
     if ref_norm == 0.0:
         raise ValueError("reference signal vanishes on the evaluation window")
-    err_norm = math.sqrt(float(np.trapezoid((f_hat - f_ref) ** 2, t)))
+    err_norm = math.sqrt(float(np.trapezoid((f_hat - f_ref) ** 2, u)))
     return err_norm / ref_norm
 
 

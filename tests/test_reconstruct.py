@@ -410,13 +410,29 @@ def test_ingham_grid_reconstructs_worse():
 
 def test_error_metric_validation():
     # too few points and an empty interval are refused by the CLI, before t
-    # is made (tests/test_cli.py); sinc(t) vanishes exactly at the integer
-    # quadrature points 1, 2, 3
+    # is made (tests/test_cli.py), and points that do not end above where
+    # they start by the metric itself; sinc(t) vanishes exactly at the
+    # integer quadrature points 1, 2, 3
     grid = integer_grid(3)
     sig = BandlimitedSignal([0.0], [1.0])
     result = solve_coefficients(sample_signal(sig, grid), grid)
     with pytest.raises(ValueError, match="vanishes"):
         error_on(sig, result, grid, (1.0, 3.0), 3)
+    for interval in ((2.0, 2.0), (3.0, 1.0)):
+        with pytest.raises(ValueError, match="larger t"):
+            error_on(sig, result, grid, interval, 5)
+
+
+def test_error_metric_does_not_underflow_on_a_short_interval():
+    # the error is a ratio of two integrals, which an affine map of t leaves
+    # as it is; on [0, 1e-300] the squared error times the spacing fell
+    # below the smallest subnormal and the error read 0
+    grid = ingham_grid(3)
+    sig = BandlimitedSignal([0.3], [1.0])
+    result = solve_coefficients(sample_signal(sig, grid), grid)
+    short, longer = (error_on(sig, result, grid, (0.0, hi), 2001) for hi in (1e-300, 1e-200))
+    assert longer > 0.0
+    assert abs(short - longer) <= 1e-12 * longer
 
 
 # ---------------------------------------------------------------------------

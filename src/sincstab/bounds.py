@@ -119,7 +119,9 @@ def power_law_certificate(A: float, alpha_exponent: float) -> BoundReport:
     """Certificate lambda = 2*sqrt(2)*(pi*A)^2*zeta(2*alpha) for power-law grids.
 
     The derivation confines the per-node phase pi*A/n^alpha to (0, pi/4], so
-    A may not exceed 1/4.
+    A may not exceed 1/4.  lambda is computed as (A / threshold)^2, the same
+    quantity, so the verdict agrees with A < threshold at every double: a
+    rounded quotient below 1 is at most 1 - 2^-53, whose square is below 1.
     """
     A = float(A)
     alpha = float(alpha_exponent)
@@ -129,7 +131,7 @@ def power_law_certificate(A: float, alpha_exponent: float) -> BoundReport:
             f"certificate requires pi*A in (0, pi/4], i.e. A <= 1/4; got A = {A!r}"
         )
     threshold = power_law_threshold(alpha)  # validates alpha
-    lam = 2.0 * math.sqrt(2.0) * (math.pi * A) ** 2 * riemann_zeta(2.0 * alpha)
+    lam = (A / threshold) ** 2
     return BoundReport(
         bound_name="power_law_threshold",
         inputs={"A": A, "alpha_exponent": alpha},

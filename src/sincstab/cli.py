@@ -73,8 +73,6 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_signal(text: str) -> reconstruct.BandlimitedSignal:
     """Parse 'mu' or 'mu:c,mu:c,...' into a sinc-translate combination."""
-    import numpy as np
-
     from . import reconstruct
 
     shifts, weights = [], []
@@ -91,8 +89,7 @@ def _parse_signal(text: str) -> reconstruct.BandlimitedSignal:
             weights.append(1.0)
     if not shifts:
         raise ValueError(f"empty signal specification {text!r}")
-    return reconstruct.BandlimitedSignal(shifts=np.array(shifts),
-                                         weights=np.array(weights))
+    return reconstruct.BandlimitedSignal(shifts=shifts, weights=weights)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -248,16 +245,10 @@ def _run_gram(args):
         framekit.dump_matrix(G.dense(), args.dump_matrix, grid.indices, grid.indices)
     params = _grid_params(args)
     params["window_rows"] = [int(window.row_range[0]), int(window.row_range[1])]
-    results = {
-        "gram_method": "s_h_s" if grid.is_complex else "analytic_sinc",
-        "perturbation_norm": summary.perturbation_norm,
-        "min_eigenvalue": summary.min_eigenvalue,
-        "max_eigenvalue": summary.max_eigenvalue,
-        "implied_riesz_lower": summary.implied_riesz_lower,
-        "implied_riesz_upper": summary.implied_riesz_upper,
-        "iterations_used": summary.iterations_used,
-        "converged": summary.converged,
-    }
+    results = {"gram_method": "s_h_s" if grid.is_complex else "analytic_sinc"}
+    for key in ("perturbation_norm", "min_eigenvalue", "max_eigenvalue", "implied_riesz_lower",
+                "implied_riesz_upper", "iterations_used", "converged"):
+        results[key] = getattr(summary, key)
     if summary.min_eigenvalue is None:  # unresolved; the key appears only then
         results["min_eigenvalue_resolved"] = False
     return params, results, summary.converged

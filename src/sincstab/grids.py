@@ -123,7 +123,8 @@ def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
     """Grid with lambda_n = n + offset_n over an integer index range.
 
     base is an inclusive (lo, hi) pair; offsets (real or complex) must align
-    with it.  Offsets with no nonzero imaginary part yield a real grid.
+    with it.  Offsets with no nonzero imaginary part yield a real grid.  A
+    non-finite offset makes a non-finite node, which PerturbedGrid refuses.
     """
     lo, hi = int(base[0]), int(base[1])
     if hi < lo:
@@ -134,8 +135,6 @@ def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
         raise ValueError(
             f"{offs.size} offsets do not align with {indices.size} indices"
         )
-    if not np.all(np.isfinite(offs)):
-        raise ValueError("offsets must be finite")
     return PerturbedGrid(indices=indices, nodes=indices + offs)
 
 

@@ -131,6 +131,16 @@ def test_certificate_saturates_at_threshold():
     assert below.satisfies_pw and below.lambda_value < 1.0
 
 
+@pytest.mark.parametrize("alpha", [math.nextafter(0.5, 1.0), 0.55, 0.75, 1.0, 2.0, 1e308])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_certificate_verdict_is_amplitude_below_threshold(alpha, step):
+    # the theorem certifies exactly the A below the threshold; at the
+    # threshold and one double either side the verdict must say the same
+    threshold = power_law_threshold(alpha)
+    A = threshold if step == 0 else math.nextafter(threshold, step * math.inf)
+    assert power_law_certificate(A, alpha).satisfies_pw == (A < threshold)
+
+
 def test_certificate_domain():
     with pytest.raises(ValueError, match="pi/4"):
         power_law_certificate(0.26, 1.0)

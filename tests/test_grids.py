@@ -1,5 +1,6 @@
 """Grid generators: invariants, determinism, file loading."""
 
+import math
 import re
 
 import numpy as np
@@ -177,6 +178,8 @@ def test_complex_nodes_on_the_real_axis_make_a_real_grid(tmp_path, imag):
     (lambda: PerturbedGrid(indices=[0, 1], nodes=[0.5, np.nan]), "must be finite"),
     (lambda: PerturbedGrid(indices=[0], nodes=[complex(0.5, np.inf)]), "must be finite"),
     (lambda: uniform_offset_grid([], (1, 0)), "empty index range (1, 0)"),
+    (lambda: uniform_offset_grid([math.nan], (0, 0)), "must be finite"),
+    (lambda: uniform_offset_grid([complex(0.1, math.inf)], (0, 0)), "must be finite"),
     (lambda: ingham_grid(0), "N must be a positive integer, got 0"),
 ])
 def test_grid_input_checks(make, message):

@@ -64,28 +64,37 @@ class BoundReport:
         return self.lambda_value < 1.0
 
 
+def _deviation_bound(L: float) -> float:
+    """L as a float, refused unless it is a finite deviation bound >= 0."""
+    L = float(L)
+    if not math.isfinite(L) or L < 0.0:
+        raise ValueError(f"deviation bound L must be >= 0, got {L!r}")
+    return L
+
+
+def _edge_report(bound_name: str, L: float, lam: float, edge: float) -> BoundReport:
+    """The report of a deviation-radius bound with its edge as threshold.
+
+    lambda is clamped to >= 1 from the edge on, so the report fails the
+    criterion at every L >= edge, whatever the rounded formula reads there.
+    """
+    if L >= edge:
+        lam = max(lam, 1.0)
+    return BoundReport(bound_name=bound_name, inputs={"L": L}, lambda_value=lam, threshold=edge)
+
+
 def kadec_transfer_lambda(L: float) -> BoundReport:
     """Deviation constant transferred from the classical 1/4 estimate.
 
     lambda = 1 - cos(pi*L) + sin(pi*L), valid and below 1 for 0 <= L < 1/4.
-    For L >= 1/4 the estimate is clamped to >= 1, so the report fails the
-    criterion there (at every finite L): 1/4 is the optimality edge.
+    1/4 is the optimality edge, where _edge_report's clamp starts.
     """
-    L = float(L)
-    if not math.isfinite(L) or L < 0.0:
-        raise ValueError(f"deviation bound L must be >= 0, got {L!r}")
+    L = _deviation_bound(L)
     # the period of cos(pi*L) and sin(pi*L) is 2, and fmod reduces by it
     # exactly; pi*L itself overflows from L = 5.7e307
     x = math.pi * math.fmod(L, 2.0)
     lam = 1.0 - math.cos(x) + math.sin(x)
-    if L >= KADEC_EDGE:
-        lam = max(lam, 1.0)
-    return BoundReport(
-        bound_name="kadec_transfer",
-        inputs={"L": L},
-        lambda_value=lam,
-        threshold=KADEC_EDGE,
-    )
+    return _edge_report("kadec_transfer", L, lam, KADEC_EDGE)
 
 
 def lemma_sum_bound(grid: PerturbedGrid) -> BoundReport:
@@ -157,12 +166,10 @@ def complex_master(L: float) -> BoundReport:
     constant, and +inf where e^x overflows (x > ln DBL_MAX, from L = 5.19).
     The formula reads 0.9999999999999997 at complex_bound_L(), the smallest
     double above L* (by 1.07e-17; the next one below is 1.70e-17 under L*, by
-    a 50-digit root of e^a = 2a + 1), so lambda is clamped to >= 1 from there
-    on, as kadec_transfer_lambda is from 1/4: a double L fails iff L > L*.
+    a 50-digit root of e^a = 2a + 1), so it is the edge of _edge_report's
+    clamp, as 1/4 is kadec_transfer_lambda's: a double L fails iff L > L*.
     """
-    L = float(L)
-    if not math.isfinite(L) or L < 0.0:
-        raise ValueError(f"deviation bound L must be >= 0, got {L!r}")
+    L = _deviation_bound(L)
     x = (8.0 / 3.0) * math.pi ** 2 * L * L
     if x < 1e-4:
         # series x/2 + x^2/6 + x^3/24 avoids the e^x - x - 1 cancellation
@@ -171,15 +178,7 @@ def complex_master(L: float) -> BoundReport:
         lam = math.inf
     else:
         lam = (math.expm1(x) - x) / x
-    edge = complex_bound_L()
-    if L >= edge:
-        lam = max(lam, 1.0)
-    return BoundReport(
-        bound_name="complex_master",
-        inputs={"L": L},
-        lambda_value=lam,
-        threshold=edge,
-    )
+    return _edge_report("complex_master", L, lam, complex_bound_L())
 
 
 def _lambda_series(alpha: float):

@@ -6,12 +6,14 @@ double precision.  A JSON report is one line with sorted keys, and a
 non-finite float in it is written as null.  Exit status is 0 only when every
 requested computation converged and no domain error occurred.  oseen, bounds
 and table run on the standard library alone; gram and reconstruct load numpy
-and the numerics modules when they start.
+and the numerics modules when they start.  build_parser makes the parser once
+per process, and each subcommand's parser binds its handler, which main calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -115,9 +117,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="extend a power-law grid by lambda_n = n for n <= 0")
     p.add_argument("--imag", type=float, default=0.0,
                    help="imaginary part for --uniform-offset")
-
-
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=None, metavar="INT",
                    help="gram: symmetric row radius of S (default: grid-derived); "
                         "reconstruct accepts it but does not use it, since its Gram "
@@ -185,24 +184,25 @@ def _run_oseen(args):
     return {}, results, True
 
 
+# bounds' regime flags in precedence order, each with its estimator and the
+# flags that estimator takes
+_REGIMES = {
+    "complex": (bounds_mod.complex_master, ("L",)),
+    "kadec": (bounds_mod.kadec_transfer_lambda, ("L",)),
+    "power_law": (bounds_mod.power_law_certificate, ("A", "alpha")),
+}
+
+
 def _run_bounds(args):
-    if args.complex:
-        if args.L is None:
-            raise ValueError("--complex requires --L")
-        report = bounds_mod.complex_master(args.L)
-        params = {"regime": "complex", "L": args.L}
-    elif args.kadec:
-        if args.L is None:
-            raise ValueError("--kadec requires --L")
-        report = bounds_mod.kadec_transfer_lambda(args.L)
-        params = {"regime": "kadec", "L": args.L}
-    elif args.power_law:
-        if args.A is None or args.alpha is None:
-            raise ValueError("--power-law requires --A and --alpha")
-        report = bounds_mod.power_law_certificate(args.A, args.alpha)
-        params = {"regime": "power_law", "A": args.A, "alpha": args.alpha}
-    else:
+    regime = next((flag for flag in _REGIMES if getattr(args, flag)), None)
+    if regime is None:
         raise ValueError("select a regime: --kadec, --complex or --power-law")
+    estimator, flags = _REGIMES[regime]
+    if any(getattr(args, flag) is None for flag in flags):
+        raise ValueError(f"--{regime.replace('_', '-')} requires "
+                         + " and ".join(f"--{flag}" for flag in flags))
+    params = {"regime": regime, **{flag: getattr(args, flag) for flag in flags}}
+    report = estimator(*(params[flag] for flag in flags))
     results = {
         "bound_name": report.bound_name,
         "lambda": report.lambda_value,
@@ -380,6 +380,7 @@ def _emit(args, command: str, params: dict, results: dict, runtime_ms: float) ->
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sincstab",
@@ -387,9 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oseen", help="the Lamb-Oseen constant and the complex threshold")
+    p.set_defaults(handler=_run_oseen)
     _add_common_flags(p)
 
     p = sub.add_parser("bounds", help="closed-form stability verdicts")
+    p.set_defaults(handler=_run_bounds)
     _add_common_flags(p)
     p.add_argument("--kadec", action="store_true", help="real constant-offset regime")
     p.add_argument("--complex", action="store_true", help="complex-offset regime")
@@ -399,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="power-law exponent")
 
     p = sub.add_parser("table", help="lambda = lambda1 + lambda2 over parameter lists")
+    p.set_defaults(handler=_run_table)
     _add_common_flags(p)
     p.add_argument("--alpha", required=True, help="comma-separated exponents")
     p.add_argument("--A", default=None, help="comma-separated amplitudes")
@@ -406,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the root of lambda = 1 per exponent")
 
     p = sub.add_parser("gram", help="truncated-system diagnostics")
+    p.set_defaults(handler=_run_gram)
     _add_common_flags(p)
     _add_grid_flags(p)
-    _add_window_flags(p)
     p.add_argument("--seed", type=int, default=0,
                    help="ARPACK's start seed, for a real grid with more moved norm "
                         "columns or Gram nodes than framekit.DENSE_EIG_CUTOFF (a "
@@ -418,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "entry, k and n its grid indices")
 
     p = sub.add_parser("reconstruct", help="reconstruct a bandlimited signal")
+    p.set_defaults(handler=_run_reconstruct)
     _add_common_flags(p)
     _add_grid_flags(p)
-    _add_window_flags(p)
     p.add_argument("--signal", required=True,
                    help="sinc-translate combination, e.g. '0.3' or '0.3:1,2.5:-0.7'; "
                         "write a negative first shift as --signal=-3.2:0.5")
@@ -432,20 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "oseen": _run_oseen,
-    "bounds": _run_bounds,
-    "table": _run_table,
-    "gram": _run_gram,
-    "reconstruct": _run_reconstruct,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        params, results, converged = _HANDLERS[args.command](args)
+        params, results, converged = args.handler(args)
         runtime_ms = (time.perf_counter() - start) * 1e3
         _emit(args, args.command, params, results, runtime_ms)
     except (OSError, ValueError) as exc:

@@ -41,6 +41,8 @@ def test_kadec_flags_and_threshold():
     assert good.satisfies_pw and good.threshold == 0.25
     edge = kadec_transfer_lambda(0.25)
     assert not edge.satisfies_pw
+    below = kadec_transfer_lambda(math.nextafter(0.25, 0.0))  # the last double under the edge
+    assert below.satisfies_pw and below.lambda_value == 0.9999999999999999
     beyond = kadec_transfer_lambda(0.3)
     assert not beyond.satisfies_pw and beyond.lambda_value > 1.0
     far = kadec_transfer_lambda(1e308)  # pi*L overflows
@@ -53,9 +55,12 @@ def test_kadec_strictly_increasing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_kadec_domain():
-    with pytest.raises(ValueError):
-        kadec_transfer_lambda(-0.01)
+@pytest.mark.parametrize("L", [-0.01, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bound", [kadec_transfer_lambda, complex_master],
+                         ids=["kadec", "complex"])
+def test_deviation_bound_domain(bound, L):
+    with pytest.raises(ValueError, match="deviation bound L must be >= 0"):
+        bound(L)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +226,6 @@ def test_master_edge_is_decided_at_the_exact_root(capsys):
     assert complex_master(below).satisfies_pw
     assert cli.main(["bounds", "--complex", "--L", repr(d), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "fail"
-
-
-def test_master_domain():
-    with pytest.raises(ValueError):
-        complex_master(-0.1)
 
 
 def test_master_is_infinite_where_the_exponential_overflows():

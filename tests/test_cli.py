@@ -84,6 +84,18 @@ def test_bounds_requires_regime(capsys):
     assert code == 1 and "regime" in err
 
 
+@pytest.mark.parametrize("flags, regime", [
+    (("--kadec", "--complex", "--power-law"), "complex"),
+    (("--kadec", "--power-law"), "kadec"),
+])
+def test_bounds_regime_precedence(capsys, flags, regime):
+    # with several regime flags, complex goes before kadec, and kadec before power-law
+    code, out, err = run(capsys, "bounds", *flags, "--L", "0.1", "--A", "0.1",
+                         "--alpha", "1", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["params"]["regime"] == regime
+
+
 def reject_constant(name):
     raise ValueError(f"report holds {name}")
 
@@ -130,6 +142,16 @@ def test_table_critical(capsys):
     assert rows[-1]["critical"] is True
     assert rows[-1]["A"] == pytest.approx(0.44366, abs=1e-4)
     assert rows[-1]["lambda"] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_parser_is_built_once_and_keeps_no_request(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "table", "--alpha", "1", "--A", "0.1", "--critical",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["rows"][-1]["critical"] is True
+    code, out, _ = run(capsys, "table", "--alpha", "1", "--A", "0.1", "--format", "json")
+    assert code == 0
+    assert [row.get("critical") for row in json.loads(out)["results"]["rows"]] == [None]
 
 
 def test_table_multiple_parameters(capsys):

@@ -98,18 +98,18 @@ def kadec_transfer_lambda(L: float) -> BoundReport:
 
 
 def lemma_sum_bound(grid: PerturbedGrid) -> BoundReport:
-    """lambda = 2 * sum_n [1 - sinc(lambda_n - n)] over the grid's indices.
+    """lambda = 2 * sum_n [1 - sinc(delta_n)] over the grid's indices.
 
     Stated for real grids only; unperturbed indices contribute exactly 0.
+    The sum and the reported max |delta_n| read the deviations the grid
+    stores, so a tiny delta_n is not rounded to the spacing of doubles at n.
     """
-    from .grids import max_deviation
-
     if grid.is_complex:
         raise ValueError("the sum bound applies to real grids only")
     return BoundReport(
         bound_name="lemma_sum",
-        inputs={"nodes": len(grid), "max_deviation": max_deviation(grid)},
-        lambda_value=math.fsum(map(column_energy, grid.nodes - grid.indices)),
+        inputs={"nodes": len(grid), "max_deviation": float(max(map(abs, grid.deviations)))},
+        lambda_value=math.fsum(map(column_energy, grid.deviations)),
         threshold=None,
     )
 

@@ -160,7 +160,15 @@ class GramRows:
 
 
 def _moved(grid: PerturbedGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the grid's moved nodes (lambda_n != n) and of the rest."""
+    """Positions of the grid's moved nodes (lambda_n != n) and of the rest.
+
+    This compares nodes, not deviations, because sinc_matrix reads nodes: a
+    deviation below ulp(n)/2 rounds its node onto n, which gives S the column
+    e_n.  So lambda_n != n is exactly the set of columns where S - I is not
+    zero.  Counting those zero columns as moved would slow the norm, and
+    when every node rounds onto its index would leave ARPACK a zero E, on
+    which it cannot start.
+    """
     at = grid.nodes != grid.indices
     return np.flatnonzero(at), np.flatnonzero(~at)
 

@@ -1,16 +1,18 @@
 """Construction and validation of perturbed sampling sequences {lambda_n}.
 
-A grid pairs ordered integer indices n with nodes lambda_n (real or complex)
-and records nothing else.  Generators cover the power-law family lambda_n =
-n + A/n^alpha, constant offsets, the classical n +/- 1/4 counterexample
-sequence, and explicit node lists loaded from text files.  Grids are
-immutable after construction, and PerturbedGrid alone decides whether a grid
-is complex: nodes whose imaginary parts are all 0.0 or -0.0 make a real grid.
+A grid pairs ordered integer indices n with deviations delta_n (real or
+complex) and records nothing else; its nodes lambda_n = n + delta_n are
+derived from them.  Generators store the deviations they compute: the
+power-law family delta_n = A/n^alpha, constant offsets, the classical
++/- 1/4 counterexample sequence, and explicit node lists loaded from text
+files.  Grids are immutable after construction, and PerturbedGrid alone
+decides whether a grid is complex: deviations whose imaginary parts are all
+0.0 or -0.0 make a real grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -26,8 +28,9 @@ __all__ = [
 ]
 
 # Nodes lie in |Re lambda| < MAX_NODE_REAL and |Im lambda| <= MAX_NODE_IMAG.
-# Below 2^52 doubles are at most 1/2 apart, so a node keeps its offset from
-# its index; from 2^52 on they are 1 apart and every node is an integer.
+# The sinc kernels read the nodes, not the deviations.  Below 2^52 doubles
+# are at most 1/2 apart, so a node keeps its offset from its index; from
+# 2^52 on they are 1 apart and every node is an integer.
 # By Parseval a column of S with |Im lambda| = y has squared norm at most
 # sinh(2 pi y) / (2 pi y), and the dense limit allows at most 8192 complex
 # columns, so trace(S^H S), which bounds every entry and eigenvalue of S^H S
@@ -42,48 +45,54 @@ MAX_NODE_IMAG = 100.0
 
 @dataclass(frozen=True)
 class PerturbedGrid:
-    """A sampling set {lambda_n} aligned with an ordered integer index set.
+    """A sampling set {lambda_n = n + delta_n} over an ordered integer index set.
 
-    nodes are complex128 if an imaginary part is nonzero, else float64 (a
-    complex node's real part, bit for bit)."""
+    The grid stores the deviations delta_n as given, so every consumer of
+    delta reads them exactly; nodes = indices + deviations is derived once,
+    after sorting, and is read-only.  deviations (and so nodes) are
+    complex128 if an imaginary part is nonzero, else float64 (a complex
+    deviation's real part, bit for bit)."""
 
     indices: np.ndarray
-    nodes: np.ndarray
+    deviations: np.ndarray
+    nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
-        nodes = np.asarray(self.nodes)
-        if nodes.dtype.kind == "c" and not np.any(nodes.imag):  # 0.0 and -0.0 alike
-            nodes = nodes.real
-        nodes = nodes.astype(np.complex128 if nodes.dtype.kind == "c" else np.float64)
-        if indices.ndim != 1 or nodes.shape != indices.shape:
-            raise ValueError("indices and nodes must be aligned 1-d sequences")
+        if not np.array_equal(indices, self.indices):  # the cast truncates
+            raise ValueError("grid indices must be integers")
+        delta = np.asarray(self.deviations)
+        if delta.dtype.kind == "c" and not np.any(delta.imag):  # 0.0 and -0.0 alike
+            delta = delta.real
+        delta = delta.astype(np.complex128 if delta.dtype.kind == "c" else np.float64)
+        if indices.ndim != 1 or delta.shape != indices.shape:
+            raise ValueError("indices and deviations must be aligned 1-d sequences")
         if indices.size == 0:
             raise ValueError("grid must contain at least one node")
         if np.unique(indices).size != indices.size:
             raise ValueError("grid indices must be distinct")
-        if not np.all(np.isfinite(nodes)):
+        if not np.all(np.isfinite(delta)):
             raise ValueError("grid nodes must be finite")
+        order = np.argsort(indices)
+        indices = indices[order]
+        delta = delta[order]
+        nodes = indices + delta
         if np.max(np.abs(nodes.real)) >= MAX_NODE_REAL:
             raise ValueError("grid nodes must satisfy |Re lambda| < 2^52, where a double "
                              "still resolves a node's offset from its index")
         if np.max(np.abs(nodes.imag)) > MAX_NODE_IMAG:
             raise ValueError(f"grid nodes must satisfy |Im lambda| <= {MAX_NODE_IMAG:g}, "
                              "where S and S^H S stay finite")
-        order = np.argsort(indices)
-        indices = indices[order]
-        nodes = nodes[order]
-        indices.setflags(write=False)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "nodes", nodes)
+        for name, value in [("indices", indices), ("deviations", delta), ("nodes", nodes)]:
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return int(self.indices.size)
 
     @property
     def is_complex(self) -> bool:
-        return self.nodes.dtype.kind == "c"
+        return self.deviations.dtype.kind == "c"
 
 
 def power_law_grid(
@@ -113,29 +122,25 @@ def power_law_grid(
         indices = np.arange(-N, N + 1, dtype=np.int64)
     else:
         indices = np.arange(1, N + 1, dtype=np.int64)
-    nodes = indices.astype(np.float64)
+    deviations = np.zeros(indices.size)
     pos = indices >= 1
-    nodes[pos] += A / indices[pos].astype(np.float64) ** alpha
-    return PerturbedGrid(indices=indices, nodes=nodes)
+    deviations[pos] = A / indices[pos].astype(np.float64) ** alpha
+    return PerturbedGrid(indices=indices, deviations=deviations)
 
 
 def uniform_offset_grid(offsets: Sequence, base) -> PerturbedGrid:
     """Grid with lambda_n = n + offset_n over an integer index range.
 
-    base is an inclusive (lo, hi) pair; offsets (real or complex) must align
-    with it.  Offsets with no nonzero imaginary part yield a real grid.  A
-    non-finite offset makes a non-finite node, which PerturbedGrid refuses.
+    base is an inclusive (lo, hi) pair; the offsets (real or complex) are
+    the grid's deviations as given, so PerturbedGrid refuses offsets that do
+    not align with it or are not finite.  Offsets with no nonzero imaginary
+    part yield a real grid.
     """
     lo, hi = int(base[0]), int(base[1])
     if hi < lo:
         raise ValueError(f"empty index range {base!r}")
     indices = np.arange(lo, hi + 1, dtype=np.int64)
-    offs = np.asarray(offsets)
-    if offs.shape != indices.shape:
-        raise ValueError(
-            f"{offs.size} offsets do not align with {indices.size} indices"
-        )
-    return PerturbedGrid(indices=indices, nodes=indices + offs)
+    return PerturbedGrid(indices=indices, deviations=offsets)
 
 
 def ingham_grid(N: int) -> PerturbedGrid:
@@ -148,8 +153,8 @@ def ingham_grid(N: int) -> PerturbedGrid:
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     indices = np.arange(-N, N + 1, dtype=np.int64)
-    nodes = indices + 0.25 * np.sign(indices).astype(np.float64)
-    return PerturbedGrid(indices=indices, nodes=nodes)
+    deviations = 0.25 * np.sign(indices).astype(np.float64)
+    return PerturbedGrid(indices=indices, deviations=deviations)
 
 
 def grid_from_file(path) -> PerturbedGrid:
@@ -160,10 +165,17 @@ def grid_from_file(path) -> PerturbedGrid:
     real grid.  ``#`` starts a comment; blank lines are skipped.
     Indices must be distinct and below 2^52 in size; nodes must be finite.
     Parse errors report the offending line number.
+
+    The grid stores the deviation re - n.  That subtraction is exact when
+    n = 0 or re lies on n's side of zero with |re| >= |n|/2 (Sterbenz's
+    lemma up to |re| = 2|n|; beyond it re - n is a multiple of ulp(re) no
+    larger than |re|), so those nodes read back bit for bit.  Other nodes,
+    such as ``5 -0.1`` across zero from its index, read back as
+    n + fl(re - n), which may round.
     """
     path = Path(path)
     indices: list[int] = []
-    values: list[complex] = []
+    deviations: list[complex] = []
     seen: set[int] = set()
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -189,12 +201,12 @@ def grid_from_file(path) -> PerturbedGrid:
                 raise ValueError(f"{path}:{lineno}: non-finite node")
             seen.add(n)
             indices.append(n)
-            values.append(complex(re, im))
+            deviations.append(complex(re - n, im))
     if not indices:
         raise ValueError(f"{path}: no grid records found")
-    return PerturbedGrid(indices=indices, nodes=values)
+    return PerturbedGrid(indices=indices, deviations=deviations)
 
 
 def max_deviation(grid: PerturbedGrid) -> float:
-    """max |lambda_n - n| over the listed indices (complex modulus)."""
-    return float(np.max(np.abs(grid.nodes - grid.indices)))
+    """max |delta_n| over the listed indices (complex modulus)."""
+    return float(np.max(np.abs(grid.deviations)))

@@ -80,6 +80,19 @@ def test_lemma_sum_single_node():
                                                             abs=1e-15)
 
 
+def test_lemma_sum_of_tiny_deviations_matches_mpmath():
+    # the sum reads the stored delta_n = A/n, not n + delta_n rounded to
+    # ulp(n) and subtracted back, which is 1.2e-7 off here
+    mp = pytest.importorskip("mpmath")
+    A, N = 1e-8, 1000
+    with mp.workdps(40):
+        x = mp.pi * mp.mpf(A)
+        exact = float(mp.fsum(2 * (1 - mp.sin(x / n) / (x / n)) for n in range(1, N + 1)))
+    report = lemma_sum_bound(power_law_grid(A, 1.0, N))
+    assert report.lambda_value == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert report.inputs["max_deviation"] == A
+
+
 def test_lemma_sum_converges_to_table_split():
     # the infinite deviation sum at alpha = 1 equals lambda1 + lambda2; this
     # rests on the identity test_table_is_the_deviation_sum_plus_its_tail checks
@@ -92,7 +105,7 @@ def test_lemma_sum_converges_to_table_split():
 def test_lemma_sum_of_complex_typed_real_nodes():
     # complex-typed nodes with zero imaginary parts make a real grid
     indices = np.arange(-50, 51)
-    typed = lemma_sum_bound(PerturbedGrid(indices=indices, nodes=indices + 0.2 + 0j))
+    typed = lemma_sum_bound(PerturbedGrid(indices=indices, deviations=[0.2 + 0j] * 101))
     assert typed == lemma_sum_bound(uniform_offset_grid([0.2] * 101, (-50, 50)))
 
 
@@ -373,16 +386,15 @@ def test_table_is_the_deviation_sum_plus_its_tail(alpha):
     # lemma_sum_bound is ||S - I||_HS^2 over the listed columns and the table
     # lambda is the same sum over every n >= 1.  test_lemma_sum_converges_to_
     # table_split and test_norm_dominated_by_deviation_sum rest on this
-    # identity.  The grid stores n + delta_n, rounded to ulp(n), so a tiny
-    # delta_n is carried to about 1e-16/delta_n only: A starts at 0.01
+    # identity.
     mp = pytest.importorskip("mpmath")
     N = 400
-    for A in (0.01, 0.1, 0.44366, 2.0, 10.0):
+    for A in (1e-8, 1e-6, 0.01, 0.1, 0.44366, 2.0, 10.0):
         listed = lemma_sum_bound(power_law_grid(A, alpha, N)).lambda_value
         with mp.workdps(40):
             tail = float(_mp_deviation_tail(A, alpha, N, mp))
         lam = table_lambda(A, alpha).lambda_value
-        assert lam == pytest.approx(listed + tail, rel=1e-12, abs=0.0), (A, alpha)
+        assert lam == pytest.approx(listed + tail, rel=1e-14, abs=0.0), (A, alpha)
 
 
 @pytest.mark.parametrize("alpha", [math.nextafter(0.5, 1.0), 0.55, 1.0])

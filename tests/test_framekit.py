@@ -394,7 +394,7 @@ def odd_moved_grid(radius):
     """Nodes n + 0.1 + 0.1i at odd n, unmoved integers at even n."""
     indices = np.arange(-radius, radius + 1)
     return PerturbedGrid(indices=indices,
-                         nodes=indices + np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0))
+                         deviations=np.where(indices % 2 == 1, 0.1 + 0.1j, 0.0))
 
 
 COMPLEX_GRIDS = [
@@ -447,7 +447,7 @@ def test_complex_norm_is_perturbation_norms_bitwise(moved):
 def test_complex_typed_unmoved_grid_is_real():
     # complex-typed nodes that all sit at their indices make a real grid,
     # whose Gram matrix sinc(m - n) is exactly the identity
-    grid = PerturbedGrid(indices=np.arange(-2, 3), nodes=np.arange(-2, 3) + 0j)
+    grid = PerturbedGrid(indices=np.arange(-2, 3), deviations=np.zeros(5, dtype=complex))
     summary, G = riesz_bounds_estimate(grid)
     assert not grid.is_complex and G.dtype == np.float64 and np.array_equal(G.dense(), np.eye(5))
     assert summary.perturbation_norm == 0.0 and summary.min_eigenvalue == 1.0
@@ -457,8 +457,8 @@ def test_complex_typed_real_nodes_get_the_real_estimate():
     # n + 0.2 + 0j is the real grid n + 0.2: its Gram matrix is the exact
     # sinc(lambda_m - lambda_n), about I, not a window's S^H S (0.9715)
     indices = np.arange(-50, 51)
-    typed = riesz_bounds_estimate(PerturbedGrid(indices=indices, nodes=indices + 0.2 + 0j))
-    real = riesz_bounds_estimate(PerturbedGrid(indices=indices, nodes=indices + 0.2))
+    typed = riesz_bounds_estimate(PerturbedGrid(indices=indices, deviations=[0.2 + 0j] * 101))
+    real = riesz_bounds_estimate(PerturbedGrid(indices=indices, deviations=[0.2] * 101))
     assert typed[0] == real[0] and np.array_equal(typed[1].dense(), real[1].dense())
     assert typed[0].min_eigenvalue == pytest.approx(1.0, abs=1e-13)
 
@@ -489,8 +489,10 @@ def test_coinciding_nodes_leave_the_minimum_unresolved_above_the_cutoff(eigsh_ca
     base = power_law_grid(5.0, 1.0, 410, extend_nonpositive=True)
     for gap in (0.0, 1e-9, 1e-6):
         eigsh_calls.clear()
+        # (6 + gap) - 5 is exact, so lambda_5 is 6 + gap rounded once
         grid = PerturbedGrid(indices=base.indices,
-                             nodes=np.where(base.indices == 5, 6.0 + gap, base.nodes))
+                             deviations=np.where(base.indices == 5, 6.0 + gap - 5.0,
+                                                 base.deviations))
         summary, G = riesz_bounds_estimate(grid)
         assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == ["BE"]
         assert summary.min_eigenvalue is None and summary.converged
@@ -567,7 +569,7 @@ def real_layouts(tmp_path):
     scattered.write_text("-7 -7\n-5 -4.8\n-4 -4\n0 0.3\n1 1\n2 2\n6 6.25\n9 9\n10 10.1\n")
     # lambda_2 = 5 lands on the unmoved lambda_5: G is 1 at (2, 5) and (5, 2)
     landing = PerturbedGrid(indices=np.arange(-3, 6),
-                            nodes=np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 5.0, 3.0, 4.0, 5.0]))
+                            deviations=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]))
     return {"none-moved": (integer_grid(6), slice(0, 0)),
             "one-run": (power_law_grid(0.2, 1.0, 30, extend_nonpositive=True), slice(31, 61)),
             "scattered": (grid_from_file(scattered), np.array([1, 3, 6, 8])),

@@ -49,12 +49,13 @@ def test_power_law_exact_formula():
     A, alpha = 0.2, 1.3
     g = power_law_grid(A, alpha, 50)
     n = g.indices.astype(float)
+    assert np.array_equal(g.deviations, A / n ** alpha)
     assert np.array_equal(g.nodes, n + A / n ** alpha)
 
 
 def test_power_law_deviations_strictly_decreasing():
     g = power_law_grid(0.25, 0.7, 100)
-    d = np.abs(g.nodes - g.indices)
+    d = np.abs(g.deviations)
     assert np.all(np.diff(d) < 0)
     assert max_deviation(g) == 0.25  # attained at n = 1
 
@@ -131,6 +132,19 @@ def test_grid_from_file(tmp_path):
     assert g.nodes[3] == 2.0 + 0.3j
 
 
+def test_grid_from_file_stores_re_minus_n(tmp_path):
+    # re - n is exact when re lies within a factor 2 of n, or n = 0, so
+    # those nodes read back bit for bit; a node across zero from its index
+    # reads back as n + fl(re - n), rounded
+    path = tmp_path / "grid.txt"
+    path.write_text("1000 1000.3\n0 0.3\n5 -0.1\n-7 0.3\n", encoding="utf-8")
+    g = grid_from_file(path)
+    assert g.indices.tolist() == [-7, 0, 5, 1000]
+    assert g.deviations.tolist() == [0.3 - -7, 0.3 - 0, -0.1 - 5, 1000.3 - 1000]
+    assert g.nodes[1] == 0.3 and g.nodes[3] == 1000.3
+    assert g.nodes[0] != 0.3 and g.nodes[2] != -0.1
+
+
 def test_grid_from_file_real_when_imag_absent(tmp_path):
     path = tmp_path / "grid.txt"
     path.write_text("1 1.2\n2 2.1\n", encoding="utf-8")
@@ -156,27 +170,29 @@ def test_grid_from_file_errors(tmp_path, content, fragment):
 
 @pytest.mark.parametrize("imag", [0.0, -0.0])
 def test_complex_nodes_on_the_real_axis_make_a_real_grid(tmp_path, imag):
-    # PerturbedGrid alone decides the dtype: complex nodes whose imaginary
-    # parts are all zero are stored as their real parts, -0.0 included
-    nodes = np.empty(3, dtype=np.complex128)
-    nodes.real, nodes.imag = [-1.25, -0.0, 1.5], imag
+    # PerturbedGrid alone decides the dtype: complex deviations whose
+    # imaginary parts are all zero are stored as their real parts bit for
+    # bit, -0.0 included, though its node 0 + (-0.0) is +0.0
+    deviations = np.empty(3, dtype=np.complex128)
+    deviations.real, deviations.imag = [-0.25, -0.0, 0.5], imag
     path = tmp_path / "grid.txt"
     path.write_text(f"-1 -1.25 {imag!r}\n0 -0.0 {imag!r}\n1 1.5 0\n", encoding="utf-8")
-    offsets = nodes - np.arange(-1, 2)
-    for grid, real in [(PerturbedGrid(indices=[-1, 0, 1], nodes=nodes), nodes.real),
-                       (grid_from_file(path), nodes.real),
-                       (uniform_offset_grid(offsets, (-1, 1)),
-                        uniform_offset_grid(offsets.real, (-1, 1)).nodes)]:
-        assert not grid.is_complex and grid.nodes.dtype == np.float64
-        assert grid.nodes.tobytes() == real.tobytes()
+    for grid in [PerturbedGrid(indices=[-1, 0, 1], deviations=deviations),
+                 grid_from_file(path), uniform_offset_grid(deviations, (-1, 1))]:
+        assert not grid.is_complex and grid.deviations.dtype == np.float64
+        assert grid.deviations.tobytes() == deviations.real.tobytes()
+        assert grid.nodes.dtype == np.float64 and grid.nodes.tolist() == [-1.25, 0.0, 1.5]
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: PerturbedGrid(indices=[0, 1], nodes=[0.5]), "aligned 1-d sequences"),
-    (lambda: PerturbedGrid(indices=[[0]], nodes=[[0.5]]), "aligned 1-d sequences"),
-    (lambda: PerturbedGrid(indices=[], nodes=[]), "at least one node"),
-    (lambda: PerturbedGrid(indices=[0, 1], nodes=[0.5, np.nan]), "must be finite"),
-    (lambda: PerturbedGrid(indices=[0], nodes=[complex(0.5, np.inf)]), "must be finite"),
+    (lambda: PerturbedGrid(indices=[0, 1], deviations=[0.5]), "aligned 1-d sequences"),
+    (lambda: PerturbedGrid(indices=[[0]], deviations=[[0.5]]), "aligned 1-d sequences"),
+    (lambda: PerturbedGrid(indices=[], deviations=[]), "at least one node"),
+    (lambda: PerturbedGrid(indices=[0.5, 1.7], deviations=[0.0, 0.0]),
+     "grid indices must be integers"),
+    (lambda: PerturbedGrid(indices=[0, 1], deviations=[0.5, np.nan]), "must be finite"),
+    (lambda: PerturbedGrid(indices=[0], deviations=[complex(0.5, np.inf)]), "must be finite"),
+    (lambda: uniform_offset_grid([0.1] * 4, (-2, 2)), "aligned 1-d sequences"),
     (lambda: uniform_offset_grid([], (1, 0)), "empty index range (1, 0)"),
     (lambda: uniform_offset_grid([math.nan], (0, 0)), "must be finite"),
     (lambda: uniform_offset_grid([complex(0.1, math.inf)], (0, 0)), "must be finite"),
@@ -189,17 +205,20 @@ def test_grid_input_checks(make, message):
 
 def test_duplicate_index_rejected_in_constructor():
     with pytest.raises(ValueError):
-        PerturbedGrid(indices=np.array([1, 1]), nodes=np.array([1.0, 1.5]))
+        PerturbedGrid(indices=np.array([1, 1]), deviations=np.array([0.0, 0.5]))
 
 
 def test_node_bounds():
-    # the real part stays below 2^52, where doubles are 1 apart; the
-    # imaginary part at most 100, where S^H S stays finite
+    # the real part of a node (not of its deviation) stays below 2^52, where
+    # doubles are 1 apart; the imaginary part at most 100, where S^H S stays
+    # finite
     edge = 2.0 ** 52 - 0.5
-    grid = PerturbedGrid(indices=[0, 1], nodes=[-edge, 100j])
+    grid = PerturbedGrid(indices=[0, 1], deviations=[-edge, -1 + 100j])
     assert grid.nodes[0] == -edge and grid.nodes[1] == 100j
-    for node, fragment in [(2.0 ** 52, "|Re lambda| < 2^52"), (-1e17, "|Re lambda| < 2^52"),
-                           (1 - 100.5j, "|Im lambda| <= 100")]:
+    for n, delta, fragment in [(0, 2.0 ** 52, "|Re lambda| < 2^52"),
+                               (0, -1e17, "|Re lambda| < 2^52"),
+                               (2 ** 52 - 1, 1.0, "|Re lambda| < 2^52"),
+                               (0, 1 - 100.5j, "|Im lambda| <= 100")]:
         with pytest.raises(ValueError, match=re.escape(fragment)):
-            PerturbedGrid(indices=[0], nodes=[node])
+            PerturbedGrid(indices=[n], deviations=[delta])
 

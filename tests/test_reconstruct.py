@@ -203,7 +203,7 @@ def test_solver_nonconvergence_reports_diagnostics():
     # node 1 at 1e-7, next to node 0, makes the Gram matrix so near singular
     # that CG stalls short of TOLERANCE
     indices = np.arange(-20, 21)
-    grid = PerturbedGrid(indices=indices, nodes=np.where(indices == 1, 1e-7, indices))
+    grid = PerturbedGrid(indices=indices, deviations=np.where(indices == 1, 1e-7 - 1.0, 0.0))
     samples = sample_signal(BandlimitedSignal([0.3], [1.0]), grid)
     with pytest.raises(ConvergenceError) as err:
         solve_coefficients(samples, grid)

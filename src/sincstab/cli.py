@@ -414,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_grid_flags(p)
     p.add_argument("--seed", type=int, default=0,
-                   help="ARPACK's start seed, for a real grid with more moved norm "
-                        "columns or Gram nodes than framekit.DENSE_EIG_CUTOFF (a "
-                        "complex grid is solved exactly)")
+                   help="seed of the Lanczos start vector, for a real grid with more "
+                        "moved norm columns or Gram nodes than "
+                        "framekit.DENSE_EIG_CUTOFF (a complex grid is solved exactly)")
     p.add_argument("--dump-matrix", metavar="PATH", default=None,
                    help="dump the Gram matrix as text, one 'k n re im' record per "
                         "entry, k and n its grid indices")

@@ -20,17 +20,19 @@ rows of S at the unmoved integers on the moved columns, since an
 unmoved atom is the integer translate itself.  A real grid's block is
 sinc_matrix on the moved nodes; a complex grid's is the window's S^H S.
 One builder, _norm_and_gram, makes S - I once and returns the norm, its
-ARPACK products and, on a complex grid, G assembled from that S - I; each
+Lanczos products and, on a complex grid, G assembled from that S - I; each
 public function builds its GramSummary once from those numbers.  So a
 complex riesz_bounds_estimate builds S - I once for its norm and G, and
 a real one takes perturbation_norm's summary, whose S - I is released,
 then builds G's blocks.  Either hands G back with its summary.
 Eigenvalues are exact (eigvalsh) for every complex matrix and up to
-DENSE_EIG_CUTOFF columns otherwise, from one real ARPACK run above ("LA" for the norm, "BE" for a Gram matrix, whose
-products stream the two blocks and form no n x n array): ARPACK's complex
-path needs a run per end, is slower and stalls once |Im lambda| ~ 1.  The
-dense Gram matrix is formed only for eigvalsh, a dump and gram_matrix;
-ARPACK and reconstruct's CG apply G @ p to the blocks.  A smallest
+DENSE_EIG_CUTOFF columns otherwise, from one real Lanczos run above
+(_extremes: "LA" for the norm, "BE" for a Gram matrix, whose products
+stream the two blocks and form no n x n array).  The run tests its Ritz
+residuals after every product and stops at the first that passes, so it
+spends no product past convergence.  The dense Gram matrix is formed
+only for eigvalsh, a dump and gram_matrix; the Lanczos run and
+reconstruct's CG apply G @ p to the blocks.  A smallest
 Gram eigenvalue below the solve's resolution, or above what G's 2 x 2
 principal minors allow, is reported as None.
 """
@@ -45,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import PerturbedGrid
-from .specfun import SINC_BLOCK, check_dense_size, sinc_array, sinc_matrix
+from .specfun import MAX_DENSE_BYTES, SINC_BLOCK, check_dense_size, sinc_array, sinc_matrix
 
 __all__ = [
     "TruncationWindow",
@@ -62,8 +64,8 @@ __all__ = [
 DEFAULT_PAD_FACTOR = 4
 DEFAULT_ROW_CAP = 4001
 DENSE_EIG_CUTOFF = 800
-TOLERANCE = 1e-10  # ARPACK's tolerance and CG's relative residual
-MAX_ITERATIONS = 10_000  # ARPACK's restart cap and CG's step cap
+TOLERANCE = 1e-10  # Lanczos' Ritz residuals over |theta_max|; CG's relative residual
+MAX_ITERATIONS = 10_000  # Lanczos' product cap and CG's step cap
 
 
 @dataclass(frozen=True)
@@ -144,19 +146,33 @@ class GramRows:
     def dense(self) -> np.ndarray:
         """G as an n x n array, formed once: block itself when every node
         moved, else zero-filled with block, cross, cross's conjugate mirror
-        (copied SINC_BLOCK entries at a time) and I on the unmoved diagonal."""
+        (copied SINC_BLOCK entries at a time) and I on the unmoved diagonal.
+        Each run of consecutive moved (or unmoved) positions is copied as
+        one slice of columns, so the one or two runs of a generated grid
+        take a few copies rather than a scatter of every entry."""
         if self._dense is None:
             G, moved, unmoved = self.block, self.moved, self.unmoved
             if unmoved.size:
                 G = np.zeros((len(self), len(self)), dtype=self.dtype)
-                G[np.ix_(moved, moved)] = self.block
-                G[np.ix_(unmoved, moved)] = self.cross
+                for j0, j1 in _runs(moved):
+                    columns = slice(moved[j0], moved[j0] + j1 - j0)
+                    G[moved, columns] = self.block[:, j0:j1]
+                    G[unmoved, columns] = self.cross[:, j0:j1]
                 step = max(1, SINC_BLOCK // max(moved.size, 1))
-                for i0 in range(0, unmoved.size, step):
-                    G[np.ix_(moved, unmoved[i0:i0 + step])] = self.cross[i0:i0 + step].T.conj()
+                for i0, i1 in _runs(unmoved):
+                    for k0 in range(i0, i1, step):
+                        k1 = min(k0 + step, i1)
+                        G[moved, unmoved[k0]:unmoved[k0] + k1 - k0] = self.cross[k0:k1].T.conj()
                 G[unmoved, unmoved] = 1.0
             self._dense = G
         return self._dense
+
+
+def _runs(positions: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, stop) slices of a sorted array of positions (>= 0) that
+    hold its runs of consecutive positions."""
+    starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1).tolist()
+    return list(zip(starts, starts[1:] + [positions.size]))
 
 
 def _moved(grid: PerturbedGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +181,7 @@ def _moved(grid: PerturbedGrid) -> tuple[np.ndarray, np.ndarray]:
     This compares nodes, not deviations, because sinc_matrix reads nodes: a
     deviation below ulp(n)/2 rounds its node onto n, which gives S the column
     e_n.  So lambda_n != n is exactly the set of columns where S - I is not
-    zero.  Counting those zero columns as moved would slow the norm, and
-    when every node rounds onto its index would leave ARPACK a zero E, on
-    which it cannot start.
+    zero.  Counting those zero columns as moved would only slow the norm.
     """
     at = grid.nodes != grid.indices
     return np.flatnonzero(at), np.flatnonzero(~at)
@@ -198,42 +212,62 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
 def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
               seed: int) -> tuple[list[float], int]:
     """Extremal eigenvalues of an n x n Hermitian matrix and the operator
-    products spent.  which is ARPACK's: "LA" gives [largest], "BE"
-    [smallest, largest].  eigvalsh of dense when it is given, else ARPACK
-    on the real symmetric matvec at TOLERANCE, with at most MAX_ITERATIONS
-    restarts, from a seeded start vector (nan if it fails).
+    products spent.  which is "LA" for [largest] or "BE" for [smallest,
+    largest].  eigvalsh of dense when it is given, else a Lanczos run on
+    the real symmetric matvec from a seeded start vector.
+
+    Each product's vector is taken off the last two basis vectors by the
+    three-term recurrence, then off the whole basis (full
+    reorthogonalisation); the basis grows by doubling with the steps taken.
+    After every product only the wanted Ritz pairs (theta, s) of the
+    tridiagonal T are computed (eigh_tridiagonal, one index each), and the
+    run stops once each has residual |beta s_last| <= TOLERANCE *
+    |theta_max|, which beta = 0 (an invariant subspace) satisfies.  It takes
+    at most min(n, MAX_ITERATIONS) products, and fewer when a basis of that
+    many vectors would pass MAX_DENSE_BYTES; a run that reaches the cap
+    unconverged returns nan.
     """
     if dense is not None:
         eigenvalues = np.linalg.eigvalsh(dense)
         return eigenvalues[[0, -1] if which == "BE" else [-1]].tolist(), 0
-    import scipy.sparse.linalg  # here, not at the top: a CLI start need not load scipy
+    from scipy.linalg import eigh_tridiagonal  # here: a CLI start need not load scipy
 
-    products = 0
-
-    def counted(v):
-        nonlocal products
-        products += 1
-        return matvec(v)
-
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    operator = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=np.float64)
-    k = 2 if which == "BE" else 1
-    try:
-        found = np.sort(scipy.sparse.linalg.eigsh(
-            operator, k=k, which=which, tol=TOLERANCE, maxiter=MAX_ITERATIONS, v0=v0,
-            return_eigenvectors=False))
-    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-        found = np.full(k, math.nan)
-    return found.tolist(), products
+    cap = min(n, MAX_ITERATIONS, MAX_DENSE_BYTES // (8 * n))
+    q = np.random.default_rng(seed).standard_normal(n)
+    Q = np.empty((min(cap, 16), n))
+    Q[0] = q / np.linalg.norm(q)
+    alpha, beta, wanted = [], [], 2 if which == "BE" else 1
+    for j in range(cap):
+        w = matvec(Q[j])
+        alpha.append(float(Q[j] @ w))
+        w -= alpha[j] * Q[j]
+        if j:
+            w -= beta[j - 1] * Q[j - 1]
+        w -= (Q[:j + 1] @ w) @ Q[:j + 1]
+        beta.append(math.sqrt(w @ w))
+        found = []  # the largest first: the smallest is computed once it has converged
+        for end in (j, 0)[:wanted]:
+            theta, s = eigh_tridiagonal(alpha, beta[:j], select="i", select_range=(end, end),
+                                        check_finite=False)
+            found.append(float(theta[0]))
+            if beta[j] * abs(s[-1, 0]) > TOLERANCE * abs(found[0]):
+                break
+        else:
+            return found[::-1], j + 1
+        if j + 1 < cap:
+            if j + 1 == len(Q):  # grow the basis by doubling, up to the cap
+                Q = np.concatenate((Q, np.empty((min(len(Q), cap - len(Q)), n))))
+            Q[j + 1] = w / beta[j]
+    return [math.nan] * wanted, cap
 
 
 def _norm_and_gram(grid: PerturbedGrid, window: TruncationWindow, seed: int
                    ) -> tuple[float, int, Optional[GramRows]]:
     """(norm, products, G) from one E = S - I on the window: the spectral
-    norm of E, the ARPACK products spent on it, and for a complex grid its
+    norm of E, the Lanczos products spent on it, and for a complex grid its
     Gram matrix S^H S as GramRows (None for a real grid).  With no moved
-    node, which only a real grid can have, E is 0, on which ARPACK cannot
-    start, and the result is (0.0, 0, None).
+    node, which only a real grid can have, E is 0 and the result is (0.0,
+    0, None), with no product spent.
 
     E holds the m moved columns; M = E^H E is formed when the norm is
     exact, as a complex one is.  S = E + P, where P has a 1 at row n of each
@@ -280,13 +314,13 @@ def perturbation_norm(grid: PerturbedGrid, window: Optional[TruncationWindow] = 
     exact at the integers, so an unmoved column of S - I is exactly 0.  The
     norm is the square root of the top eigenvalue of (S - I)^H (S - I),
     found by the module's eigenvalue rule: exact for a complex grid or up to
-    DENSE_EIG_CUTOFF moved columns, ARPACK on v -> (S - I)^T ((S - I) v)
-    above.  iterations_used counts those products (0 when exact or when no
-    column moved).  When ARPACK stops without an eigenvalue the norm is nan and
-    converged is False.  S is turned into S - I in place (I: entry 1 at row
-    k = n of column n), after the window's rows x len(grid) is checked.  On
-    a complex grid the Gram matrix that _norm_and_gram assembles from the
-    same S - I is discarded.
+    DENSE_EIG_CUTOFF moved columns, a Lanczos run on v -> (S - I)^T ((S -
+    I) v) above.  iterations_used counts those products (0 when exact or
+    when no column moved).  When the run reaches its cap unconverged the
+    norm is nan and converged is False.  S is turned into S - I in place
+    (I: entry 1 at row k = n of column n), after the window's rows x
+    len(grid) is checked.  On a complex grid the Gram matrix that
+    _norm_and_gram assembles from the same S - I is discarded.
     """
     window = window or TruncationWindow.for_grid(grid)
     norm, products, _ = _norm_and_gram(grid, window, seed)
@@ -336,15 +370,16 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     E's rows at the grid indices.  The summary is built once, from the
     norm and the Gram eigenvalues.  G is returned so that a caller writing
     it out need not build it again.  Both solves follow the module's eigen
-    rule: eigvalsh of G.dense(), the only n x n array formed, and ARPACK on
-    G @ p above the cutoff, where no n x n array is made; iterations_used
-    counts the ARPACK products.  A smallest eigenvalue below the solve's
-    resolution, len(G) * eps * lambda_max for eigvalsh and TOLERANCE *
-    lambda_max for ARPACK, has no reliable digit.  By Cauchy interlacing on
-    the 2 x 2 principal minors of a real, unit-diagonal G, lambda_min <=
-    1 - |sinc(lambda_i - lambda_j)|; an ARPACK reading above that for two
-    neighbouring nodes, as when nodes (nearly) coincide, is wrong.  Either
-    way min_eigenvalue is reported as None.
+    rule: eigvalsh of G.dense(), the only n x n array formed, and a Lanczos
+    run on G @ p above the cutoff, where no n x n array is made;
+    iterations_used counts the Lanczos products of both runs.  A smallest
+    eigenvalue below the solve's resolution, len(G) * eps * lambda_max for
+    eigvalsh and TOLERANCE * lambda_max for the Lanczos run, has no
+    reliable digit.  By Cauchy interlacing on the 2 x 2 principal minors of
+    a real, unit-diagonal G, lambda_min <= 1 - |sinc(lambda_i -
+    lambda_j)|; an iterative reading above that for two neighbouring
+    nodes, as when nodes (nearly) coincide, is wrong.  Either way
+    min_eigenvalue is reported as None.
     """
     window = window or TruncationWindow.for_grid(grid)
     if grid.is_complex:
@@ -356,7 +391,7 @@ def riesz_bounds_estimate(grid: PerturbedGrid, window: Optional[TruncationWindow
     (emin, emax), gram_products = _extremes(G.dense() if exact else None, len(G),
                                             lambda v: G @ v, "BE", seed)
     resolution = (len(G) * np.finfo(float).eps if exact else TOLERANCE) * emax
-    resolved = not emin < resolution  # a nan from a failed ARPACK run stays as it is
+    resolved = not emin < resolution  # a nan from a capped Lanczos run stays as it is
     if not exact:
         neighbours = np.abs(sinc_array(np.diff(np.sort(grid.nodes)))).max()
         resolved &= not emin > 1.0 - neighbours + resolution

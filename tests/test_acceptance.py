@@ -140,7 +140,7 @@ def test_criterion_06_oracle_equivalence():
             result = ss.solve_coefficients(samples, grid)
             dense = np.linalg.solve(ss.gram_matrix(grid), samples)
             assert float(np.max(np.abs(result.coefficients - dense))) <= 1e-8
-        # above DENSE_EIG_CUTOFF columns the norm comes from ARPACK
+        # above DENSE_EIG_CUTOFF columns the norm comes from a Lanczos run
         grid = ss.uniform_offset_grid(rng.uniform(-0.15, 0.15, size=901), (-450, 450))
         window = TruncationWindow(row_range=(-450, 450))
         estimate = ss.perturbation_norm(grid, window, seed=20)

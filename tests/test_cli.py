@@ -432,7 +432,7 @@ def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
     (("--power-law", "--A", "0.2", "--alpha", "1", "--N", "5", "--window=-5"),
      "--window must be at least 0"),
     (("--ingham", "--N", "3", "--seed=-1"), "--seed must be at least 0"),     # dense
-    (("--ingham", "--N", "401", "--seed=-1"), "--seed must be at least 0"),   # ARPACK
+    (("--ingham", "--N", "401", "--seed=-1"), "--seed must be at least 0"),   # Lanczos
 ])
 def test_gram_rejects_negative_window_and_seed(capsys, flags, message):
     code, out, err = run(capsys, "gram", *flags)
@@ -602,8 +602,8 @@ def test_gram_accepts_nodes_at_the_bounds(capsys):
 
 
 def test_gram_coinciding_nodes_above_the_cutoff_are_unresolved(capsys, tmp_path):
-    # 821 nodes with lambda_1 = 6 and lambda_5 = 6 + gap: ARPACK reads the
-    # Gram matrix's smallest eigenvalue, 0 to rounding, as 3.09e-4, so it is
+    # 821 nodes with lambda_1 = 6 and lambda_5 = 6 + gap: the Gram matrix's
+    # smallest eigenvalue is 0 to rounding, which no solve resolves, so it is
     # not reported; the run still converged.  gap = 0 is the generated grid,
     # the others are read from a file
     flags = [("--power-law", "--A", "5", "--alpha", "1", "--N", "410", "--extend-nonpositive")]
@@ -654,8 +654,8 @@ def test_gram_close_nodes_from_grid_file(capsys, tmp_path):
 
 
 def test_gram_nonconverged_exits_nonzero(capsys, monkeypatch):
-    # 801 real columns take ARPACK, which one restart leaves short of the
-    # tolerance
+    # 801 real columns take a Lanczos run, which one product leaves short
+    # of the tolerance
     monkeypatch.setattr(framekit, "MAX_ITERATIONS", 1)
     code, out, _ = run(capsys, "gram", "--uniform-offset", "0.1",
                        "--N", "400", "--window", "400", "--format", "json")
@@ -903,7 +903,7 @@ def run_fresh(*args, timeout):
 
 
 def test_complex_gram_with_large_imaginary_part_finishes():
-    # ARPACK's complex path never converged here (901 nodes, |Im lambda| = 3);
+    # an iterative complex solve never converged here (901 nodes, |Im lambda| = 3);
     # a subprocess with a timeout keeps a regression from hanging the suite
     proc = run_fresh("-m", "sincstab.cli", "gram", "--uniform-offset", "0.1", "--imag", "3",
                      "--N", "450", "--format", "json", timeout=60)
@@ -929,7 +929,8 @@ def test_gram_resolved_min_eigenvalue_has_no_flag(capsys):
 
 def test_cli_import_leaves_scipy_unloaded():
     # the closed-form subcommands run on the standard library: numpy loads
-    # with gram or reconstruct, and scipy.sparse only with an ARPACK solve
+    # with gram or reconstruct, and scipy.sparse never, not even with a
+    # real gram above the dense cutoff (1000 moved columns, 2001 nodes)
     code = (
         "import sys\n"
         "import sincstab\n"
@@ -951,6 +952,9 @@ def test_cli_import_leaves_scipy_unloaded():
         "    assert 'numpy' not in sys.modules and 'scipy' not in sys.modules, argv\n"
         "assert main(['gram', '--ingham', '--N', '3']) == 0\n"
         "assert 'numpy' in sys.modules and 'scipy.sparse' not in sys.modules\n"
+        "assert main(['gram', '--power-law', '--A', '0.2', '--alpha', '1', '--N', '900',\n"
+        "             '--extend-nonpositive']) == 0\n"
+        "assert 'scipy.linalg' in sys.modules and 'scipy.sparse' not in sys.modules\n"
     )
     proc = run_fresh("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr

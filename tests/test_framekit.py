@@ -7,7 +7,6 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg  # imported here, so no traced peak below counts its import
 
 from sincstab import framekit, specfun
 from sincstab.framekit import (
@@ -230,9 +229,9 @@ def test_norm_matches_dense_svd():
     (power_law_grid(0.2, 1.0, 900, extend_nonpositive=True), 900),
     (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)), 400),
 ], ids=["real", "complex"])
-def test_arpack_norm_matches_svdvals(grid, radius):
+def test_norm_above_the_cutoff_matches_svdvals(grid, radius):
     # more moved columns than DENSE_EIG_CUTOFF: a real grid's norm comes
-    # from ARPACK, a complex grid's from eigvalsh at any size
+    # from a Lanczos run, a complex grid's from eigvalsh at any size
     window = TruncationWindow(row_range=(-radius, radius))
     summary = perturbation_norm(grid, window)
     assert summary.converged and (summary.iterations_used == 0) == grid.is_complex
@@ -244,9 +243,9 @@ def test_dense_eig_cutoff_boundary():
     assert DENSE_EIG_CUTOFF == 800
     window = TruncationWindow(row_range=(-400, 400))
     dense = perturbation_norm(uniform_offset_grid([0.1] * 800, (-399, 400)), window)
-    arpack = perturbation_norm(uniform_offset_grid([0.1] * 801, (-400, 400)), window)
+    lanczos = perturbation_norm(uniform_offset_grid([0.1] * 801, (-400, 400)), window)
     assert dense.iterations_used == 0 and dense.converged
-    assert arpack.iterations_used > 0 and arpack.converged
+    assert lanczos.iterations_used > 0 and lanczos.converged
 
 
 def test_norm_holds_no_copy_of_s():
@@ -308,8 +307,8 @@ def test_norm_dominated_by_deviation_sum():
 
 
 def test_norm_seed_determinism():
-    # 900 moved columns, above the dense cutoff, where the seed sets
-    # ARPACK's start vector
+    # 900 moved columns, above the dense cutoff, where the seed sets the
+    # Lanczos start vector
     grid = power_law_grid(0.2, 1.0, 900, extend_nonpositive=True)
     window = TruncationWindow(row_range=(-900, 900))
     a = perturbation_norm(grid, window, seed=3)
@@ -320,7 +319,7 @@ def test_norm_seed_determinism():
 
 
 def test_nonconvergence_is_flagged(monkeypatch):
-    # one ARPACK restart cannot resolve the clustered top of a real
+    # one Lanczos product cannot resolve the clustered top of a real
     # offset's spectrum above the dense cutoff
     monkeypatch.setattr(framekit, "MAX_ITERATIONS", 1)
     grid = uniform_offset_grid([0.1] * 801, (-400, 400))
@@ -465,7 +464,7 @@ def test_complex_typed_real_nodes_get_the_real_estimate():
 
 def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):
     # below len(G) * eps * lambda_max (eigvalsh, up to the cutoff) or
-    # TOLERANCE * lambda_max (ARPACK, above it) the smallest
+    # TOLERANCE * lambda_max (a Lanczos run, above it) the smallest
     # eigenvalue has no reliable digit
     small, large = ingham_grid(4), power_law_grid(0.2, 1.0, DENSE_EIG_CUTOFF + 1)
     eps = np.finfo(float).eps
@@ -481,20 +480,21 @@ def test_unresolved_min_eigenvalue_is_reported_as_none(monkeypatch):
         assert summary.converged
 
 
-def test_coinciding_nodes_leave_the_minimum_unresolved_above_the_cutoff(eigsh_calls):
+def test_coinciding_nodes_leave_the_minimum_unresolved_above_the_cutoff(lanczos_runs):
     # lambda_1 = 6 and lambda_5 = 6 + gap make the 821-node G singular to
-    # rounding (eigvalsh: -1.2e-15 to 2.4e-16), but ARPACK's smallest
-    # eigenvalue reads 3.09e-4, above its resolution and above the ceiling
-    # 1 - |G_15| that the 2 x 2 principal minor of the two nodes sets
+    # rounding (eigvalsh: -1.2e-15 to 2.4e-16), so the minimum is not
+    # reported: the Lanczos run reads about 1e-16, below its resolution,
+    # and a reading above the ceiling 1 - |G_15| that the 2 x 2 principal
+    # minor of the two nodes sets would be refused too
     base = power_law_grid(5.0, 1.0, 410, extend_nonpositive=True)
     for gap in (0.0, 1e-9, 1e-6):
-        eigsh_calls.clear()
+        lanczos_runs.clear()
         # (6 + gap) - 5 is exact, so lambda_5 is 6 + gap rounded once
         grid = PerturbedGrid(indices=base.indices,
                              deviations=np.where(base.indices == 5, 6.0 + gap - 5.0,
                                                  base.deviations))
         summary, G = riesz_bounds_estimate(grid)
-        assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == ["BE"]
+        assert len(grid) > DENSE_EIG_CUTOFF and lanczos_runs == ["BE"]
         assert summary.min_eigenvalue is None and summary.converged
         assert summary.max_eigenvalue == pytest.approx(np.linalg.eigvalsh(G.dense())[-1],
                                                        rel=1e-10)
@@ -512,7 +512,7 @@ def test_riesz_bounds_returns_its_gram_matrix():
 
 
 def test_riesz_bounds_never_hold_s_and_g_together():
-    # 801 moved columns over 801 rows take the ARPACK path, and S and G have
+    # 801 moved columns over 801 rows take the Lanczos path, and S and G have
     # the same size: S - I is released before G is built, so the peak stays
     # near one of them (holding both would read about 2x)
     grid = power_law_grid(0.2, 1.0, 801)
@@ -644,13 +644,33 @@ def test_gram_cross_is_the_synthesis_rows_at_the_unmoved_integers(tmp_path):
             assert np.array_equal(G.block.view(np.uint8), sinc_matrix(x, x).view(np.uint8))
 
 
+def _scattered_dense(G):
+    """G's n x n array placed by np.ix_ scatters of its blocks."""
+    dense = np.zeros((len(G), len(G)), dtype=G.dtype)
+    dense[np.ix_(G.moved, G.moved)] = G.block
+    dense[np.ix_(G.unmoved, G.moved)] = G.cross
+    dense[np.ix_(G.moved, G.unmoved)] = G.cross.T.conj()
+    dense[G.unmoved, G.unmoved] = 1.0
+    return dense
+
+
+def test_dense_gram_copies_runs_bit_for_bit(tmp_path):
+    # dense() copies each run of moved or unmoved positions as a slice:
+    # Ingham's two runs, the odd-moved grid's runs of one and every real
+    # layout give the scattered array, exact zeros' signs included
+    grids = [ingham_grid(220), odd_moved_grid(50)]
+    for grid in grids + [grid for grid, _ in real_layouts(tmp_path).values()]:
+        G = gram_rows(grid)
+        assert np.array_equal(G.dense().view(np.uint8), _scattered_dense(G).view(np.uint8))
+
+
 def test_half_unmoved_riesz_bounds_make_no_n_squared_array():
     # 1001 nodes, the 501 at n <= 0 unmoved, over 1001 window rows.  The
     # norm holds E = S - I (1001 x 500) and E^T E (500^2) and releases
-    # them; ARPACK then runs on G's 500^2 moved block and 501 x 500 rows at
-    # the unmoved integers, 500 x 1001 together.  A 1001^2 G (8 MB, as much
-    # as E and those blocks together) would read E + M or G plus the
-    # builder's blocks, over the bound
+    # them; a Lanczos run then streams G's 500^2 moved block and 501 x 500
+    # rows at the unmoved integers, 500 x 1001 together.  A 1001^2 G (8 MB,
+    # as much as E and those blocks together) would read E + M or G plus
+    # the builder's blocks, over the bound
     grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
     window = TruncationWindow(row_range=(-500, 500))
     e_bytes, m_bytes, r_bytes = 1001 * 500 * 8, 500 ** 2 * 8, 500 * 1001 * 8
@@ -695,60 +715,109 @@ def test_gram_sandwich():
 
 
 @pytest.fixture
-def eigsh_calls(monkeypatch):
-    """The which= of every scipy eigsh call, in order."""
-    calls = []
-    eigsh = scipy.sparse.linalg.eigsh
+def lanczos_runs(monkeypatch):
+    """The which of every iterative _extremes run (one given no dense
+    matrix), in order."""
+    runs = []
+    extremes = framekit._extremes
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["which"])
-        return eigsh(*args, **kwargs)
+    def recorded(dense, n, matvec, which, seed):
+        if dense is None:
+            runs.append(which)
+        return extremes(dense, n, matvec, which, seed)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-    return calls
+    monkeypatch.setattr(framekit, "_extremes", recorded)
+    return runs
 
 
-def test_arpack_runs_at_the_module_tolerance_and_cap(monkeypatch):
+def test_lanczos_stops_at_the_module_tolerance_and_cap(monkeypatch):
+    # the Gram matrix of the benchmark's real-pipeline grid, 2001 nodes.
+    # The run stops at the first product whose Ritz residuals are within
+    # TOLERANCE: capped one product earlier, by MAX_ITERATIONS or by a
+    # basis over MAX_DENSE_BYTES, it returns nan, and a looser tolerance
+    # stops it sooner
+    assert (framekit.TOLERANCE, framekit.MAX_ITERATIONS) == (1e-10, 10_000)
+    G = gram_rows(power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True))
+
+    def run():
+        return framekit._extremes(None, len(G), lambda v: G @ v, "BE", 0)
+
+    found, products = run()
+    monkeypatch.setattr(framekit, "MAX_ITERATIONS", products)
+    assert run() == (found, products)
+    for name, value in (("MAX_ITERATIONS", products - 1),
+                        ("MAX_DENSE_BYTES", (products - 1) * len(G) * 8)):
+        with monkeypatch.context() as patch:
+            patch.setattr(framekit, name, value)
+            capped, spent = run()
+        assert spent == products - 1 and all(map(math.isnan, capped))
+    monkeypatch.setattr(framekit, "TOLERANCE", 1e-4)
+    assert run()[1] < products
+
+
+def test_lanczos_ends_on_an_invariant_subspace():
+    # the smallest of 120 eigenvalues spread from 1e-8 to 1 converges only
+    # once the basis spans the whole space: kept orthonormal, it does so at
+    # the 120th product (without full reorthogonalisation the run reaches
+    # its cap unconverged)
+    d = np.geomspace(1e-8, 1.0, 120)
+    (smallest, largest), products = framekit._extremes(None, d.size, lambda v: d * v, "BE", 0)
+    assert products <= d.size
+    assert abs(smallest - 1e-8) <= 1e-14 and abs(largest - 1.0) <= 1e-14
+
+
+def test_real_pipeline_grid_converges_in_few_products(lanczos_runs):
     # the benchmark's real-pipeline grid and window: 1000 moved of 2001
-    # nodes, above the cutoff, so both the norm and the Gram solve take ARPACK
-    settings = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def recorded(*args, **kwargs):
-        settings.append((kwargs["which"], kwargs["tol"], kwargs["maxiter"]))
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    # nodes, above the cutoff, so the norm and the Gram matrix each take a
+    # Lanczos run, which stops once converged
     grid = power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True)
-    summary, _ = riesz_bounds_estimate(grid, TruncationWindow(row_range=(-1000, 1000)))
-    assert summary.converged
-    assert settings == [("LA", 1e-10, 10_000), ("BE", 1e-10, 10_000)]
+    window = TruncationWindow(row_range=(-1000, 1000))
+    summary, G = riesz_bounds_estimate(grid, window)
+    assert lanczos_runs == ["LA", "BE"] and summary.converged
+    assert summary.iterations_used <= 25
+    norm = scipy.linalg.svdvals(perturbation(grid, window))[0]
+    eigenvalues = np.linalg.eigvalsh(G.dense())
+    assert abs(summary.perturbation_norm - norm) <= 1e-8
+    assert abs(summary.min_eigenvalue - eigenvalues[0]) <= 1e-8
+    assert abs(summary.max_eigenvalue - eigenvalues[-1]) <= 1e-8
 
 
-def test_complex_gram_is_solved_exactly_above_the_cutoff(eigsh_calls):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unmoved_grid_gram_takes_one_product(seed):
+    # every node n + 1e-300/n rounds onto n: the norm needs no product, and
+    # G = I makes the start vector an eigenvector, so one product ends the
+    # Gram run
+    summary, _ = riesz_bounds_estimate(power_law_grid(1e-300, 1.0, 900), seed=seed)
+    assert summary.perturbation_norm == 0.0 and summary.converged
+    assert summary.iterations_used <= 1
+    assert abs(summary.min_eigenvalue - 1.0) <= 1e-15
+    assert abs(summary.max_eigenvalue - 1.0) <= 1e-15
+
+
+def test_complex_gram_is_solved_exactly_above_the_cutoff(lanczos_runs):
     # 1001 nodes of which the 500 odd ones move, and 801 nodes that all
-    # move: a complex norm and Gram matrix are exact at any size, so ARPACK
-    # is never called
+    # move: a complex norm and Gram matrix are exact at any size, so no
+    # Lanczos run is made
     for grid, radius in ((odd_moved_grid(500), 500),
                          (uniform_offset_grid([0.1 + 0.1j] * 801, (-400, 400)), 400)):
         window = TruncationWindow(row_range=(-radius, radius))
         alone = perturbation_norm(grid, window)
         summary, _ = riesz_bounds_estimate(grid, window)
         eigenvalues = np.linalg.eigvalsh(gram_matrix(grid, window))
-        assert len(grid) > DENSE_EIG_CUTOFF and eigsh_calls == []
+        assert len(grid) > DENSE_EIG_CUTOFF and lanczos_runs == []
         assert alone.iterations_used == summary.iterations_used == 0 and summary.converged
         assert summary.min_eigenvalue == eigenvalues[0] > 0.0
         assert summary.max_eigenvalue == eigenvalues[-1]
 
 
-def test_lanczos_path_matches_dense(eigsh_calls):
+def test_lanczos_path_matches_dense(lanczos_runs):
     # 1001 nodes exceeds the dense cutoff; cross-check extremes densely.
-    # The norm's 500 moved columns take the dense path, so the only eigsh
-    # call is the Gram matrix's, which gives both ends from one run
+    # The norm's 500 moved columns take the dense path, so the only Lanczos
+    # run is the Gram matrix's, which gives both ends
     grid = power_law_grid(0.2, 1.0, 500, extend_nonpositive=True)
     summary, _ = riesz_bounds_estimate(grid)
     eigenvalues = np.linalg.eigvalsh(gram_matrix(grid))
-    assert eigsh_calls == ["BE"]
+    assert lanczos_runs == ["BE"]
     assert summary.min_eigenvalue == pytest.approx(eigenvalues[0], abs=1e-10)
     assert summary.max_eigenvalue == pytest.approx(eigenvalues[-1], abs=1e-10)
     assert summary.converged

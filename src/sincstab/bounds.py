@@ -6,19 +6,23 @@ system is certified as a Riesz basis when that constant is below 1, as every
 report's ``satisfies_pw`` says.  Reports never raise on a violated bound;
 exceptions are for domain errors.  The module needs the standard library
 alone: lemma_sum_bound and the split table both sum specfun.column_energy.
+Importing it loads neither dataclasses (BoundReport is a named tuple) nor
+fractions (series_majorant_margin imports it when called), so the CLI's
+closed-form subcommands start without either.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import TYPE_CHECKING, Optional
 
 from .specfun import column_energy, lamb_oseen_alpha, riemann_zeta, zeta_minus_one
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .grids import PerturbedGrid
 
 __all__ = [
@@ -43,20 +47,22 @@ LOG_DBL_MAX = math.log(sys.float_info.max)  # largest x with a finite e^x
 MAX_TABLE_AMPLITUDE = 10.0  # largest split-table A; its head has N0 <= 246 terms
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A closed-form bound: lambda (+inf on overflow) and its inputs."""
+class BoundReport(namedtuple("BoundReport", "bound_name inputs lambda_value threshold "
+                             "components")):
+    """A closed-form bound: lambda (+inf on overflow) and its inputs.
 
-    bound_name: str
-    inputs: dict
-    lambda_value: float
-    threshold: Optional[float]
-    components: Optional[dict] = None
+    An immutable record of bound_name, inputs, lambda_value, threshold and
+    components (None unless given), compared and printed field by field.
+    """
 
-    def __post_init__(self):
-        if not self.lambda_value >= 0.0:  # also refuses nan
+    __slots__ = ()
+
+    def __new__(cls, bound_name: str, inputs: dict, lambda_value: float,
+                threshold: Optional[float], components: Optional[dict] = None):
+        if not lambda_value >= 0.0:  # also refuses nan
             raise ValueError(f"lambda estimates are nonnegative by construction, "
-                             f"got {self.lambda_value!r}")
+                             f"got {lambda_value!r}")
+        return tuple.__new__(cls, (bound_name, inputs, lambda_value, threshold, components))
 
     @property
     def satisfies_pw(self) -> bool:
@@ -306,6 +312,8 @@ def series_majorant_margin(k: int) -> Fraction:
     Nonnegative for every k >= 1, with equality exactly at k = 1; computed
     in rational arithmetic so the equality case is exact.
     """
+    from fractions import Fraction  # here: importing bounds need not load fractions
+
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")

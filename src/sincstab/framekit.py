@@ -40,7 +40,6 @@ principal minors allow, is reported as None.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -209,6 +208,23 @@ def synthesis_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = N
                        grid.nodes)
 
 
+def _ritz_pair(stebz, stein, d: np.ndarray, e: np.ndarray, i: int) -> tuple[float, float]:
+    """The i-th smallest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, and the last entry of its unit
+    eigenvector.  LAPACK's bisection (stebz) and inverse iteration (stein)
+    are called as scipy.linalg.eigh_tridiagonal(select="i") calls them, so
+    the pair is the same to the bit, without its per-call argument checks;
+    a 1 x 1 matrix is its own pair.  A nonzero LAPACK info raises."""
+    if d.size == 1:
+        return float(d[0]), 1.0
+    _, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, i + 1, i + 1, 0.0, "B")
+    if not info:
+        z, info = stein(d, e, w[:1], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed with LAPACK info {info}")
+    return float(w[0]), float(z[-1, 0])
+
+
 def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
               seed: int) -> tuple[list[float], int]:
     """Extremal eigenvalues of an n x n Hermitian matrix and the operator
@@ -220,7 +236,7 @@ def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
     three-term recurrence, then off the whole basis (full
     reorthogonalisation); the basis grows by doubling with the steps taken.
     After every product only the wanted Ritz pairs (theta, s) of the
-    tridiagonal T are computed (eigh_tridiagonal, one index each), and the
+    tridiagonal T are computed (_ritz_pair, one index each), and the
     run stops once each has residual |beta s_last| <= TOLERANCE *
     |theta_max|, which beta = 0 (an invariant subspace) satisfies.  It takes
     at most min(n, MAX_ITERATIONS) products, and fewer when a basis of that
@@ -230,27 +246,27 @@ def _extremes(dense: Optional[np.ndarray], n: int, matvec, which: str,
     if dense is not None:
         eigenvalues = np.linalg.eigvalsh(dense)
         return eigenvalues[[0, -1] if which == "BE" else [-1]].tolist(), 0
-    from scipy.linalg import eigh_tridiagonal  # here: a CLI start need not load scipy
+    from scipy.linalg import get_lapack_funcs  # here: a CLI start need not load scipy
 
     cap = min(n, MAX_ITERATIONS, MAX_DENSE_BYTES // (8 * n))
     q = np.random.default_rng(seed).standard_normal(n)
     Q = np.empty((min(cap, 16), n))
     Q[0] = q / np.linalg.norm(q)
-    alpha, beta, wanted = [], [], 2 if which == "BE" else 1
+    lapack = get_lapack_funcs(("stebz", "stein"), (Q,))
+    alpha, beta, wanted = np.empty(cap), np.empty(cap), 2 if which == "BE" else 1
     for j in range(cap):
         w = matvec(Q[j])
-        alpha.append(float(Q[j] @ w))
+        alpha[j] = Q[j] @ w
         w -= alpha[j] * Q[j]
         if j:
             w -= beta[j - 1] * Q[j - 1]
         w -= (Q[:j + 1] @ w) @ Q[:j + 1]
-        beta.append(math.sqrt(w @ w))
+        beta[j] = math.sqrt(w @ w)
         found = []  # the largest first: the smallest is computed once it has converged
         for end in (j, 0)[:wanted]:
-            theta, s = eigh_tridiagonal(alpha, beta[:j], select="i", select_range=(end, end),
-                                        check_finite=False)
-            found.append(float(theta[0]))
-            if beta[j] * abs(s[-1, 0]) > TOLERANCE * abs(found[0]):
+            theta, s_last = _ritz_pair(*lapack, alpha[:j + 1], beta[:j], end)
+            found.append(theta)
+            if beta[j] * abs(s_last) > TOLERANCE * abs(found[0]):
                 break
         else:
             return found[::-1], j + 1
@@ -413,7 +429,8 @@ def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
     distinct bit pattern of a block is formatted once: Gram matrices repeat
     most of their values, since entries depend on node differences and
     exact zeros are common.  -0.0 and 0.0 are distinct patterns, so each
-    keeps its sign.
+    keeps its sign.  Each row is written by one join of its records'
+    slots, so no string is built per entry of a real matrix.
     """
     M = np.asarray(matrix)
     rows, cols = np.asarray(row_labels).tolist(), np.asarray(col_labels).tolist()
@@ -422,7 +439,10 @@ def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
     is_complex = np.iscomplexobj(M)
     dtype, tail = (np.complex128, "\n") if is_complex else (np.float64, " 0.0\n")
     step = max(1, 8 * SINC_BLOCK // max(len(cols) * (2 if is_complex else 1), 1))
-    cols = [f"{n} " for n in cols]
+    # a row's records as 4 slots each, "k ", "n ", value, tail: only the
+    # k and value slots change from row to row, and one join writes the row
+    parts = [tail] * (4 * len(cols))
+    parts[1::4] = [f"{n} " for n in cols]
     with open(path, "w", encoding="utf-8") as fh:
         if not cols:  # a row of no entries writes no record, not its label
             return
@@ -438,5 +458,6 @@ def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
             else:
                 strings = reprs[inverse]
             for k, row in zip(rows[r0:r0 + step], strings.tolist()):
-                k = f"{k} "
-                fh.write(k + (tail + k).join(map(operator.add, cols, row)) + tail)
+                parts[0::4] = [f"{k} "] * len(cols)
+                parts[2::4] = row
+                fh.write("".join(parts))

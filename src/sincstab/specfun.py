@@ -6,14 +6,13 @@ forms no matrix), the Lamb-Oseen constant alpha (the Newton root of
 exp(a) = 2a + 1) and Riemann zeta for real s > 1.  sinc_matrix fills rows at
 integer nodes with one term; both find their near pairs by one search of the
 sorted nodes.  All are pure and thread-safe.  The scalar functions return
-floats and use only the standard library; the array functions import numpy
-when they run.
+floats and import only math (the Bernoulli numbers are int pairs, so not
+fractions); the array functions import numpy when they run.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -259,15 +258,13 @@ def lamb_oseen_alpha() -> float:
     return a
 
 
-# Bernoulli numbers B_{2k} for the Euler-Maclaurin corrections, k = 1..8.  Over
-# s from 1 + 1e-15 to 1e308 and start from 2 to 10^6 the relative stop below
-# ends the loop by k = 7; B_16 keeps the first omitted term computable.
-_B2K = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
-    Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-]
-# B_{2k} / (2k)! as floats.
-_EM_COEFFS = [float(b / math.factorial(2 * (k + 1))) for k, b in enumerate(_B2K)]
+# Bernoulli numbers B_{2k} = p/q for the Euler-Maclaurin corrections, k = 1..8,
+# as exact (p, q) pairs.  Over s from 1 + 1e-15 to 1e308 and start from 2 to
+# 10^6 the relative stop below ends the loop by k = 7; B_16 keeps the first
+# omitted term computable.
+_B2K = [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510)]
+# B_{2k} / (2k)! as floats, each correctly rounded: int / int rounds once.
+_EM_COEFFS = [p / (q * math.factorial(2 * k)) for k, (p, q) in enumerate(_B2K, start=1)]
 _EM_HEAD = 22  # explicit head terms; keep the asymptotic-series remainder < 1e-14
 
 

@@ -1,7 +1,9 @@
 """Closed-form bound estimators against frozen oracles and paper-grade tables."""
 
+import copy
 import json
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -259,6 +261,27 @@ def test_report_refuses_nan_and_negative_lambda():
                                threshold=None)
     assert bounds.BoundReport(bound_name="lemma_sum", inputs={}, lambda_value=0.999,
                               threshold=None).satisfies_pw
+
+
+def test_report_is_an_immutable_record():
+    # the contract of the frozen dataclass it replaced: construction by
+    # position or keyword in field order, components None by default, no
+    # assignment, the dataclass repr, equality over every field, and copies
+    # and pickles that compare equal
+    report = bounds.BoundReport("kadec_transfer", {"L": 0.2}, 0.75, 0.25)
+    assert report == bounds.BoundReport(bound_name="kadec_transfer", inputs={"L": 0.2},
+                                        lambda_value=0.75, threshold=0.25, components=None)
+    assert report != bounds.BoundReport("kadec_transfer", {"L": 0.2}, 0.75, 0.25, {})
+    with pytest.raises(AttributeError):
+        report.lambda_value = 0.5
+    with pytest.raises(AttributeError):
+        report.verdict = "pass"
+    assert repr(report) == ("BoundReport(bound_name='kadec_transfer', inputs={'L': 0.2}, "
+                            "lambda_value=0.75, threshold=0.25, components=None)")
+    row = table_lambda(0.1, 1.0)
+    for original in (report, row):
+        assert copy.deepcopy(original) == original
+        assert pickle.loads(pickle.dumps(original)) == original
 
 
 def test_series_majorant_inequality():

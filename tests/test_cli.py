@@ -966,6 +966,27 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_form_commands_load_no_dataclasses_or_fractions():
+    # a start of oseen, bounds or table is mostly the import of the CLI:
+    # dataclasses (with inspect, ast and dis) and fractions (with decimal)
+    # would cost it about 10 ms and serve none of these commands
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from sincstab.cli import main\n"
+        "for argv in (['oseen'], ['bounds', '--kadec', '--L', '0.2'],\n"
+        "             ['bounds', '--complex', '--L', '0.2', '--format', 'json'],\n"
+        "             ['bounds', '--power-law', '--A', '0.1', '--alpha', '1'],\n"
+        "             ['table', '--alpha', '1', '--A', '0.1', '--critical', '--format', 'csv']):\n"
+        "    assert main(argv) == 0\n"
+        "loaded = set(sys.modules) - before\n"
+        "unwanted = {'dataclasses', 'inspect', 'fractions', 'decimal'} & loaded\n"
+        "assert not unwanted, sorted(unwanted)\n"
+    )
+    proc = run_fresh("-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_stalled_gram_solve_is_one_error_line(tmp_path):
     # a fresh interpreter, so reconstruct (which defines ConvergenceError)
     # is first loaded inside the reconstruct run that raises it.  Node 1 at

@@ -755,6 +755,25 @@ def test_lanczos_stops_at_the_module_tolerance_and_cap(monkeypatch):
     assert run()[1] < products
 
 
+def test_ritz_pair_matches_eigh_tridiagonal_bit_for_bit():
+    # the direct stebz/stein call against scipy's wrapper of the same two
+    # routines, at both ends, on random tridiagonals of every size from 1,
+    # some split into blocks by a zero off-diagonal
+    lapack = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
+    rng = np.random.default_rng(5)
+    for k in [*range(1, 41), *range(41, 400, 37)]:
+        d = rng.standard_normal(k) * rng.choice([1e-8, 1.0, 1e6])
+        e = np.abs(rng.standard_normal(k - 1))
+        if k > 2 and k % 3 == 0:
+            e[k // 2] = 0.0
+        for i in (0, k - 1):
+            theta, s = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(i, i),
+                                                     check_finite=False)
+            assert framekit._ritz_pair(*lapack, d, e, i) == (theta[0], s[-1, 0])
+    with pytest.raises(np.linalg.LinAlgError):
+        framekit._ritz_pair(*lapack, np.array([1.0, math.nan, 2.0]), np.array([0.5, 0.5]), 0)
+
+
 def test_lanczos_ends_on_an_invariant_subspace():
     # the smallest of 120 eigenvalues spread from 1e-8 to 1 converges only
     # once the basis spans the whole space: kept orthonormal, it does so at

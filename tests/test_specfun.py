@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,6 +373,14 @@ def test_oseen_is_the_correctly_rounded_root():
 
 # ---------------------------------------------------------------------------
 # Riemann zeta
+
+def test_euler_maclaurin_coefficients_are_correctly_rounded():
+    # B_2k / (2k)! from the exact (p, q) pairs, rounded once as a Fraction
+    expected = [float(Fraction(p, q) / math.factorial(2 * k))
+                for k, (p, q) in enumerate(specfun._B2K, start=1)]
+    assert len(expected) == 8 and specfun._B2K[-1] == (-3617, 510)  # B_16
+    assert specfun._EM_COEFFS == expected
+
 
 def test_zeta_closed_forms():
     assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) <= 1e-13

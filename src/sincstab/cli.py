@@ -46,30 +46,35 @@ def _range_count(lo: float, hi: float, step: float) -> float:
     return math.inf if math.isinf(steps) else round(steps) + 1  # hi - lo may overflow
 
 
+def _tokens(text: str) -> list[str]:
+    """The comma-separated tokens of text, stripped, with blank ones left out."""
+    return [tok for tok in map(str.strip, text.split(",")) if tok]
+
+
 def _parse_float_list(text: str) -> list[float]:
-    """Comma-separated values; 'lo:hi:step' tokens expand to inclusive ranges
-    of at most MAX_RANGE_VALUES values."""
+    """Comma-separated values; 'lo:hi:step' tokens expand to inclusive ranges.
+    A range, and the whole list, hold at most MAX_RANGE_VALUES values, each
+    range counted before it is expanded."""
     values: list[float] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _tokens(text):
         try:
             parts = [float(v) for v in tok.split(":")]
         except ValueError:
             raise ValueError(
                 f"expected numbers or lo:hi:step ranges, got {text!r}") from None
-        if len(parts) == 1:
-            values.extend(parts)
-            continue
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError(f"expected numbers or lo:hi:step ranges, got {text!r}")
-        lo, hi, step = parts
-        count = _range_count(lo, hi, step)
+        count = _range_count(*parts) if len(parts) == 3 else 1
         if count > MAX_RANGE_VALUES:
             raise ValueError(f"range {tok!r} has {float(count):.6g} values, over the limit of "
                              f"{MAX_RANGE_VALUES}")
-        values.extend(lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12)
+        if len(values) + count > MAX_RANGE_VALUES:
+            raise ValueError(f"list {text!r} has more than {MAX_RANGE_VALUES} values")
+        if len(parts) == 1:
+            values.extend(parts)
+        else:
+            lo, hi, step = parts
+            values.extend(lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12)
     return values
 
 
@@ -78,17 +83,10 @@ def _parse_signal(text: str) -> reconstruct.BandlimitedSignal:
     from . import reconstruct
 
     shifts, weights = [], []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" in tok:
-            mu, c = tok.split(":", 1)
-            shifts.append(float(mu))
-            weights.append(float(c))
-        else:
-            shifts.append(float(tok))
-            weights.append(1.0)
+    for tok in _tokens(text):
+        mu, colon, c = tok.partition(":")
+        shifts.append(float(mu))
+        weights.append(float(c) if colon else 1.0)
     if not shifts:
         raise ValueError(f"empty signal specification {text!r}")
     return reconstruct.BandlimitedSignal(shifts=shifts, weights=weights)
@@ -220,6 +218,10 @@ def _run_table(args):
         raise ValueError("--alpha must list at least one exponent")
     if not amps and not args.critical:
         raise ValueError("provide --A values and/or --critical")
+    # one full list with one value in the other and --critical fits
+    count, limit = len(alphas) * (len(amps) + bool(args.critical)), 2 * MAX_RANGE_VALUES
+    if count > limit:
+        raise ValueError(f"the table has {count} rows, over the limit of {limit}")
     rows = []
     for alpha in alphas:
         reports = bounds_mod.table_rows(alpha, amps, critical=args.critical)
@@ -270,11 +272,13 @@ def _run_reconstruct(args):
         raise ValueError("evaluation interval must be finite")
     if max(abs(args.eval_lo), abs(args.eval_hi)) >= grids.MAX_NODE_REAL:
         raise ValueError("evaluation interval must lie inside (-2^52, 2^52), as grid nodes do")
-    # no matrix is made, but each count of terms is bounded as a real matrix's entries
+    # no matrix is made, but each count of terms is bounded as a real matrix's
+    # entries; the evaluation also holds up to 12 arrays of p doubles at once
+    # (t, f_ref, f_hat, sinc_sum's sines, cosines, sums and near-pair offsets)
     p, n, a = args.eval_points, len(grid), len(signal.shifts)
     limit = specfun.MAX_DENSE_BYTES // 8
     for work, terms in ((f"{p} points x {n} nodes", p * n), (f"{p} points x {a} atoms", p * a),
-                        (f"{n} nodes x {a} atoms", n * a)):
+                        (f"{n} nodes x {a} atoms", n * a), (f"{p} points x 12 arrays", 12 * p)):
         if terms > limit:
             raise ValueError(f"{work} = {terms} terms, over the limit of {limit} terms")
     samples = reconstruct.sample_signal(signal, grid)

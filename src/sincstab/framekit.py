@@ -17,8 +17,10 @@ size is allocated.  The norm holds S - I on the moved columns only.
 A Gram matrix is held as two blocks (GramRows): the m x m block of the
 moved atoms, the only part that depends on the kind of grid, and the
 rows of S at the unmoved integers on the moved columns, since an
-unmoved atom is the integer translate itself.  A real grid's block is
-sinc_matrix on the moved nodes; a complex grid's is the window's S^H S.
+unmoved atom is the integer translate itself.  A real grid's two blocks
+are the row slices of one sinc_matrix whose columns are the moved nodes
+and whose rows are those nodes, then the unmoved integers; a complex
+grid's block is the window's S^H S.
 One builder, _norm_and_gram, makes S - I once and returns the norm, its
 Lanczos products and, on a complex grid, G assembled from that S - I; each
 public function builds its GramSummary once from those numbers.  So a
@@ -120,7 +122,8 @@ class GramRows:
     position and, on the moved columns, the row of the synthesis matrix S
     at k = n: cross is S's rows at the unmoved integers, on real and complex
     grids alike.  moved and unmoved are position arrays, so in (moved,
-    unmoved) order G = [[block, cross^H], [cross, I]].  g @ p is G p,
+    unmoved) order G = [[block, cross^H], [cross, I]]; a real grid's block
+    and cross are row slices of one array (gram_rows).  g @ p is G p,
     streaming block once and cross twice; dense() forms the n x n matrix on
     its first call.
     """
@@ -350,19 +353,24 @@ def gram_rows(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
     the unmoved integers (see GramRows).
 
     Real grids use the closed form G(m, n) = sinc(lambda_m - lambda_n)
-    (symmetric, unit diagonal): block = sinc_matrix(x, x) on the moved
-    nodes x and cross = sinc_matrix(unmoved indices, x), and the window is
-    not read.  A complex grid's is the window-truncated S^H S, which
-    converges to the Gram as the window grows; it is assembled from S - I
-    on the moved columns in O(rows m^2 + m n) for m moved of n columns, by
-    the _norm_and_gram call riesz_bounds_estimate makes, whose norm (one
-    m x m eigvalsh) is discarded here.
+    (symmetric, unit diagonal), and the window is not read.  One
+    sinc_matrix with the moved nodes x as its columns and x, then the
+    unmoved indices, as its rows gives both blocks as row slices: block,
+    sinc(x, x), is its first m rows and cross, sinc(unmoved indices, x),
+    the rest.  So x's sines, cosines and sorted search are made once, and
+    the dense limit applies to the n x m array.  A complex grid's is the
+    window-truncated S^H S, which converges to the Gram as the window
+    grows; it is assembled from S - I on the moved columns in O(rows m^2 +
+    m n) for m moved of n columns, by the _norm_and_gram call
+    riesz_bounds_estimate makes, whose norm (one m x m eigvalsh) is
+    discarded here.
     """
     if grid.is_complex:
         return _norm_and_gram(grid, window or TruncationWindow.for_grid(grid), 0)[2]
     moved, unmoved = _moved(grid)
     x = grid.nodes[moved]
-    return GramRows(sinc_matrix(x, x), sinc_matrix(grid.indices[unmoved], x), moved, unmoved)
+    rows = sinc_matrix(np.concatenate((x, grid.indices[unmoved])), x)
+    return GramRows(rows[:moved.size], rows[moved.size:], moved, unmoved)
 
 
 def gram_matrix(grid: PerturbedGrid, window: Optional[TruncationWindow] = None
@@ -430,7 +438,8 @@ def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
     most of their values, since entries depend on node differences and
     exact zeros are common.  -0.0 and 0.0 are distinct patterns, so each
     keeps its sign.  Each row is written by one join of its records'
-    slots, so no string is built per entry of a real matrix.
+    slots, so no string is built per entry of a real matrix; a row with no
+    entries joins nothing, so a matrix with no columns writes an empty file.
     """
     M = np.asarray(matrix)
     rows, cols = np.asarray(row_labels).tolist(), np.asarray(col_labels).tolist()
@@ -444,8 +453,6 @@ def dump_matrix(matrix: np.ndarray, path, row_labels, col_labels) -> None:
     parts = [tail] * (4 * len(cols))
     parts[1::4] = [f"{n} " for n in cols]
     with open(path, "w", encoding="utf-8") as fh:
-        if not cols:  # a row of no entries writes no record, not its label
-            return
         for r0 in range(0, len(rows), step):
             # the block's doubles, a complex row as re, im pairs; copied
             # only when M is not already C-ordered doubles

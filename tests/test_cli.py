@@ -217,6 +217,40 @@ def test_table_range_length_is_capped(capsys):
                    f"over the limit of {cli.MAX_RANGE_VALUES}\n")
 
 
+def test_table_size_is_capped(capsys, monkeypatch):
+    # a list holds at most MAX_RANGE_VALUES values, each range counted before
+    # it is expanded, and the table at most 2 * MAX_RANGE_VALUES rows: one
+    # full list with one value in the other list and --critical
+    alphas, amps = "0.55:1:0.000005", "0.001:0.45:0.000005"
+    rows = len(cli._parse_float_list(alphas)) * len(cli._parse_float_list(amps))
+    code, out, err = run(capsys, "table", "--alpha", alphas, "--A", amps)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: the table has {rows} rows, over the limit of "
+                   f"{2 * cli.MAX_RANGE_VALUES}\n")
+
+    monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 4)
+    for argv in (("--alpha", "1,2,3,4", "--A", "0.1", "--critical"),
+                 ("--alpha", "1", "--A", "0.1:0.25:0.05", "--critical"),
+                 ("--alpha", "1:2:0.5,3", "--A", "0.1"),
+                 ("--alpha", "1,2", "--A", "0.1:1:0.3")):
+        code, out, err = run(capsys, "table", *argv, "--format", "csv")
+        assert code == 0 and err == ""
+    for argv, message in (
+            (("--alpha", "1,2,3", "--A", "0.1,0.2", "--critical"),
+             "the table has 9 rows, over the limit of 8"),
+            (("--alpha", "1,2,3,4,5", "--A", "0.1"),
+             "list '1,2,3,4,5' has more than 4 values"),
+            (("--alpha", "1", "--A", "0.1,0.2:1e300:1e-300"),  # 1e600 values, never made
+             "range '0.2:1e300:1e-300' has inf values, over the limit of 4"),
+            (("--alpha", "1", "--A", "0.1,0.2:0.5:0.1"),
+             "list '0.1,0.2:0.5:0.1' has more than 4 values")):
+        code, out, err = run(capsys, "table", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_full_paper_tables_via_cli(capsys):
     code, out, _ = run(capsys, "table", "--alpha", "0.7,0.65,0.63,0.62,0.61599",
                        "--A", "0.25", "--format", "json")
@@ -419,8 +453,9 @@ def test_gram_dump_builds_gram_matrix_once(capsys, tmp_path, monkeypatch):
                        "--dump-matrix", str(tmp_path / "gram.txt"))
     assert code == 0
     # the norm's S - I (101 window rows, 20 moved columns), then the 21-node
-    # Gram matrix's 20 x 20 moved block and its row at the unmoved n = 0
-    assert builds == [(101, 20), (20, 20), (1, 20)]
+    # Gram matrix's 20 x 20 moved block and its row at the unmoved n = 0,
+    # built as one 21 x 20 matrix
+    assert builds == [(101, 20), (21, 20)]
     assert [matrix.shape for matrix in solved] == [(20, 20), (21, 21)]
     assert len(dumped) == 1 and dumped[0] is solved[1]
     results = json.loads(out)["results"]
@@ -547,12 +582,14 @@ def test_oversized_rows_or_points_fail_before_allocating(capsys, argv, message):
     (("--ingham", "--N", "1", "--eval-points", "10"), (10, "points", 4, "atoms")),
     (("--ingham", "--N", "1", "--eval-points", "2"), (3, "nodes", 4, "atoms")),
     (("--ingham", "--N", "1", "--eval-points", "5"), (5, "points", 3, "nodes")),
+    (("--ingham", "--N", "1", "--eval-points", "20"), (20, "points", 12, "arrays")),
 ])
 def test_oversized_signal_fails_before_sampling(capsys, monkeypatch, flags, shape):
     # the evaluation's points x nodes terms and the reference signal's terms
     # at the points and at the nodes make no matrix; each count is bounded as
-    # a real matrix's entries would be (MAX_DENSE_BYTES / 8), and a request
-    # one term over the lowered limit is refused before anything is evaluated
+    # a real matrix's entries would be (MAX_DENSE_BYTES / 8), and so are the
+    # 12 point-length arrays the evaluation holds; a request one term over
+    # the lowered limit is refused before anything is evaluated
     from sincstab import reconstruct
 
     def unreachable(*args, **kwargs):
@@ -567,6 +604,43 @@ def test_oversized_signal_fails_before_sampling(capsys, monkeypatch, flags, shap
     assert out == ""
     assert err == (f"error: {rows} {row_name} x {cols} {col_name} = {rows * cols} terms, "
                    f"over the limit of {rows * cols - 1} terms\n")
+
+
+def test_largest_admitted_evaluation_peaks_within_the_dense_limit(capsys, monkeypatch):
+    # the point-length arrays are counted as 12 doubles a point: the largest
+    # count admitted under a lowered limit peaks within it under tracemalloc,
+    # and one more point is refused before the signal is sampled.  The
+    # evaluation takes about 11.2 doubles a point plus about 1.1 MiB of
+    # SINC_BLOCK-sized buffers, so the limit is lowered only to 32 MiB, where
+    # those buffers fit the 0.8 doubles a point to spare
+    import tracemalloc
+
+    from sincstab import reconstruct
+
+    limit = 1 << 25
+    largest = limit // 8 // 12
+    monkeypatch.setattr(specfun, "MAX_DENSE_BYTES", limit)
+    argv = ("reconstruct", "--signal=0.5", "--power-law", "--A", "0.1", "--alpha", "1",
+            "--N", "1")
+    assert run(capsys, *argv)[0] == 0  # imports what a first request loads, untraced
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--eval-points", str(largest))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert peak <= limit
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("signal sampled for an oversized request")
+
+    monkeypatch.setattr(reconstruct, "sample_signal", unreachable)
+    code, out, err = run(capsys, *argv, "--eval-points", str(largest + 1))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {largest + 1} points x 12 arrays = {12 * (largest + 1)} terms, "
+                   f"over the limit of {limit // 8} terms\n")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -842,9 +916,16 @@ def test_imag_is_echoed_for_uniform_offset_only(capsys, tmp_path, command):
 
 
 def test_reconstruct_bad_signal(capsys):
-    code, _, err = run(capsys, "reconstruct", "--signal", ",",
-                       "--uniform-offset", "0", "--N", "5")
-    assert code == 1
+    for spec, message in ((",", "empty signal specification ','"),
+                          ("0.5:", "could not convert string to float: ''"),
+                          (":1", "could not convert string to float: ''"),
+                          ("abc", "could not convert string to float: 'abc'"),
+                          ("0.5:1:2", "could not convert string to float: '1:2'")):
+        code, out, err = run(capsys, "reconstruct", f"--signal={spec}",
+                             "--uniform-offset", "0", "--N", "5")
+        assert code == 1, spec
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,40 @@ def test_real_gram_rows_match_the_dense_gram(tmp_path):
     assert dense[5, 8] == dense[8, 5] == 1.0  # the landing grid, last in the loop
 
 
+@pytest.mark.parametrize("grid", [
+    power_law_grid(0.2, 1.0, 1000, extend_nonpositive=True),
+    ingham_grid(240),
+    uniform_offset_grid([1.0] * 41, (-20, 20)),
+    PerturbedGrid(np.arange(-30, 31), np.where(np.arange(61) % 3, 0.3, 0.0)),
+], ids=["real-pipeline", "ingham-240", "offset-1", "mixed"])
+def test_real_gram_blocks_equal_their_separate_builds(grid):
+    # block and cross are row slices of one sinc_matrix over the moved nodes
+    # x: bit for bit the separate sinc_matrix(x, x) and sinc_matrix(unmoved
+    # indices, x), on real-pipeline's grid, where one row block holds both
+    # moved and unmoved rows, and on uniform offset 1, whose moved nodes all
+    # sit on integers
+    G = gram_rows(grid)
+    x = grid.nodes[G.moved]
+    for got, want in ((G.block, sinc_matrix(x, x)),
+                      (G.cross, sinc_matrix(grid.indices[G.unmoved], x))):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert G.block.base is G.cross.base is not None
+
+
+def test_real_gram_cross_zero_signs_follow_their_row_block():
+    # lambda_1 = 2 sits on an integer among moved nodes that do not: the
+    # unmoved rows that share a row block with x take the rank-2 quotient,
+    # whose exact zeros can carry the other sign than the one-term fill of a
+    # separate build, so only the values are the same there
+    grid = power_law_grid(1.0, 1.0, 100, extend_nonpositive=True)
+    G = gram_rows(grid)
+    want = sinc_matrix(grid.indices[G.unmoved], grid.nodes[G.moved])
+    assert np.array_equal(G.cross, want)
+    differ = G.cross.view(np.int64) != want.view(np.int64)
+    assert differ.any() and not G.cross[differ].any()
+
+
 def _embedded_complex_gram(grid, window):
     """The complex S^H S as a zero-filled n x n embedding of the rows of
     E = S - I at the grid indices, C^H on the moved rows and C on the moved

@@ -456,3 +456,26 @@ def test_write_csv(tmp_path):
     t0, ref0, hat0, err0 = (float(v) for v in lines[2].split(","))
     assert t0 == -5.0
     assert err0 == abs(hat0 - ref0)
+
+
+def test_write_csv_streams_blocks_of_rows(tmp_path, monkeypatch):
+    # the rows are converted SINC_BLOCK at a time: the file is the one that
+    # whole-array lists write, and the export holds no list of every point
+    import tracemalloc
+
+    t = np.linspace(-5.0, 5.0, 3001)
+    f_ref, f_hat = np.sin(t), np.cos(t)
+    rows = [f"{ti!r},{ri!r},{hi!r},{abs(hi - ri)!r}\n"
+            for ti, ri, hi in zip(t.tolist(), f_ref.tolist(), f_hat.tolist())]
+    result = ReconstructionResult(coefficients=np.zeros(21), residual_norm=0.0,
+                                  solver_iterations=0)
+    monkeypatch.setattr(reconstruct, "SINC_BLOCK", 100)
+    path = tmp_path / "recon.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, result, integer_grid(10), t, f_ref, f_hat, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().splitlines(keepends=True)[2:] == rows
+    assert peak < 24 * t.size  # below one list of the points' floats
